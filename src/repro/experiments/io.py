@@ -1,6 +1,15 @@
 """JSON / CSV serialisation for sweep and serving results.
 
-JSON keeps the nested row structure verbatim; CSV flattens each row with
+JSON keeps the nested row structure verbatim, and :func:`write_json`'s
+file is byte-for-byte ``json.dumps(payload, indent=2) + "\\n"``.  It is
+written as a stream: each container whose values are all scalars (every
+row of a request or trace table) is one call to the stdlib C encoder,
+whose item separator already carries the ``indent=2`` line break, and
+goes straight to the file.  That is about twice as fast as
+``json.dump(indent=2)``, which falls back to the pure-Python encoder,
+and never holds the whole document in memory.
+
+CSV flattens each row with
 dotted keys (``prefill.latency.total_s``) so spreadsheet tooling can
 consume it, and :func:`read_csv` re-parses cells so a write/read
 round-trip is *type-faithful*:
@@ -30,6 +39,7 @@ round-trip is *type-faithful*:
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import re
 from typing import Dict, FrozenSet, List, Sequence
@@ -93,10 +103,98 @@ def unflatten_row(flat: Dict[str, object]) -> dict:
     return row
 
 
+#: Value types the C encoder renders exactly as ``json.dump(indent=2)``
+#: does.  Subclasses (and anything else) take the per-item path.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=None)
+def _level(depth: int) -> tuple:
+    """``(encode, newline, item separator, closing newline)`` for the
+    items at nesting ``depth >= 1`` of an ``indent=2`` document."""
+    newline = "\n" + "  " * depth
+    encode = json.JSONEncoder(separators=("," + newline, ": ")).encode
+    return encode, newline, "," + newline, newline[:-2]
+
+
+def _json_key(key: object, encode) -> str:
+    """Coerce and quote a dict key the way ``json.dump`` does."""
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float):
+        key = encode(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, "
+            f"not {key.__class__.__name__}"
+        )
+    return encode(key)
+
+
+def _write_value(write, obj: object, depth: int, markers: set,
+                 lead: str = "") -> None:
+    """Stream ``lead`` and then ``obj``, which opens at nesting ``depth``.
+
+    A non-empty container whose values are all plain scalars is one C
+    encoder call whose item separator already carries the line break
+    and indent of ``depth + 1``; only the break after the opening
+    bracket and before the closing one are added here.  Any other
+    container is walked item by item.
+    """
+    encode, inner, separator, outer = _level(depth + 1)
+    if isinstance(obj, dict):
+        is_dict, values = True, obj.values()
+    elif isinstance(obj, (list, tuple)):
+        is_dict, values = False, obj
+    else:
+        write(lead + encode(obj))
+        return
+    if not obj:
+        write(lead + ("{}" if is_dict else "[]"))
+        return
+    if _SCALAR_TYPES.issuperset(map(type, values)):
+        text = encode(obj)
+        write(lead + text[0] + inner + text[1:-1] + outer + text[-1])
+        return
+    marker = id(obj)
+    if marker in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(marker)
+    lead += ("{" if is_dict else "[") + inner
+    if is_dict:
+        for key, value in obj.items():
+            key_lead = lead + _json_key(key, encode) + ": "
+            _write_value(write, value, depth + 1, markers, key_lead)
+            lead = separator
+    else:
+        for value in obj:
+            _write_value(write, value, depth + 1, markers, lead)
+            lead = separator
+    write(outer + ("}" if is_dict else "]"))
+    markers.remove(marker)
+
+
 def write_json(path: str, payload: dict) -> None:
-    """Write a JSON document (sweep payloads are plain dict/list/scalar)."""
+    """Write a JSON document (sweep payloads are plain dict/list/scalar).
+
+    The file holds exactly the bytes of ``json.dumps(payload,
+    indent=2) + "\\n"`` — same layout, ``NaN``/``Infinity`` literals,
+    ASCII escapes, key coercion, tuples as lists, and the same
+    ``ValueError`` / ``TypeError`` on circular or unserialisable input.
+    It is streamed: each all-scalar container (every row of a row
+    table) is one call to the stdlib C encoder written straight to the
+    file, so no document-sized string is ever built.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
+        _write_value(fh.write, payload, 0, set())
         fh.write("\n")
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "cluster_table",
     "format_table",
     "percentile",
+    "percentiles",
     "safe_ratio",
 ]
 
@@ -151,18 +152,32 @@ def percentile(values: Sequence[float], q: float) -> float:
     ``q`` is in ``[0, 100]``.  Matches numpy's default ("linear")
     definition without requiring an array round-trip.
     """
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    return percentiles(values, (q,))[0]
+
+
+def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
+    """:func:`percentile` at each ``q`` in ``qs``, sorting ``values`` once.
+
+    >>> percentiles([4.0, 1.0, 3.0, 2.0], (0, 50, 100))
+    [1.0, 2.5, 4.0]
+    """
+    for q in qs:
+        if not 0 <= q <= 100:
+            raise ValueError(f"percentile must be in [0, 100], got {q}")
     if not values:
-        return 0.0
+        return [0.0] * len(qs)
     ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    position = (len(ordered) - 1) * q / 100.0
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    frac = position - low
-    return float(ordered[low] * (1.0 - frac) + ordered[high] * frac)
+    last = len(ordered) - 1
+    if last == 0:
+        return [float(ordered[0])] * len(qs)
+    out = []
+    for q in qs:
+        position = last * q / 100.0
+        low = int(position)
+        high = min(low + 1, last)
+        frac = position - low
+        out.append(float(ordered[low] * (1.0 - frac) + ordered[high] * frac))
+    return out
 
 
 def serving_table(rows: Sequence[dict]) -> List[dict]:
@@ -209,6 +224,12 @@ def serving_table(rows: Sequence[dict]) -> List[dict]:
         )
         hit_ttfts = [r["ttft_s"] for r in done if r.get("cache_hit", False)]
         miss_ttfts = [r["ttft_s"] for r in done if not r.get("cache_hit", False)]
+        ttft_p50, ttft_p95, ttft_p99 = percentiles(ttfts, (50, 95, 99))
+        hit_p50, hit_p95 = percentiles(hit_ttfts, (50, 95))
+        miss_p50, miss_p95 = percentiles(miss_ttfts, (50, 95))
+        latency_p50, latency_p95, latency_p99 = percentiles(
+            latencies, (50, 95, 99)
+        )
         table.append(
             {
                 "scope": scope,
@@ -222,20 +243,20 @@ def serving_table(rows: Sequence[dict]) -> List[dict]:
                 "shed": sum(bool(r.get("shed", False)) for r in group),
                 "slo_requests": len(slo_rows),
                 "slo_attainment": safe_ratio(slo_met, len(slo_rows), default=1.0),
-                "ttft_p50_s": percentile(ttfts, 50),
-                "ttft_p95_s": percentile(ttfts, 95),
-                "ttft_p99_s": percentile(ttfts, 99),
+                "ttft_p50_s": ttft_p50,
+                "ttft_p95_s": ttft_p95,
+                "ttft_p99_s": ttft_p99,
                 "ttft_mean_s": safe_ratio(sum(ttfts), len(ttfts)),
                 "cache_hit_requests": len(hit_ttfts),
-                "ttft_hit_p50_s": percentile(hit_ttfts, 50),
-                "ttft_hit_p95_s": percentile(hit_ttfts, 95),
-                "ttft_miss_p50_s": percentile(miss_ttfts, 50),
-                "ttft_miss_p95_s": percentile(miss_ttfts, 95),
+                "ttft_hit_p50_s": hit_p50,
+                "ttft_hit_p95_s": hit_p95,
+                "ttft_miss_p50_s": miss_p50,
+                "ttft_miss_p95_s": miss_p95,
                 "tpot_mean_s": safe_ratio(sum(tpots), len(tpots)),
                 "tpot_p99_s": percentile(tpots, 99),
-                "latency_p50_s": percentile(latencies, 50),
-                "latency_p95_s": percentile(latencies, 95),
-                "latency_p99_s": percentile(latencies, 99),
+                "latency_p50_s": latency_p50,
+                "latency_p95_s": latency_p95,
+                "latency_p99_s": latency_p99,
                 "queue_mean_s": safe_ratio(
                     sum(r["queue_s"] for r in done), len(done)
                 ),

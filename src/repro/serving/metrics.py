@@ -40,7 +40,12 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.experiments.tables import percentile, safe_ratio, serving_table
+from repro.experiments.tables import (
+    percentile,
+    percentiles,
+    safe_ratio,
+    serving_table,
+)
 from repro.serving.scheduler import ServingResult
 
 __all__ = [
@@ -259,6 +264,7 @@ def cluster_summary(result) -> dict:
     energy = result.total_energy_j
     unavailability, recovery = _availability(result, makespan)
     fault_kinds = [e["kind"] for e in result.fault_events]
+    ttft_p50, ttft_p95, ttft_p99 = percentiles(ttfts, (50, 95, 99))
     return {
         "router": result.router,
         "deployments": len(result.deployments),
@@ -277,9 +283,9 @@ def cluster_summary(result) -> dict:
         ),
         "slo_requests": slo_requests,
         "slo_attainment": safe_ratio(slo_met, slo_requests, default=1.0),
-        "ttft_p50_s": percentile(ttfts, 50),
-        "ttft_p95_s": percentile(ttfts, 95),
-        "ttft_p99_s": percentile(ttfts, 99),
+        "ttft_p50_s": ttft_p50,
+        "ttft_p95_s": ttft_p95,
+        "ttft_p99_s": ttft_p99,
         "latency_p95_s": percentile(latencies, 95),
         "output_tokens": output_tokens,
         "output_tokens_per_s": safe_ratio(output_tokens, makespan),

@@ -3,7 +3,7 @@ KV admission, sharding and metric aggregation."""
 
 import pytest
 
-from repro.experiments.tables import percentile
+from repro.experiments.tables import percentile, percentiles
 from repro.model import SchemePolicy, get_model_config
 from repro.model.cost import model_inference_cost
 from repro.pim.upmem import UpmemConfig, UpmemSystem
@@ -220,6 +220,22 @@ def test_percentile_helper():
     assert percentile([1.0, 2.0, 3.0, 4.0], 100) == 4.0
     with pytest.raises(ValueError):
         percentile([1.0], 101)
+    # The sort-once helper is bit-identical to sorting per quantile.
+    def sort_per_quantile(values, q):
+        ordered = sorted(values)
+        position = (len(ordered) - 1) * q / 100.0
+        low = int(position)
+        high = min(low + 1, len(ordered) - 1)
+        frac = position - low
+        return float(ordered[low] * (1.0 - frac) + ordered[high] * frac)
+
+    values = [((7 * i) % 13) / 3.0 + i * 1e-3 for i in range(41)]
+    qs = (0, 12.5, 50, 95, 99, 100)
+    assert percentiles(values, qs) == [sort_per_quantile(values, q) for q in qs]
+    assert percentiles([], qs) == [0.0] * len(qs)
+    assert percentiles([5.0], (50, 99)) == [5.0, 5.0]
+    with pytest.raises(ValueError):
+        percentiles([1.0], (50, -1))
 
 
 def test_simulation_is_deterministic():
