@@ -80,10 +80,12 @@ CLUSTER_KINDS = (
     "shed",
 )
 
-#: Rank-scoped fault-injection kinds emitted by the event engine when a
-#: :class:`~repro.serving.faults.FaultPlan` fires: a replica crash (the
-#: payload lists the lost request ids), a transient stall window, and a
-#: latency-degradation window.
+#: Rank-scoped fault-injection kinds of a
+#: :class:`~repro.serving.faults.FaultPlan`: a replica crash, emitted by
+#: the engine that dies (the payload lists the lost request ids), and a
+#: transient stall window and a latency-degradation window, each emitted
+#: once as scheduled (start, full duration) by the plan's owner — see
+#: :meth:`~repro.serving.faults.FaultPlan.trace_windows`.
 FAULT_EVENT_KINDS = (
     "fault_crash",
     "fault_stall",
@@ -262,11 +264,11 @@ class Tracer:
         """A replica died, losing ``lost_req_ids`` and its KV/cache."""
 
     def fault_stall(self, t_s: float, rank: int, duration_s: float) -> None:
-        """A replica froze for ``duration_s`` starting at ``t_s``."""
+        """A stall window: frozen for ``duration_s`` from ``t_s``."""
 
     def fault_degrade(self, t_s: float, rank: int, duration_s: float,
                       factor: float) -> None:
-        """A replica entered a ``factor``× latency window."""
+        """A ``factor``× latency window of ``duration_s`` from ``t_s``."""
 
 
 class RecordingTracer(Tracer):

@@ -44,7 +44,7 @@ from repro.model.policy import SchemePolicy
 from repro.pim.energy import EnergyModel
 from repro.pim.upmem import UpmemConfig, UpmemSystem
 from repro.serving.engine.config import ServingConfig
-from repro.serving.engine.costs import _CostCache
+from repro.serving.engine.costs import _CostCache, cost_identity
 from repro.serving.engine.driver import make_engine
 from repro.serving.engine.rank_engine import _RankEngine
 from repro.serving.engine.records import RequestRecord, ServingResult
@@ -66,8 +66,12 @@ class Deployment:
 
     ``config.num_ranks`` is the *initial* replica count; the autoscaler
     may add replicas (up to its own cap) or retire idle ones.  All
-    replicas share one memoised cost spine and one scheduling-policy
-    instance; each holds its own KV budget of ``kv_capacity`` bytes.
+    replicas share one memoised cost spine (:attr:`cost_cache`) and one
+    scheduling-policy instance; each holds its own KV budget of
+    ``kv_capacity`` bytes.  The cost spine is built on the first
+    :meth:`add_replica` — or handed over by the :class:`Cluster`, which
+    gives every deployment with the same
+    :func:`~repro.serving.engine.costs.cost_identity` one shared cache.
     ``tier`` is the deployment's SLO class, matched against request
     priorities by the ``slo_affinity`` router.
 
@@ -111,9 +115,13 @@ class Deployment:
                 f"({self.weight_bytes} B) exceed a replica's MRAM "
                 f"({mram_total} B); use more DPUs per rank or a narrower scheme"
             )
-        self.cost_cache = _CostCache(
+        self._cost_args = (
             model, scheme_policy, system, config.kernel, energy_model
         )
+        #: This deployment's :func:`~repro.serving.engine.costs
+        #: .cost_identity`: deployments with equal keys share a cache.
+        self.cost_identity = cost_identity(*self._cost_args)
+        self.cost_cache: Optional[_CostCache] = None
         self.sched_policy = config.make_policy()
         self.engines: List[_RankEngine] = []
         self.routed = 0
@@ -142,6 +150,8 @@ class Deployment:
         replica collects nothing before its weights have transferred,
         so arrivals routed to it meanwhile wait in its pending queue.
         """
+        if self.cost_cache is None:
+            self.cost_cache = _CostCache(*self._cost_args)
         engine = make_engine(
             rank, (), self.cost_cache, self.config, self.kv_capacity,
             self.sched_policy, tracer=self._tracer, profiler=self._profiler,
@@ -435,6 +445,12 @@ class Cluster:
     turns are sticky to the deployment that served the session's first
     turn — and (3) submits the request there.  After the last arrival
     every deployment drains to completion.
+
+    Before the first replica is built, deployments are grouped by
+    :func:`~repro.serving.engine.costs.cost_identity` and each group
+    gets one :class:`~repro.serving.engine.costs._CostCache` (with its
+    segment table), owned by this cluster's deployments and gone with
+    them.
     """
 
     def __init__(
@@ -498,6 +514,20 @@ class Cluster:
                 if spec.kind == "degrade":
                     entry["factor"] = spec.factor
                 self._fault_events.append(entry)
+            if self._trace is not None:
+                faults.trace_windows(self._trace)
+        # One cost spine per cost identity for this run: identical
+        # deployments share every prefill, weight-step and attention
+        # table instead of each re-deriving them.  The values are pure
+        # functions of their keys, so sharing never changes a result.
+        # A deployment that already holds a cache keeps it.
+        spines: Dict[tuple, _CostCache] = {}
+        for deployment in self.deployments:
+            if deployment.cost_cache is None:
+                key = deployment.cost_identity
+                if key not in spines:
+                    spines[key] = _CostCache(*deployment._cost_args)
+                deployment.cost_cache = spines[key]
         for deployment in self.deployments:
             deployment._tracer = tracer
             deployment._profiler = profiler

@@ -12,7 +12,10 @@ natural seams:
 * :mod:`~repro.serving.engine.records` — result types
   (:class:`RequestRecord`, :class:`RankStats`, :class:`ServingResult`).
 * :mod:`~repro.serving.engine.costs` — the memoised analytical cost
-  spine (``_CostCache``) shared by every replica of a deployment.
+  spine (``_CostCache``), one per cost identity per run: shared by
+  every replica of a deployment and, in a cluster, by every deployment
+  with the same model, scheme policy, UPMEM config, kernel and energy
+  model.
 * :mod:`~repro.serving.engine.rank_engine` — one replica's
   continuous-batching engine (``_RankEngine``), driveable either
   run-to-drain or incrementally (``submit`` / ``advance`` /

@@ -1,17 +1,23 @@
-"""Memoised cost spine shared by every rank engine of a deployment.
+"""Memoised cost spine shared by every rank engine of one cost identity.
 
 :class:`_CostCache` turns the closed-form analytical cost model
 (:mod:`repro.model.cost`) into O(1) dict lookups for the engine's hot
-path.  One instance per deployment: engines of the same deployment
-share it (identical model/scheme/kernel ⇒ identical cost surfaces), so
-a cluster pays the analytical evaluations once per *shape*, not once
-per replica.
+path.  One instance per *cost identity* per simulation
+(:func:`cost_identity`: model, scheme policy by value, UPMEM config,
+kernel, energy model): every engine of a deployment shares it, and a
+:class:`~repro.serving.cluster.Cluster` hands one instance to all of its
+deployments with the same identity, so a run pays the analytical
+evaluations once per *shape*, not once per replica or per deployment.
+Every memoised value is a pure function of its key — independent of
+which engine asked first or in what order — so sharing never changes a
+result.  Nothing outlives the run: the caches belong to the
+deployments (or the :func:`~repro.serving.engine.driver.simulate_trace`
+call) that built them.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,15 +37,46 @@ from repro.quant.schemes import resolve_scheme
 from repro.pim.energy import EnergyModel
 from repro.pim.upmem import ExecutionStats, UpmemSystem
 
-__all__ = ["_CostCache", "SegmentCostTable"]
+__all__ = ["_CostCache", "SegmentCostTable", "cost_identity"]
+
+#: Spacing of the cumulative-attention checkpoints above the floor: a
+#: depth's value is its checkpoint's plus one closed-form tail of at
+#: most this many steps.
+ATTN_CHECKPOINT = 64
+
+
+def cost_identity(
+    model: ModelConfig,
+    policy: SchemePolicy,
+    system: UpmemSystem,
+    kernel: str,
+    energy_model: EnergyModel,
+) -> tuple:
+    """The value key two cost spines must share to be interchangeable.
+
+    Equal keys mean equal cost surfaces: the same model, the same scheme
+    policy *by value* (default plus layer and projection overrides —
+    :class:`~repro.model.policy.SchemePolicy` itself compares by
+    identity), the same UPMEM configuration, kernel and energy model.
+    """
+    return (
+        model,
+        policy.default,
+        tuple(sorted(policy.layer_overrides.items())),
+        tuple(sorted(policy.projection_overrides.items())),
+        system.config,
+        kernel,
+        energy_model,
+    )
 
 
 class _CostCache:
     """Memoised (latency, energy) scalars for the engine's cost queries.
 
-    One instance per simulation: distinct prefill-chunk shapes, batch
-    sizes and KV lengths each cost one analytical evaluation, after
-    which an engine iteration is a handful of dict lookups.  A whole
+    One instance per cost identity per simulation (see the module
+    docstring): distinct prefill-chunk shapes, batch sizes and KV
+    lengths each cost one analytical evaluation, after which an engine
+    iteration is a handful of dict lookups.  A whole
     prompt is the ``(done=0, chunk=prompt)`` special case of a chunk,
     bit-identical to the prefill phase of
     :func:`~repro.model.cost.model_inference_cost`.
@@ -51,6 +88,13 @@ class _CostCache:
     sums give any ``[kv_lo, kv_hi]`` range in O(1)) plus the
     batch-keyed :meth:`weight_step` entry scaled by the segment length
     — the memoisation key space is exactly (batch, KV-depth range).
+
+    Every entry is a pure function of its key, so engines of any number
+    of deployments can share one instance in any fill order:
+    :meth:`attn_cum` above the DPU-count floor extends from fixed
+    checkpoints (every :data:`ATTN_CHECKPOINT` depths past the floor,
+    chained from the floor) rather than from whichever depth happened to
+    be cached.
     """
 
     def __init__(
@@ -79,10 +123,9 @@ class _CostCache:
         self._attn_cum_floor = (
             system.total_dpus if system.total_dpus > model.head_dim else 0
         )
-        # Sorted constant-region keys of ``_attn_cum`` (plus 0), so a new
-        # cumulative entry extends from its nearest cached neighbour
-        # instead of re-summing the whole prefix.
-        self._attn_cum_keys: List[int] = [0]
+        # Deepest checkpoint (floor + j * ATTN_CHECKPOINT) already in
+        # ``_attn_cum``; below the floor nothing is a checkpoint yet.
+        self._attn_checkpoint = -1
         # Attention matmuls are always costed on the naive int8-MAC path
         # at ATTENTION_SCHEME precision; resolve once so cache misses
         # call the shared cost functions directly (the public wrappers'
@@ -95,7 +138,7 @@ class _CostCache:
         """The dense :class:`SegmentCostTable` view over this cache.
 
         Built lazily (the object engines never pay for it) and memoised,
-        so every SoA engine of a deployment shares one table the same
+        so every SoA engine sharing this cache shares one table the same
         way the scalar dict caches are shared.
         """
         if self._segment_table is None:
@@ -161,45 +204,62 @@ class _CostCache:
         from one :func:`~repro.model.cost.decode_attention_stats_sum`
         evaluation (valid there because the attention DPU count — and
         with it the energy model's per-DPU scaling — is constant).
+
+        The result is a pure function of ``kv_len``: above the floor a
+        depth extends from its checkpoint, the deepest
+        ``floor + j * ATTN_CHECKPOINT`` below it, and each checkpoint
+        extends from the previous one.  The chain is filled iteratively,
+        so any depth is reachable without recursion.
         """
-        hit = self._attn_cum.get(kv_len)
+        cum = self._attn_cum
+        hit = cum.get(kv_len)
         if hit is not None:
             return hit
         floor = self._attn_cum_floor
         if kv_len <= floor:
             start = kv_len
-            while start > 1 and (start - 1) not in self._attn_cum:
+            while start > 1 and (start - 1) not in cum:
                 start -= 1
-            lat, energy = self._attn_cum[start - 1]
+            lat, energy = cum[start - 1]
             for kv in range(start, kv_len + 1):
                 step_lat, step_energy = self.attn_step(kv)
                 lat += step_lat
                 energy += step_energy
-                self._attn_cum[kv] = (lat, energy)
-            return self._attn_cum[kv_len]
-        keys = self._attn_cum_keys
-        base_key = keys[bisect.bisect_left(keys, kv_len) - 1]
-        if base_key < floor:
-            base_key = floor
-            base_lat, base_energy = self.attn_cum(floor)
-        else:
-            base_lat, base_energy = self._attn_cum[base_key]
-        # Equivalent of decode_attention_stats_sum(model, 1, base_key + 1,
-        # kv_len) scaled to all layers, via the shared cached sums.
+                cum[kv] = (lat, energy)
+            return cum[kv_len]
+        base = kv_len - 1 - (kv_len - 1 - floor) % ATTN_CHECKPOINT
+        if self._attn_checkpoint < base:
+            checkpoint = self._attn_checkpoint
+            if checkpoint < floor:
+                self.attn_cum(floor)
+                checkpoint = floor
+            while checkpoint < base:
+                cum[checkpoint + ATTN_CHECKPOINT] = self._attn_extend(
+                    checkpoint, checkpoint + ATTN_CHECKPOINT
+                )
+                checkpoint += ATTN_CHECKPOINT
+            self._attn_checkpoint = base
+        hit = cum[kv_len] = self._attn_extend(base, kv_len)
+        return hit
+
+    def _attn_extend(self, base: int, kv_len: int) -> Tuple[float, float]:
+        """``attn_cum(base)`` plus the closed-form tail ``(base, kv_len]``.
+
+        Equivalent of ``decode_attention_stats_sum(model, 1, base + 1,
+        kv_len)`` scaled to all layers, via the shared cached sums.
+        """
+        base_lat, base_energy = self._attn_cum[base]
         heads, head_dim = self.model.num_heads, self.model.head_dim
         config = self.system.config
         tail = (
             _naive_sum_n(
-                self._attn_scheme, heads, head_dim, base_key + 1, kv_len, config
+                self._attn_scheme, heads, head_dim, base + 1, kv_len, config
             )
             + _naive_sum_k(
-                self._attn_scheme, heads, head_dim, base_key + 1, kv_len, config
+                self._attn_scheme, heads, head_dim, base + 1, kv_len, config
             )
         ).scaled(self.model.num_layers)
-        hit = (base_lat + tail.total_s, base_energy + self.energy.total_j(tail))
-        self._attn_cum[kv_len] = hit
-        bisect.insort(keys, kv_len)
-        return hit
+        return base_lat + tail.total_s, base_energy + self.energy.total_j(tail)
 
     def attn_segment(self, kv_lo: int, kv_hi: int) -> Tuple[float, float]:
         """(latency_s, energy_j) of one request's attention over a KV range.
@@ -232,12 +292,10 @@ class SegmentCostTable:
     actually occur, so an unchunked prefill stage costs one gather
     instead of one dict lookup per request.
 
-    The table is filled by walking :meth:`_CostCache.attn_cum`
-    *ascending*, so each new depth extends the previous one by a single
-    closed-form tail; the resulting floats can differ from the object
-    engines' lazy, access-order-dependent accumulation by ~1e-13
-    relative — far inside the 1e-9 equivalence tolerance the engine
-    suite pins.  Storage doubles on growth, so incremental (cluster)
+    ``cum_lat[kv]`` and ``cum_energy[kv]`` equal
+    :meth:`_CostCache.attn_cum` exactly (it is a pure function of the
+    depth), so the dense and the dict views of a cache agree bit for
+    bit.  Storage doubles on growth, so incremental (cluster)
     submissions extend it in amortised O(1) per depth.
     """
 

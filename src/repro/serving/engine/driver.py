@@ -2,7 +2,8 @@
 
 :func:`simulate_trace` assembles the pieces the engine package splits
 apart — resolve the model and scheme, size the per-replica KV budget,
-build one shared :class:`~repro.serving.engine.costs._CostCache`, shard
+build the run's one :class:`~repro.serving.engine.costs._CostCache`
+(every replica of a deployment has the same cost identity), shard
 the trace across rank engines via the routing layer's
 :class:`~repro.serving.routing.RoundRobinRouter`, and drain each engine
 — returning the :class:`~repro.serving.engine.records.ServingResult`
@@ -174,7 +175,9 @@ def simulate_trace(
     arrival order, except session turns, which all land on
     ``session_id mod num_ranks`` so a rank's prefix cache can serve the
     whole conversation; each replica then runs its continuous-batching
-    engine independently (replicas share nothing but the host).
+    engine independently.  The replicas share one memoised cost cache,
+    built for this call and dropped with it; its values are pure
+    functions of their keys, so sharing never changes a result.
     ``scheme_policy`` defaults to the uniform ``config.scheme``
     quantization policy; ``sched_policy`` overrides the scheduling
     policy named by ``config.policy`` (useful for pre-configured policy
@@ -186,7 +189,9 @@ def simulate_trace(
     (a :class:`~repro.serving.faults.FaultPlan`) injects crashes, stalls
     and degradations into the replica engines *without* a recovery
     layer — lost requests end ``failed`` (the cluster layer adds
-    retries); requires an object engine.
+    retries); requires an object engine.  A traced faulted run records
+    each stall and degrade window once, as scheduled
+    (:meth:`~repro.serving.faults.FaultPlan.trace_windows`).
 
     Raises
     ------
@@ -235,6 +240,8 @@ def simulate_trace(
             trace, config, cache, kv_capacity, weight_bytes, sched_policy
         )
 
+    if have_faults and tracer is not None and tracer.enabled:
+        faults.trace_windows(tracer)
     shards: List[List[Request]] = [[] for _ in range(config.num_ranks)]
     router = RoundRobinRouter()
     ordered = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))

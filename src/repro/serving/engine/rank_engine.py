@@ -105,7 +105,7 @@ class _RankEngine:
         self._has_faults = False
         self._crash_s = math.inf
         self._stalls: List[Tuple[float, float]] = []
-        self._degrades: List[List] = []  # [start, end, factor, fired]
+        self._degrades: List[Tuple[float, float, float]] = []
         #: Cluster seam: called as ``on_crash(engine, t_s, lost)`` with
         #: the crash-lost ``(Request, RequestRecord)`` pairs so the
         #: recovery loop can retry them.  When unset (standalone runs)
@@ -239,7 +239,7 @@ class _RankEngine:
             )
         if factor <= 1.0:
             raise ValueError(f"degrade factor must be > 1.0, got {factor}")
-        self._degrades.append([t_s, t_s + duration_s, factor, False])
+        self._degrades.append((t_s, t_s + duration_s, factor))
         self._degrades.sort(key=lambda w: w[0])
         self._has_faults = True
 
@@ -250,7 +250,7 @@ class _RankEngine:
     def _fault_factor(self) -> float:
         """Latency multiplier for a step starting at the current clock."""
         factor = 1.0
-        for start, end, window_factor, _ in self._degrades:
+        for start, end, window_factor in self._degrades:
             if start <= self.clock < end:
                 factor *= window_factor
         return factor
@@ -301,8 +301,10 @@ class _RankEngine:
 
         Crashes fire at the first step boundary at or past the crash
         time; stalls jump the clock over their window; degradations are
-        noted here (one trace event per window) and applied at the
-        costed sites via :meth:`_fault_factor`.
+        applied at the costed sites via :meth:`_fault_factor`.  Stall
+        and degrade windows are traced once each by the plan's owner
+        (:meth:`~repro.serving.faults.FaultPlan.trace_windows`), not
+        here, so a window on an idle or dead replica is traced too.
         """
         if self.dead:
             return
@@ -318,22 +320,11 @@ class _RankEngine:
                         # Died mid-stall: never wakes up.
                         self._crash()
                         return
-                    if self._trace is not None:
-                        self._trace.fault_stall(
-                            max(t, start), self.rank, end - max(t, start)
-                        )
                     self.clock = end
                     stalled = True
                     break
             if stalled:
                 continue
-            if self._trace is not None:
-                for window in self._degrades:
-                    if not window[3] and window[0] <= t < window[1]:
-                        window[3] = True
-                        self._trace.fault_degrade(
-                            t, self.rank, window[1] - t, window[2]
-                        )
             self._step()
         if self._crash_s < math.inf and horizon_s >= self._crash_s:
             # Idle (or past-horizon) death: the replica dies on

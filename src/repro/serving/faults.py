@@ -143,6 +143,26 @@ class FaultPlan:
             else:
                 engine.degrade(spec.t_s, spec.duration_s, spec.factor)
 
+    def trace_windows(self, tracer) -> None:
+        """Emit one ``fault_stall`` / ``fault_degrade`` event per window.
+
+        A window is traced as *scheduled* — stamped at its start, with
+        its full duration, on the rank it targets — whether or not that
+        replica is busy, idle or already dead while it is open.  These
+        are the same windows the cluster's fault log (and so
+        :func:`~repro.serving.metrics.cluster_summary`) counts, which
+        makes :func:`~repro.obs.replay.replay_fault_counters`' stall and
+        degrade tallies equal it exactly.  Crashes are traced by the
+        engine that dies, with the requests it lost.
+        """
+        for spec in self.specs:
+            if spec.kind == "stall":
+                tracer.fault_stall(spec.t_s, spec.rank, spec.duration_s)
+            elif spec.kind == "degrade":
+                tracer.fault_degrade(
+                    spec.t_s, spec.rank, spec.duration_s, spec.factor
+                )
+
     @classmethod
     def sample(
         cls,

@@ -44,6 +44,7 @@ import subprocess
 import sys
 import time
 from datetime import datetime, timezone
+from typing import Optional
 
 TRACE_REQUESTS = 1000
 TRACE_BUDGET_S = 10.0
@@ -85,20 +86,30 @@ def _timed(fn):
 
 
 def environment_meta() -> dict:
-    """Python / platform / git / timestamp metadata for the payload."""
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            check=True, timeout=10,
-        ).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        sha = "unknown"
+    """Python / platform / git / timestamp metadata for the payload.
+
+    ``dirty`` is True when the working tree differs from ``git_sha``
+    (``git status --porcelain`` lists anything), so a number measured on
+    uncommitted code says so; ``None`` when git is unavailable.
+    """
+    def git(*args: str) -> Optional[str]:
+        try:
+            return subprocess.run(
+                ["git", *args], capture_output=True, text=True,
+                check=True, timeout=10,
+            ).stdout
+        except (OSError, subprocess.SubprocessError):
+            return None
+
+    sha = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain")
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "git_sha": sha,
+        "git_sha": sha.strip() if sha is not None else "unknown",
+        "dirty": bool(status.strip()) if status is not None else None,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
     }
 
