@@ -24,6 +24,8 @@ round-trip is *type-faithful*:
   instead of silently becoming a number.
 * ``True`` / ``False`` cells in numeric columns round-trip as booleans,
   not as the strings ``"True"`` / ``"False"``.
+* List cells are written as JSON arrays and parsed back into lists
+  (a trace's ``lost_req_ids``), not left as their text.
 * Because flattening joins keys with ``.``, input keys containing a dot
   would collide with the nesting on read — :func:`flatten_row` raises
   on them instead of silently mangling the row.
@@ -221,13 +223,22 @@ def write_csv(path: str, rows: Sequence[dict]) -> None:
         writer = csv.DictWriter(fh, fieldnames=columns, restval="")
         writer.writeheader()
         for fr in flat_rows:
-            writer.writerow(fr)
+            writer.writerow({
+                k: json.dumps(v) if isinstance(v, list) else v
+                for k, v in fr.items()
+            })
 
 
 def _parse_cell(text: str, numeric: bool) -> object:
-    """Parse one cell: numeric columns get bool/int/float, others stay text."""
+    """Parse one cell: numeric columns get bool/int/float or a JSON
+    list, others stay text."""
     if not numeric:
         return text
+    if text.startswith("["):
+        try:
+            return json.loads(text)
+        except ValueError:
+            return text
     if text == "True":
         return True
     if text == "False":
@@ -246,9 +257,9 @@ def read_csv(
     """Read a CSV written by :func:`write_csv` back into nested rows.
 
     Cells in known-numeric columns (leaf name not in ``string_columns``)
-    are re-parsed to bool/int/float; string columns pass through
-    verbatim, so message text that *looks* numeric survives the round
-    trip.  Empty cells (padding from the union header) are dropped so
+    are re-parsed to bool/int/float (JSON-array cells to lists); string
+    columns pass through verbatim, so message text that *looks* numeric
+    survives the round trip.  Empty cells (padding from the union header) are dropped so
     round-tripped rows match the originals.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -3,8 +3,10 @@
 The telemetry layer for :mod:`repro.serving` — what a production fleet
 would export to its monitoring stack, reconstructed for the simulator:
 
-* :mod:`repro.obs.tracer` — typed per-request lifecycle events emitted
-  from instrumentation hooks in the rank engines; the null
+* :mod:`repro.obs.tracer` — the event schema (:data:`EVENT_SCHEMA`:
+  every kind's scope, ordered payload fields, registry counter and
+  meaning) and the single :meth:`Tracer.emit` hook the rank engines,
+  the cluster layer and fault plans report through; the null
   :class:`Tracer` keeps the untraced hot path branch-cheap, the
   :class:`RecordingTracer` records events and aggregates them,
 * :mod:`repro.obs.registry` — Prometheus-style counters, gauges,
@@ -12,8 +14,8 @@ would export to its monitoring stack, reconstructed for the simulator:
 * :mod:`repro.obs.export` — Chrome trace-event JSON (opens in Perfetto)
   and flat timeline rows, plus the CI schema validator,
 * :mod:`repro.obs.replay` — the correctness oracle: rebuild a full
-  :class:`~repro.serving.scheduler.ServingResult` from the event stream
-  alone,
+  :class:`~repro.serving.scheduler.ServingResult` (and the cluster's
+  fault-recovery counters) from the event stream alone,
 * :mod:`repro.obs.profile` — wall-clock self-profiling of the engines'
   own phases.
 """
@@ -27,6 +29,7 @@ from repro.obs.registry import (
 )
 from repro.obs.tracer import (
     EVENT_KINDS,
+    EVENT_SCHEMA,
     LIFECYCLE_KINDS,
     TRACE_LEVELS,
     RecordingTracer,
@@ -49,6 +52,7 @@ __all__ = [
     "LogHistogram",
     "MetricsRegistry",
     "TimeSeries",
+    "EVENT_SCHEMA",
     "EVENT_KINDS",
     "LIFECYCLE_KINDS",
     "TRACE_LEVELS",

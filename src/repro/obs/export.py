@@ -7,12 +7,13 @@ Two render targets for a recorded serving trace
   form, ``{"traceEvents": [...]}``), which loads directly in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``.  Each serving rank
   becomes a *process*; thread 0 is the rank's engine lane carrying
-  decode-segment slices (and cache-eviction instants), and every request
-  gets its own thread with ``queued`` / ``prefill`` / ``decode`` slices
-  plus instant markers for preemptions, rejections and prefix-cache
-  hits.  The sampled KV / batch / queue-depth
-  series render as per-rank counter tracks.  Timestamps are simulated
-  microseconds.
+  decode-segment slices and fault windows, and every request gets its
+  own thread with ``queued`` / ``prefill`` / ``decode`` slices.  Every
+  other kind of :data:`~repro.obs.tracer.EVENT_SCHEMA` is one instant
+  marker carrying its payload, placed by the kind's scope: the request's
+  thread, the rank's engine lane, or the ``cluster`` process (pid -1).
+  The sampled KV / batch / queue-depth series render as per-rank counter
+  tracks.  Timestamps are simulated microseconds.
 * :func:`timeline_rows` — one flat dict per event, ready for
   :func:`repro.experiments.io.write_csv` / ``write_json`` (the
   ``--timeline-out`` serving CLI flag).
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.io import write_csv, write_json
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import CLUSTER_KINDS, RecordingTracer, TraceEvent
+from repro.obs.tracer import EVENT_SCHEMA, RecordingTracer, TraceEvent
 
 __all__ = [
     "chrome_trace",
@@ -109,21 +110,23 @@ def chrome_trace(events: Sequence[TraceEvent],
     chunk_since: Dict[int, float] = {}
     named: set = set()
     for event in events:
-        rank, req_id, t, data = event.rank, event.req_id, event.t_s, event.data
-        if event.kind in CLUSTER_KINDS:
+        kind, rank, req_id, t, data = (
+            event.kind, event.rank, event.req_id, event.t_s, event.data
+        )
+        scope = EVENT_SCHEMA[kind].scope
+        if scope == "cluster":
             # Cluster-lane instants: all on the router thread, so a
             # million routed requests don't fan out into request threads.
             args = dict(data)
             if req_id is not None:
                 args["req_id"] = req_id
-            trace.append(_instant(event.kind, rank, 0, t, args))
+            trace.append(_instant(kind, rank, 0, t, args))
             continue
         tid = 0 if req_id is None else req_id + 1
         if req_id is not None and req_id not in named:
             named.add(req_id)
             trace.append(_metadata("thread_name", rank, tid, f"req {req_id}"))
-        kind = event.kind
-        if kind == "arrive":
+        if kind in ("arrive", "requeue"):
             queued_since[req_id] = t
         elif kind == "admit":
             start = queued_since.pop(req_id, t)
@@ -138,19 +141,6 @@ def chrome_trace(events: Sequence[TraceEvent],
                 {"tokens": data["chunk_tokens"], "energy_j": data["energy_j"]},
             ))
             running_since[req_id] = t
-        elif kind == "first_token":
-            trace.append(_instant("first_token", rank, tid, t))
-        elif kind == "cache_hit":
-            trace.append(_instant("cache_hit", rank, tid, t, {
-                "cached_tokens": data["cached_tokens"],
-                "kv_saved_bytes": data["kv_saved_bytes"],
-            }))
-        elif kind == "cache_evict":
-            trace.append(_instant("cache_evict", rank, 0, t, {
-                "key": data["key"],
-                "depth_tokens": data["depth_tokens"],
-                "kv_bytes": data["kv_bytes"],
-            }))
         elif kind == "preempt":
             start = running_since.pop(req_id, t)
             trace.append(_slice(
@@ -159,8 +149,6 @@ def chrome_trace(events: Sequence[TraceEvent],
             ))
             trace.append(_instant("preempt", rank, tid, t,
                                   {"kv_bytes": data["kv_bytes"]}))
-        elif kind == "requeue":
-            queued_since[req_id] = t
         elif kind == "reject":
             start = queued_since.pop(req_id, t)
             trace.append(_slice("queued", rank, tid, start, t - start))
@@ -176,21 +164,18 @@ def chrome_trace(events: Sequence[TraceEvent],
                 data["latency_s"],
                 {"batch": data["batch"], "tokens": data["tokens"]},
             ))
-        elif kind == "fault_crash":
-            # Rank-scoped: the replica dies, taking its in-flight
-            # requests with it (listed so the lost work is inspectable).
-            trace.append(_instant("fault_crash", rank, 0, t, {
-                "lost_requests": len(data["lost_req_ids"]),
-                "lost_req_ids": list(data["lost_req_ids"]),
-                "kv_lost_bytes": data["kv_lost_bytes"],
-            }))
-        elif kind == "fault_stall":
-            trace.append(_slice("fault_stall", rank, 0, t,
-                                data["duration_s"]))
-        elif kind == "fault_degrade":
-            trace.append(_slice("fault_degrade", rank, 0, t,
-                                data["duration_s"],
-                                {"factor": data["factor"]}))
+        elif kind in ("fault_stall", "fault_degrade"):
+            trace.append(_slice(kind, rank, 0, t, data["duration_s"],
+                                {k: v for k, v in data.items()
+                                 if k != "duration_s"}))
+        else:
+            # Every other kind is one instant marker carrying its payload,
+            # on the request's thread or (rank scope) the engine lane.
+            args = dict(data)
+            if kind == "fault_crash":
+                # The lost work, counted and listed, is inspectable.
+                args = {"lost_requests": len(data["lost_req_ids"]), **args}
+            trace.append(_instant(kind, rank, tid, t, args))
 
     if registry is not None:
         for name in sorted(registry.series):
@@ -268,10 +253,13 @@ def timeline_rows(events: Sequence[TraceEvent]) -> List[dict]:
     """Flatten recorded events into CSV/JSON-ready timeline rows.
 
     One row per event — ``event`` / ``t_s`` / ``rank`` / ``req_id`` plus
-    the kind-specific payload keys.  Rank-scoped events carry
-    ``req_id=None`` (an empty CSV cell).  The ``event`` column is
-    registered as a string column in :mod:`repro.experiments.io`, so the
-    rows round-trip type-faithfully through ``write_csv`` / ``read_csv``.
+    the kind's payload fields.  Events that name no request carry
+    ``req_id=None`` (an empty CSV cell, absent after ``read_csv``).  The
+    ``event`` column and every ``str`` payload field of
+    :data:`~repro.obs.tracer.EVENT_SCHEMA` are string columns in
+    :mod:`repro.experiments.io` and list fields travel as JSON arrays, so
+    the rows round-trip type-faithfully through ``write_csv`` /
+    ``read_csv``.
     """
     rows = []
     for event in events:

@@ -9,9 +9,9 @@ alone.  :func:`replay_result` performs that derivation, so
 ``metrics_table(replay_result(tracer.events, ...)) ==
 metrics_table(original_result)``
 
-is an end-to-end check that the instrumentation hooks fire at exactly
+is an end-to-end check that the engines emit their events at exactly
 the points the aggregates are computed from — any missed or misplaced
-hook breaks the identity (``tests/test_obs_equivalence.py``).  Float
+emission breaks the identity (``tests/test_obs_equivalence.py``).  Float
 sums accumulate in event order, which is the engines' accumulation
 order, so the identity holds to summation rounding.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.tracer import CLUSTER_KINDS, TraceEvent
+from repro.obs.tracer import EVENT_SCHEMA, TraceEvent
 from repro.serving.scheduler import (
     RankStats,
     RequestRecord,
@@ -67,7 +67,7 @@ def replay_result(
 
     for event in events:
         kind, t, rank, data = event.kind, event.t_s, event.rank, event.data
-        if kind in CLUSTER_KINDS:
+        if EVENT_SCHEMA[kind].scope == "cluster":
             # Cluster-lane events (rank -1) carry no per-rank engine
             # state; the single-deployment oracle ignores them.
             continue
@@ -169,7 +169,9 @@ def replay_fault_counters(events: Sequence[TraceEvent]) -> dict:
     .ClusterResult` aggregates (``retries``, ``failovers``, ``shed``)
     and the fault-event tallies (``crashes``, ``stalls``, ``degrades``,
     ``lost_requests``, ``replacements``) exactly, proving the recovery
-    loop traces every action it takes.  Per-request retry/failover
+    loop traces every action it takes.  Each tally but
+    ``lost_requests`` is the registry counter of its kinds in
+    :data:`~repro.obs.tracer.EVENT_SCHEMA`.  Per-request retry/failover
     attempts are returned under ``retry_attempts`` / ``failover_counts``
     keyed by request id.
     """
@@ -180,33 +182,23 @@ def replay_fault_counters(events: Sequence[TraceEvent]) -> dict:
     retry_attempts: Dict[int, int] = {}
     failover_counts: Dict[int, int] = {}
     for event in events:
-        kind = event.kind
+        kind, req_id, data = event.kind, event.req_id, event.data
+        counter = EVENT_SCHEMA[kind].counter
+        if counter in counters:
+            counters[counter] += 1
         if kind == "fault_crash":
-            counters["crashes"] += 1
-            counters["lost_requests"] += len(event.data["lost_req_ids"])
-        elif kind == "fault_stall":
-            counters["stalls"] += 1
-        elif kind == "fault_degrade":
-            counters["degrades"] += 1
+            counters["lost_requests"] += len(data["lost_req_ids"])
         elif kind == "retry":
-            counters["retries"] += 1
-            attempts = retry_attempts.get(event.req_id, 0) + 1
-            retry_attempts[event.req_id] = attempts
-            if event.data["attempt"] != attempts:
+            attempts = retry_attempts.get(req_id, 0) + 1
+            retry_attempts[req_id] = attempts
+            if data["attempt"] != attempts:
                 raise ValueError(
-                    f"retry event for request {event.req_id} claims "
-                    f"attempt {event.data['attempt']} but the trace shows "
+                    f"retry event for request {req_id} claims "
+                    f"attempt {data['attempt']} but the trace shows "
                     f"{attempts}; trace is truncated or reordered"
                 )
         elif kind == "failover":
-            counters["failovers"] += 1
-            failover_counts[event.req_id] = (
-                failover_counts.get(event.req_id, 0) + 1
-            )
-        elif kind == "shed":
-            counters["shed"] += 1
-        elif kind == "replace":
-            counters["replacements"] += 1
+            failover_counts[req_id] = failover_counts.get(req_id, 0) + 1
     counters["retry_attempts"] = retry_attempts
     counters["failover_counts"] = failover_counts
     return counters

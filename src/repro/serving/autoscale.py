@@ -141,8 +141,12 @@ class Autoscaler:
                     "threshold": cfg.queue_high * replicas,
                 })
                 if tracer is not None:
-                    tracer.replace(t, deployment.name, replicas, cold,
-                                   deployment.weight_bytes, corpse.rank)
+                    tracer.emit(
+                        "replace", t, -1, deployment=deployment.name,
+                        replicas=replicas, cold_start_s=cold,
+                        weight_bytes=deployment.weight_bytes,
+                        dead_rank=corpse.rank,
+                    )
                 continue
             if replicas < cfg.max_replicas and depth > cfg.queue_high * replicas:
                 threshold = cfg.queue_high * replicas
@@ -158,24 +162,24 @@ class Autoscaler:
                     )
                 deployment.scale_ups += 1
                 replicas += 1
+                action = "scale_up_warm" if warm is not None else "scale_up"
+                weight_bytes = 0 if warm is not None else deployment.weight_bytes
                 self.scale_events.append({
                     "t_s": t,
                     "deployment": deployment.name,
-                    "action": "scale_up_warm" if warm is not None else "scale_up",
+                    "action": action,
                     "replicas": replicas,
                     "cold_start_s": cold,
-                    "weight_bytes": (
-                        0 if warm is not None else deployment.weight_bytes
-                    ),
+                    "weight_bytes": weight_bytes,
                     "depth": depth,
                     "threshold": threshold,
                 })
                 if tracer is not None:
-                    tracer.scale_up(
-                        t, deployment.name, replicas, cold,
-                        0 if warm is not None else deployment.weight_bytes,
-                        depth=depth, threshold=threshold,
-                        warm=warm is not None,
+                    tracer.emit(
+                        action, t, -1, deployment=deployment.name,
+                        replicas=replicas, cold_start_s=cold,
+                        weight_bytes=weight_bytes, depth=depth,
+                        threshold=threshold,
                     )
             elif replicas > cfg.min_replicas and depth < cfg.queue_low * replicas:
                 threshold = cfg.queue_low * replicas
@@ -194,5 +198,7 @@ class Autoscaler:
                     "threshold": threshold,
                 })
                 if tracer is not None:
-                    tracer.scale_down(t, deployment.name, replicas,
-                                      depth=depth, threshold=threshold)
+                    tracer.emit(
+                        "scale_down", t, -1, deployment=deployment.name,
+                        replicas=replicas, depth=depth, threshold=threshold,
+                    )

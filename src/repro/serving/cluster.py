@@ -572,7 +572,8 @@ class Cluster:
             deployment = deployments[target]
             deployment.submit(request)
             if tracer is not None:
-                tracer.route(t, deployment.name, request.req_id, router.name)
+                tracer.emit("route", t, -1, request.req_id,
+                            deployment=deployment.name, router=router.name)
         for deployment in deployments:
             deployment.drain()
         return self._collect_result()
@@ -644,8 +645,10 @@ class Cluster:
                 backoff = retry.backoff_s(req_id, attempt)
                 t_retry = max(t_crash + backoff, self._now)
                 if self._trace is not None:
-                    self._trace.retry(
-                        t_retry, deployment.name, req_id, attempt, backoff
+                    self._trace.emit(
+                        "retry", t_retry, -1, req_id,
+                        deployment=deployment.name, attempt=attempt,
+                        backoff_s=backoff,
                     )
                 heapq.heappush(heap, (
                     t_retry, self._next_seq(),
@@ -733,7 +736,9 @@ class Cluster:
                     )
                     self._fail_terminal(record, t, shed=True)
                     if tracer is not None:
-                        tracer.shed(t, "cluster", req_id, request.priority)
+                        tracer.emit("shed", t, -1, req_id,
+                                    deployment="cluster",
+                                    priority=request.priority)
                     continue
                 healthy = healthy_indices(deployments, t)
                 if not healthy:
@@ -758,8 +763,10 @@ class Cluster:
                     self._retry_counts[req_id] = attempt
                     backoff = retry.backoff_s(req_id, attempt)
                     if tracer is not None:
-                        tracer.retry(
-                            t + backoff, "cluster", req_id, attempt, backoff
+                        tracer.emit(
+                            "retry", t + backoff, -1, req_id,
+                            deployment="cluster", attempt=attempt,
+                            backoff_s=backoff,
                         )
                     heapq.heappush(heap, (
                         t + backoff, self._next_seq(),
@@ -777,8 +784,10 @@ class Cluster:
                         self._failover_counts.get(req_id, 0) + 1
                     )
                     if tracer is not None:
-                        tracer.failover(
-                            t, deployments[target].name, req_id, -1
+                        tracer.emit(
+                            "failover", t, -1, req_id,
+                            deployment=deployments[target].name,
+                            from_rank=-1,
                         )
                     target = -1
                     session_target.pop(session, None)
@@ -801,11 +810,13 @@ class Cluster:
                         self._failover_counts.get(req_id, 0) + 1
                     )
                     if tracer is not None:
-                        tracer.failover(
-                            t, deployment.name, req_id, from_rank
+                        tracer.emit(
+                            "failover", t, -1, req_id,
+                            deployment=deployment.name, from_rank=from_rank,
                         )
                 if tracer is not None:
-                    tracer.route(t, deployment.name, req_id, router.name)
+                    tracer.emit("route", t, -1, req_id,
+                                deployment=deployment.name, router=router.name)
             for deployment in deployments:
                 deployment.drain()
             if self._crash_box:

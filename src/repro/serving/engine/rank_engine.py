@@ -82,7 +82,7 @@ class _RankEngine:
         self.policy = policy
         self.rank = rank
         # Null-tracer fast path: a disabled (or absent) tracer is stored
-        # as None, so every hook site is one `is not None` branch.
+        # as None, so every emission site is one `is not None` branch.
         self._trace = (
             tracer if tracer is not None and tracer.enabled else None
         )
@@ -270,8 +270,7 @@ class _RankEngine:
         # an arrival before the crash that lost them.
         for state in self.pending:
             if self._trace is not None:
-                self._trace.arrive(state.request.arrival_s, self.rank,
-                                   state.request)
+                self._trace_arrive(state.request)
             lost_states.append(state)
         self.pending.clear()
         self.prefilling = []
@@ -285,8 +284,10 @@ class _RankEngine:
         lost_states.sort(key=lambda s: s.record.req_id)
         lost = [(s.request, s.record) for s in lost_states]
         if self._trace is not None:
-            self._trace.fault_crash(
-                t, self.rank, [r.req_id for _, r in lost], kv_lost
+            self._trace.emit(
+                "fault_crash", t, self.rank,
+                lost_req_ids=[r.req_id for _, r in lost],
+                kv_lost_bytes=kv_lost,
             )
         if self.on_crash is not None:
             self.on_crash(self, t, lost)
@@ -341,9 +342,18 @@ class _RankEngine:
         while self.pending and self.pending[0].request.arrival_s <= self.clock:
             state = self.pending.popleft()
             if self._trace is not None:
-                self._trace.arrive(state.request.arrival_s, self.rank,
-                                   state.request)
+                self._trace_arrive(state.request)
             self._enqueue(state)
+
+    def _trace_arrive(self, request: Request) -> None:
+        """Emit ``arrive``, stamped with the request's arrival time."""
+        self._trace.emit(
+            "arrive", request.arrival_s, self.rank, request.req_id,
+            prompt_tokens=request.prompt_tokens,
+            gen_tokens=request.gen_tokens, priority=request.priority,
+            slo_ttft_s=request.slo_ttft_s, session_id=request.session_id,
+            turn=request.turn,
+        )
 
     # -- admission + preemption ---------------------------------------------
 
@@ -358,11 +368,13 @@ class _RankEngine:
             self.stats.preemptions += 1
             victim.prefix_done = 0
             if self._trace is not None:
-                self._trace.preempt(self.clock, self.rank,
-                                    victim.record.req_id, victim.kv_private,
-                                    victim.tokens_out, evictable_bytes)
-                self._trace.requeue(self.clock, self.rank,
-                                    victim.record.req_id)
+                req_id = victim.record.req_id
+                self._trace.emit(
+                    "preempt", self.clock, self.rank, req_id,
+                    kv_bytes=victim.kv_private, tokens_out=victim.tokens_out,
+                    cache_evictable_bytes=evictable_bytes,
+                )
+                self._trace.emit("requeue", self.clock, self.rank, req_id)
             if pc is not None and victim.cache_entry is not None:
                 pc.release(victim.cache_entry)
                 victim.cache_entry = None
@@ -379,9 +391,11 @@ class _RankEngine:
             self.kv_used -= entry.owned_bytes
             self.stats.cache_evictions += 1
             if self._trace is not None:
-                self._trace.cache_evict(
-                    self.clock, self.rank, ":".join(map(str, entry.key)),
-                    entry.depth_tokens, entry.owned_bytes,
+                self._trace.emit(
+                    "cache_evict", self.clock, self.rank,
+                    key=":".join(map(str, entry.key)),
+                    depth_tokens=entry.depth_tokens,
+                    kv_bytes=entry.owned_bytes,
                 )
 
     def _admit(self) -> None:
@@ -400,8 +414,9 @@ class _RankEngine:
                 self.kv_queued_bytes -= state.kv_bytes
                 self.records.append(state.record)
                 if self._trace is not None:
-                    self._trace.reject(self.clock, self.rank,
-                                       state.record.req_id, state.kv_bytes)
+                    self._trace.emit("reject", self.clock, self.rank,
+                                     state.record.req_id,
+                                     kv_bytes=state.kv_bytes)
                 continue
             hit = pc.lookup(state.request) if pc is not None else None
             cached = hit.depth_tokens if hit is not None else 0
@@ -473,15 +488,19 @@ class _RankEngine:
             self.stats.kv_logical_bytes += state.kv_bytes
             self.stats.kv_reserved_bytes += need
             if self._trace is not None:
-                self._trace.admit(self.clock, self.rank, state.record.req_id,
-                                  need, self.kv_used, readmit,
-                                  state.prefix_target,
-                                  cached if pc is not None else -1,
-                                  state.kv_bytes)
+                req_id = state.record.req_id
+                self._trace.emit(
+                    "admit", self.clock, self.rank, req_id,
+                    kv_bytes=need, kv_used_bytes=self.kv_used,
+                    readmit=readmit, prefix_tokens=state.prefix_target,
+                    cached_tokens=cached if pc is not None else -1,
+                    kv_full_bytes=state.kv_bytes,
+                )
                 if cached > 0:
-                    self._trace.cache_hit(
-                        self.clock, self.rank, state.record.req_id, cached,
-                        state.kv_bytes - need,
+                    self._trace.emit(
+                        "cache_hit", self.clock, self.rank, req_id,
+                        cached_tokens=cached,
+                        kv_saved_bytes=state.kv_bytes - need,
                     )
             self.prefilling.append(state)
 
@@ -496,18 +515,19 @@ class _RankEngine:
             if self._has_faults:
                 latency *= self._fault_factor()
             if self._trace is not None:
-                self._trace.prefill_chunk_start(self.clock, self.rank,
-                                                state.record.req_id,
-                                                state.prefix_done, chunk)
+                self._trace.emit("prefill_chunk_start", self.clock,
+                                 self.rank, state.record.req_id,
+                                 done_tokens=state.prefix_done,
+                                 chunk_tokens=chunk)
             self.clock += latency
             self.stats.busy_s += latency
             self.stats.energy_j += energy
             self.stats.prefill_tokens += chunk
             state.prefix_done += chunk
             if self._trace is not None:
-                self._trace.prefill_chunk_end(self.clock, self.rank,
-                                              state.record.req_id, chunk,
-                                              latency, energy)
+                self._trace.emit("prefill_chunk_end", self.clock, self.rank,
+                                 state.record.req_id, chunk_tokens=chunk,
+                                 latency_s=latency, energy_j=energy)
             if state.prefix_done >= state.prefix_target:
                 self._retain_shared_prefix(state)
                 self.running.append(state)
@@ -591,8 +611,9 @@ class _RankEngine:
         self.stats.decode_iterations += 1
         trace = self._trace
         if self._detail:
-            trace.decode_segment(self.clock, self.rank, len(self.running), 1,
-                                 latency, energy)
+            trace.emit("decode_segment", self.clock, self.rank,
+                       batch=len(self.running), tokens=1, latency_s=latency,
+                       energy_j=energy)
         still_running: List[_RequestState] = []
         for state in self.running:
             state.tokens_out += 1
@@ -600,15 +621,16 @@ class _RankEngine:
             if state.tokens_out == 1:
                 state.record.first_token_s = self.clock
                 if trace is not None:
-                    trace.first_token(self.clock, self.rank,
-                                      state.record.req_id)
+                    trace.emit("first_token", self.clock, self.rank,
+                               state.record.req_id)
             if state.tokens_out >= state.request.gen_tokens:
                 state.record.finish_s = self.clock
                 self._release_kv(state)
                 self.records.append(state.record)
                 if trace is not None:
-                    trace.finish(self.clock, self.rank, state.record.req_id,
-                                 state.tokens_out)
+                    trace.emit("finish", self.clock, self.rank,
+                               state.record.req_id,
+                               tokens_out=state.tokens_out)
             else:
                 still_running.append(state)
         self.running = still_running
@@ -697,8 +719,8 @@ class _RankEngine:
                 if state.tokens_out == 0:
                     state.record.first_token_s = first_boundary
                     if trace is not None:
-                        trace.first_token(first_boundary, self.rank,
-                                          state.record.req_id)
+                        trace.emit("first_token", first_boundary,
+                                   self.rank, state.record.req_id)
         self.clock += latency
         self.stats.busy_s += latency
         self.stats.energy_j += energy
@@ -706,8 +728,8 @@ class _RankEngine:
         self.stats.output_tokens += tokens * batch
         trace = self._trace
         if self._detail:
-            trace.decode_segment(self.clock, self.rank, batch, tokens,
-                                 latency, energy)
+            trace.emit("decode_segment", self.clock, self.rank, batch=batch,
+                       tokens=tokens, latency_s=latency, energy_j=energy)
         still_running: List[_RequestState] = []
         for state in self.running:
             state.tokens_out += tokens
@@ -716,8 +738,9 @@ class _RankEngine:
                 self._release_kv(state)
                 self.records.append(state.record)
                 if trace is not None:
-                    trace.finish(self.clock, self.rank, state.record.req_id,
-                                 state.tokens_out)
+                    trace.emit("finish", self.clock, self.rank,
+                               state.record.req_id,
+                               tokens_out=state.tokens_out)
             else:
                 still_running.append(state)
         self.running = still_running

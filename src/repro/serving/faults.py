@@ -157,11 +157,11 @@ class FaultPlan:
         """
         for spec in self.specs:
             if spec.kind == "stall":
-                tracer.fault_stall(spec.t_s, spec.rank, spec.duration_s)
+                tracer.emit("fault_stall", spec.t_s, spec.rank,
+                            duration_s=spec.duration_s)
             elif spec.kind == "degrade":
-                tracer.fault_degrade(
-                    spec.t_s, spec.rank, spec.duration_s, spec.factor
-                )
+                tracer.emit("fault_degrade", spec.t_s, spec.rank,
+                            duration_s=spec.duration_s, factor=spec.factor)
 
     @classmethod
     def sample(

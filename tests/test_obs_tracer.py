@@ -4,13 +4,24 @@ import pytest
 
 from repro.obs import (
     EVENT_KINDS,
+    EVENT_SCHEMA,
     LIFECYCLE_KINDS,
     TRACE_LEVELS,
     RecordingTracer,
     SelfProfiler,
     Tracer,
 )
-from repro.serving import ServingConfig, TraceSpec, generate_trace, simulate_trace
+from repro.serving import (
+    Deployment,
+    FaultPlan,
+    FaultSpec,
+    RetryPolicy,
+    ServingConfig,
+    TraceSpec,
+    generate_trace,
+    simulate_cluster,
+    simulate_trace,
+)
 
 
 def _run(level="full", seed=0, policy="fcfs", num_requests=16):
@@ -32,18 +43,14 @@ def test_null_tracer_is_disabled_noop():
     t = Tracer()
     assert t.enabled is False
     assert t.wants_engine_detail is False
-    # Every hook is callable and returns None.
-    t.arrive(0.0, 0, None)
-    t.admit(0.0, 0, 1, 0, 0, False, 0)
-    t.preempt(0.0, 0, 1, 0, 0)
-    t.requeue(0.0, 0, 1)
-    t.reject(0.0, 0, 1, 0)
-    t.prefill_chunk_start(0.0, 0, 1, 0, 8)
-    t.prefill_chunk_end(0.0, 0, 1, 8, 0.1, 0.1)
-    t.first_token(0.0, 0, 1)
-    t.decode_segment(0.0, 0, 2, 4, 0.1, 0.1)
-    t.finish(0.0, 0, 1, 8)
-    t.sample(0.0, 0, 0, 0, 0)
+    # One hook takes every kind in the schema with its declared payload;
+    # no per-kind hook methods remain.
+    for kind, spec in EVENT_SCHEMA.items():
+        payload = {name: typ() for name, typ in spec.fields}
+        assert t.emit(kind, 0.0, 0, 1, **payload) is None
+        assert not hasattr(Tracer, kind)
+        assert not hasattr(RecordingTracer, kind)
+    assert t.sample(0.0, 0, 0, 0, 0) is None
 
 
 def test_null_tracer_run_matches_untraced_run():
@@ -96,18 +103,48 @@ def test_full_level_samples_per_rank_series():
         assert f"rank{rank}/queue_depth" in names
 
 
+def _crashed_runs():
+    """A rank crash that loses requests after their first token: under
+    a cluster they are retried (their records keep the original
+    arrival), standalone they fail terminally."""
+    trace = generate_trace(TraceSpec(
+        num_requests=96, seed=1, scenario="bursty", arrival_rate_per_s=10.0,
+        gen_mean=64.0, priority_weights=(1.0, 1.0),
+    ))
+    plan = FaultPlan((FaultSpec("crash", 0, 4.0),))
+    cluster_tracer = RecordingTracer("full")
+    cluster = simulate_cluster(
+        trace,
+        [Deployment(ServingConfig(model="gpt-125m", num_ranks=2), name="a"),
+         Deployment(ServingConfig(model="gpt-350m", num_ranks=2), name="b")],
+        tracer=cluster_tracer, faults=plan,
+        retry_policy=RetryPolicy(max_retries=5),
+    )
+    assert any(r.retries for r in cluster.records)
+    standalone_tracer = RecordingTracer("full")
+    standalone = simulate_trace(
+        trace, ServingConfig(model="gpt-125m", num_ranks=2),
+        tracer=standalone_tracer, faults=plan,
+    )
+    assert any(r.status == "failed" for r in standalone.records)
+    return [(cluster_tracer, cluster), (standalone_tracer, standalone)]
+
+
 def test_histograms_match_record_timings():
-    tracer, result = _run()
-    done = [r for r in result.records if r.status == "completed"]
-    ttft = tracer.registry.histograms["ttft_s"]
-    assert ttft.count == len(done)
-    assert ttft.mean == pytest.approx(
-        sum(r.ttft_s for r in done) / len(done)
-    )
-    lat = tracer.registry.histograms["latency_s"]
-    assert lat.mean == pytest.approx(
-        sum(r.latency_s for r in done) / len(done)
-    )
+    for tracer, result in [_run()] + _crashed_runs():
+        done = [r for r in result.records if r.status == "completed"]
+        hists = tracer.registry.histograms
+        for name in ("ttft_s", "latency_s", "queue_s", "tpot_s"):
+            expected = [getattr(r, name) for r in done]
+            if name == "tpot_s":
+                expected = [
+                    v for v, r in zip(expected, done) if r.gen_tokens >= 2
+                ]
+            assert hists[name].count == len(expected), name
+            assert hists[name].total == pytest.approx(sum(expected)), name
+        # Completed, rejected, shed and crash-lost requests all leave the
+        # in-flight table.
+        assert tracer._inflight == {}
 
 
 def test_events_are_per_rank_chronological():
