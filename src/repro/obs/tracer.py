@@ -192,16 +192,6 @@ FAULT_EVENT_KINDS = tuple(k for k in EVENT_SCHEMA if k.startswith("fault_"))
 #: the replay oracle and the Chrome-trace counter tracks need).
 TRACE_LEVELS = ("lifecycle", "full")
 
-_COUNTERS = {k: spec.counter for k, spec in EVENT_SCHEMA.items()}
-
-#: Kinds whose recording also updates histograms, gauges, derived
-#: counters or the in-flight table (:meth:`RecordingTracer._derive`).
-_DERIVED = frozenset((
-    "arrive", "admit", "first_token", "finish", "reject", "shed",
-    "prefill_chunk_end", "decode_segment", "cache_hit", "scale_up_warm",
-    "fault_crash", "retry",
-))
-
 
 @dataclass
 class TraceEvent:
@@ -304,17 +294,18 @@ class RecordingTracer(Tracer):
 
     def emit(self, kind: str, t_s: float, rank: int,
              req_id: Optional[int] = None, **fields) -> None:
-        """Record the event and count it under its schema counter."""
+        """Record the event, count it under its schema counter and apply
+        the kind's extra aggregation (:meth:`_derive`)."""
+        counter = EVENT_SCHEMA[kind].counter
         self.events.append(TraceEvent(kind, t_s, rank, req_id, fields))
-        counter = _COUNTERS[kind]
         if counter is not None:
             self.registry.counter(counter).inc()
-        if kind in _DERIVED:
-            self._derive(kind, t_s, rank, req_id, fields)
+        self._derive(kind, t_s, rank, req_id, fields)
 
     def _derive(self, kind: str, t_s: float, rank: int,
                 req_id: Optional[int], data: dict) -> None:
-        """The aggregation a few kinds add beyond their counter."""
+        """The aggregation a few kinds add beyond their counter; a no-op
+        for every other kind."""
         reg = self.registry
         inflight = self._inflight
         if kind == "arrive":

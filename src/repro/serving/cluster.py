@@ -607,7 +607,9 @@ class Cluster:
                 self._failover_counts.get(req_id, 0) + 1
             )
             if self._trace is not None:
-                self._trace.failover(t_s, deployment.name, req_id, from_rank)
+                self._trace.emit("failover", t_s, -1, req_id,
+                                 deployment=deployment.name,
+                                 from_rank=from_rank)
         return on_failover
 
     def _fail_terminal(self, record: RequestRecord, t_s: float,

@@ -186,30 +186,45 @@ def test_every_schema_kind_is_emitted(traces):
     assert emitted == set(EVENT_SCHEMA)
 
 
+#: The Chrome entry a stateful kind opens (edge 0) or closes (edge 1);
+#: every other kind is an instant or a window slice of its own name
+#: starting at the event.
+RENDERED_AS = {
+    "arrive": ("queued", 0),
+    "requeue": ("queued", 0),
+    "admit": ("queued", 1),
+    "prefill_chunk_start": ("prefill", 0),
+    "prefill_chunk_end": ("prefill", 1),
+    "finish": ("decode", 1),
+    "decode_segment": ("decode_segment", 1),
+}
+
+
 def test_chrome_trace_renders_every_emitted_kind(traces):
-    """Each kind leaves a mark at its own time on its own lane: the
+    """Each kind leaves its own mark — an entry of the expected name with
+    the expected edge at the event's time — on its own lane: the
     request's thread, the rank's engine lane or the cluster lane."""
     rendered = set()
     for events in traces.values():
         doc = chrome_trace(events)
         validate_chrome_trace(doc)
-        lanes = {}
+        entries = {}
         for entry in doc["traceEvents"]:
             if entry["ph"] in ("X", "i"):
                 start = entry["ts"]
                 end = start + entry.get("dur", 0.0)
-                lanes.setdefault((entry["pid"], entry["tid"]), []).append(
-                    (start, end))
+                key = (entry["name"], entry["pid"], entry["tid"])
+                entries.setdefault(key, []).append((start, end))
         for event in events:
             if event.kind in rendered:
                 continue
+            name, edge = RENDERED_AS.get(event.kind, (event.kind, 0))
             on_request_thread = EVENT_SCHEMA[event.kind].scope == "request"
             tid = event.req_id + 1 if on_request_thread else 0
             t_us = event.t_s * 1e6
             if any(
-                math.isclose(t_us, edge, rel_tol=1e-9, abs_tol=1e-3)
-                for span in lanes.get((event.rank, tid), ())
-                for edge in span
+                math.isclose(t_us, span[edge], rel_tol=1e-9, abs_tol=1e-3)
+                for span in entries.get((name, event.rank, tid), ())
             ):
                 rendered.add(event.kind)
     assert rendered == set(EVENT_SCHEMA)

@@ -468,6 +468,33 @@ def test_replay_result_marks_standalone_crash_losses():
     assert any(r.status == "failed" for r in replayed.records)
 
 
+def test_traced_sticky_session_failover():
+    # A conversational turn whose sticky replica died is re-placed by
+    # its deployment (no retry involved); the trace must record it.
+    trace = generate_trace(TraceSpec(
+        num_requests=96, seed=2, scenario="conversational",
+        arrival_rate_per_s=30.0, sessions=24, turns_mean=4.0, turns_max=6,
+        think_time_mean_s=2.0,
+    ))
+    tracer = RecordingTracer(level="full")
+    result = simulate_cluster(
+        trace, _deployments(), tracer=tracer,
+        faults=FaultPlan((FaultSpec("crash", 0, 1.0),)),
+        retry_policy=RetryPolicy(max_retries=5),
+    )
+    retried = {e.req_id for e in tracer.events if e.kind == "retry"}
+    sticky = [e for e in tracer.events
+              if e.kind == "failover" and e.req_id not in retried]
+    assert sticky
+    for event in sticky:
+        assert event.rank == -1
+        assert list(event.data) == ["deployment", "from_rank"]
+        assert event.data["from_rank"] == 0
+    assert replay_fault_counters(tracer.events)["failovers"] == \
+        result.failovers
+    validate_chrome_trace(chrome_trace(tracer.events))
+
+
 def test_chrome_trace_renders_fault_events():
     _, tracer, result = _chaos_run_with_tracer()
     doc = chrome_trace(tracer.events)
