@@ -280,10 +280,13 @@ class SegmentCostTable:
     handful of numpy gathers instead of per-request dict lookups:
     ``cum_lat[kv]`` / ``cum_energy[kv]`` hold
     :meth:`_CostCache.attn_cum` for every KV depth up to :attr:`max_kv`,
-    and ``step_lat[kv]`` / ``step_energy[kv]`` the per-step differences
-    (``step[0]`` is 0 — depth 0 has no attention step).  A batch's
-    segment cost over per-request ranges ``(kv, kv + tokens]`` is then
-    ``(cum[kv + tokens] - cum[kv]).sum()``.
+    and ``step_lat[kv]`` / ``step_energy[kv]`` the per-step
+    :meth:`_CostCache.attn_step` values (``step[0]`` is 0 — depth 0 has
+    no attention step).  The step tables are filled from ``attn_step``
+    itself, not differenced from the cumulative ones: ``cum[kv] -
+    cum[kv - 1]`` differs from the step value in the last bits.  A
+    batch's segment cost over per-request ranges ``(kv, kv + tokens]``
+    is then ``(cum[kv + tokens] - cum[kv]).sum()``.
 
     ``pre_lat[L]`` / ``pre_energy[L]`` are the matching dense view of
     whole-prompt prefill costs (:meth:`_CostCache.prefill_chunk` with
@@ -292,9 +295,9 @@ class SegmentCostTable:
     actually occur, so an unchunked prefill stage costs one gather
     instead of one dict lookup per request.
 
-    ``cum_lat[kv]`` and ``cum_energy[kv]`` equal
-    :meth:`_CostCache.attn_cum` exactly (it is a pure function of the
-    depth), so the dense and the dict views of a cache agree bit for
+    ``cum_*[kv]`` and ``step_*[kv]`` equal :meth:`_CostCache.attn_cum`
+    and :meth:`_CostCache.attn_step` exactly (both are pure functions of
+    the depth), so the dense and the dict views of a cache agree bit for
     bit.  Storage doubles on growth, so incremental (cluster)
     submissions extend it in amortised O(1) per depth.
     """
@@ -328,17 +331,13 @@ class SegmentCostTable:
                 grown[: old.size] = old
                 setattr(self, name, grown)
         lo = self.max_kv + 1
-        block = np.asarray(
-            [self._cache.attn_cum(kv) for kv in range(lo, max_kv + 1)]
-        )
-        self.cum_lat[lo : max_kv + 1] = block[:, 0]
-        self.cum_energy[lo : max_kv + 1] = block[:, 1]
-        self.step_lat[lo : max_kv + 1] = np.diff(
-            self.cum_lat[lo - 1 : max_kv + 1]
-        )
-        self.step_energy[lo : max_kv + 1] = np.diff(
-            self.cum_energy[lo - 1 : max_kv + 1]
-        )
+        depths = range(lo, max_kv + 1)
+        cum = np.asarray([self._cache.attn_cum(kv) for kv in depths])
+        step = np.asarray([self._cache.attn_step(kv) for kv in depths])
+        self.cum_lat[lo : max_kv + 1] = cum[:, 0]
+        self.cum_energy[lo : max_kv + 1] = cum[:, 1]
+        self.step_lat[lo : max_kv + 1] = step[:, 0]
+        self.step_energy[lo : max_kv + 1] = step[:, 1]
         self.max_kv = max_kv
 
     def prefill(self, lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

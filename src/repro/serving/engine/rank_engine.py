@@ -16,6 +16,15 @@ step body:
   live queue depth and KV occupancy between arrivals.
   ``advance(math.inf)`` after the last ``submit`` is equivalent to
   ``run()``.
+
+Event-driven engines whose running batch is at least
+:data:`PACKED_MIN_BATCH` wide keep it as a *packed running set*: numpy
+columns of each running request's KV depth and tokens left, costed with
+gathers from the cost cache's dense
+:class:`~repro.serving.engine.costs.SegmentCostTable` instead of one
+dict lookup per request.  Sums accumulate left to right in running
+order (:func:`_seq_sum`), so the packed path is bit-identical to the
+per-request one it replaces.
 """
 
 from __future__ import annotations
@@ -24,17 +33,35 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.serving.engine.cache import CacheEntry, PrefixCache
 from repro.serving.engine.config import ServingConfig
-from repro.serving.engine.costs import _CostCache
+from repro.serving.engine.costs import SegmentCostTable, _CostCache
 from repro.serving.engine.records import RankStats, RequestRecord
 from repro.serving.policy import SchedulingPolicy
 from repro.serving.trace import Request
 
-__all__ = ["_RequestState", "_RankEngine"]
+__all__ = ["_RequestState", "_RankEngine", "PACKED_MIN_BATCH"]
+
+#: Running-batch width from which the event engine costs decode on the
+#: packed running set.  Below it per-request dict lookups are cheaper
+#: than numpy call overhead; the crossover is measured by the
+#: ``batch_width`` entry of ``tools/bench.py``.
+PACKED_MIN_BATCH = 64
+
+
+def _seq_sum(start: float, terms: np.ndarray) -> float:
+    """``start + terms[0] + terms[1] + ...`` accumulated left to right.
+
+    The same float as the per-request loop's running ``+=``;
+    ``ndarray.sum()`` adds pairwise and rounds differently.
+    """
+    return float(np.cumsum(np.concatenate(((start,), terms)))[-1])
 
 
 @dataclass
@@ -121,6 +148,15 @@ class _RankEngine:
         self._seq = 0  # heap tie-break counter
         self._event_driven = config.engine == "event"
         self.prefix_cache = PrefixCache() if config.prefix_cache else None
+        # Packed running set (see the module docstring): while ``_kv``
+        # is not None, ``_kv[i]`` / ``_left[i]`` are the KV depth and
+        # tokens left of ``running[i]`` for every packed position, whose
+        # ``tokens_out`` is stale until :meth:`_unpack` writes it back.
+        # ``_fresh`` lists the packed positions yet to emit a token.
+        self._kv: Optional[np.ndarray] = None
+        self._left: Optional[np.ndarray] = None
+        self._fresh: List[int] = []
+        self._table: Optional[SegmentCostTable] = None
 
     # -- incremental driving (cluster seam) -----------------------------------
 
@@ -261,6 +297,7 @@ class _RankEngine:
         self.clock = t
         self.dead = True
         self.retired = True
+        self._unpack()
         lost_states = list(self.prefilling) + list(self.running)
         while self.ready:
             _, _, state = heapq.heappop(self.ready)
@@ -435,6 +472,9 @@ class _RankEngine:
                     # Eviction alone closes the gap: no preemption.
                     self._evict_entries(plan)
                 else:
+                    # Victim selection reads the running states'
+                    # ``tokens_out``, and preemption edits the batch.
+                    self._unpack()
                     victims = self.policy.select_victims(
                         state, self.running, gap - freed
                     )
@@ -596,7 +636,27 @@ class _RankEngine:
             pc.release(state.cache_entry)
             state.cache_entry = None
 
+    # -- decode --------------------------------------------------------------
+
+    def _first_token(self, state: _RequestState, t_s: float) -> None:
+        """Stamp (and trace) a request's first generated token at ``t_s``."""
+        state.record.first_token_s = t_s
+        if self._trace is not None:
+            self._trace.emit("first_token", t_s, self.rank, state.record.req_id)
+
+    def _finish(self, state: _RequestState) -> None:
+        """Retire a request whose last token lands at the current clock."""
+        state.record.finish_s = self.clock
+        self._release_kv(state)
+        self.records.append(state.record)
+        if self._trace is not None:
+            self._trace.emit("finish", self.clock, self.rank,
+                             state.record.req_id, tokens_out=state.tokens_out)
+
     def _decode_iteration(self) -> None:
+        if self._packed():
+            self._decode_iteration_packed()
+            return
         latency, energy = self.cache.weight_step(len(self.running))
         for state in self.running:
             kv_len = state.request.prompt_tokens + state.tokens_out + 1
@@ -609,31 +669,120 @@ class _RankEngine:
         self.stats.busy_s += latency
         self.stats.energy_j += energy
         self.stats.decode_iterations += 1
-        trace = self._trace
         if self._detail:
-            trace.emit("decode_segment", self.clock, self.rank,
-                       batch=len(self.running), tokens=1, latency_s=latency,
-                       energy_j=energy)
+            self._trace.emit("decode_segment", self.clock, self.rank,
+                             batch=len(self.running), tokens=1,
+                             latency_s=latency, energy_j=energy)
         still_running: List[_RequestState] = []
         for state in self.running:
             state.tokens_out += 1
             self.stats.output_tokens += 1
             if state.tokens_out == 1:
-                state.record.first_token_s = self.clock
-                if trace is not None:
-                    trace.emit("first_token", self.clock, self.rank,
-                               state.record.req_id)
+                self._first_token(state, self.clock)
             if state.tokens_out >= state.request.gen_tokens:
-                state.record.finish_s = self.clock
-                self._release_kv(state)
-                self.records.append(state.record)
-                if trace is not None:
-                    trace.emit("finish", self.clock, self.rank,
-                               state.record.req_id,
-                               tokens_out=state.tokens_out)
+                self._finish(state)
             else:
                 still_running.append(state)
         self.running = still_running
+
+    # -- packed running set ----------------------------------------------------
+
+    def _packed(self) -> bool:
+        """Bring the packed running set up to date; False when not in use.
+
+        Only the event engine packs, and only from
+        :data:`PACKED_MIN_BATCH` requests up; below it the columns are
+        written back and dropped.  Requests that joined the batch since
+        the last call are appended, so a steady wide batch touches
+        Python objects only when a request joins, starts or finishes.
+        """
+        running = self.running
+        if not self._event_driven or len(running) < PACKED_MIN_BATCH:
+            if self._kv is not None:
+                self._unpack()
+            return False
+        start = 0 if self._kv is None else self._kv.size
+        if start == len(running):
+            return True
+        kv, left = [], []
+        for i in range(start, len(running)):
+            state = running[i]
+            if state.tokens_out == 0:
+                self._fresh.append(i)
+            kv.append(state.request.prompt_tokens + state.tokens_out)
+            left.append(state.request.gen_tokens - state.tokens_out)
+        kv = np.array(kv, dtype=np.int64)
+        left = np.array(left, dtype=np.int64)
+        self._table = self.cache.segment_table()
+        self._table.ensure(int((kv + left).max()))
+        if start:
+            kv = np.concatenate((self._kv, kv))
+            left = np.concatenate((self._left, left))
+        self._kv, self._left = kv, left
+        return True
+
+    def _unpack(self) -> None:
+        """Write the packed ``tokens_out`` back and drop the columns."""
+        if self._kv is None:
+            return
+        for state, left in zip(self.running, self._left.tolist()):
+            state.tokens_out = state.request.gen_tokens - left
+        self._kv = self._left = None
+        self._fresh = []
+
+    def _decode_iteration_packed(self) -> None:
+        """:meth:`_decode_iteration` on the packed running set."""
+        batch = len(self.running)
+        kv = self._kv + 1
+        latency, energy = self.cache.weight_step(batch)
+        latency = _seq_sum(latency, self._table.step_lat[kv])
+        energy = _seq_sum(energy, self._table.step_energy[kv])
+        if self._has_faults:
+            latency *= self._fault_factor()
+        self.clock += latency
+        self.stats.busy_s += latency
+        self.stats.energy_j += energy
+        self.stats.decode_iterations += 1
+        self.stats.output_tokens += batch
+        if self._detail:
+            self._trace.emit("decode_segment", self.clock, self.rank,
+                             batch=batch, tokens=1, latency_s=latency,
+                             energy_j=energy)
+        self._kv = kv
+        self._left -= 1
+        self._retire_packed(self._fresh)
+
+    def _retire_packed(self, firsts: List[int]) -> None:
+        """Stamp first tokens at positions ``firsts``, then retire finishes.
+
+        Both happen at the current clock, request by request in running
+        order — the per-request loop's event order.  Only the requests
+        touched here are visited; the finished leave the batch.  A
+        segment never runs past the shortest remaining request, so the
+        finished are exactly the positions with no tokens left, and
+        each has produced all of its ``gen_tokens``.
+        """
+        finished = self._left == 0
+        done = finished.nonzero()[0].tolist()
+        self._fresh = []
+        running = self.running
+        first_set = set(firsts)
+        if firsts and done:
+            touched = sorted(first_set.union(done))
+        else:
+            touched = firsts or done
+        for i in touched:
+            state = running[i]
+            if i in first_set:
+                self._first_token(state, self.clock)
+            if finished[i]:
+                state.tokens_out = state.request.gen_tokens
+                self._finish(state)
+        if done:
+            keep = ~finished
+            self._kv = self._kv[keep]
+            self._left = self._left[keep]
+            self.running = list(compress(running, keep.tolist()))
 
     # -- event-driven decode segments -----------------------------------------
 
@@ -647,6 +796,22 @@ class _RankEngine:
             total *= self._fault_factor()
         return total
 
+    def _packed_segment_latency(self) -> Callable[[int], float]:
+        """:meth:`_segment_latency` on the packed running set.
+
+        The batch's base cumulative costs are gathered once, so each
+        probe of the bisection is one more gather.
+        """
+        weight = self.cache.weight_step(len(self.running))[0]
+        factor = self._fault_factor()  # 1.0 outside degrade windows: exact
+        cum, kv = self._table.cum_lat, self._kv
+        base = cum[kv]
+
+        def latency(tokens: int) -> float:
+            return _seq_sum(tokens * weight, cum[kv + tokens] - base) * factor
+
+        return latency
+
     def _cap_to_arrival(self, tokens: int) -> int:
         """Truncate a segment at the next arrival's iteration boundary.
 
@@ -656,12 +821,16 @@ class _RankEngine:
         ``tokens`` unchanged when the arrival lands beyond the segment.
         """
         horizon = self.pending[0].request.arrival_s
-        if self.clock + self._segment_latency(tokens) < horizon:
+        if self._kv is not None:
+            latency = self._packed_segment_latency()
+        else:
+            latency = self._segment_latency
+        if self.clock + latency(tokens) < horizon:
             return tokens
         lo, hi = 1, tokens
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.clock + self._segment_latency(mid) >= horizon:
+            if self.clock + latency(mid) >= horizon:
                 hi = mid
             else:
                 lo = mid + 1
@@ -679,9 +848,14 @@ class _RankEngine:
         the way :meth:`_decode_iteration` would.
         """
         costing_t0 = perf_counter() if self.profiler is not None else 0.0
-        tokens = min(
-            state.request.gen_tokens - state.tokens_out for state in self.running
-        )
+        packed = self._packed()
+        if packed:
+            tokens = int(self._left.min())
+        else:
+            tokens = min(
+                state.request.gen_tokens - state.tokens_out
+                for state in self.running
+            )
         if (
             tokens > 1
             and self.pending
@@ -695,52 +869,67 @@ class _RankEngine:
         weight_latency, weight_energy = self.cache.weight_step(batch)
         latency = tokens * weight_latency
         energy = tokens * weight_energy
-        for state in self.running:
-            kv = state.request.prompt_tokens + state.tokens_out
-            attn_latency, attn_energy = self.cache.attn_segment(kv + 1, kv + tokens)
-            latency += attn_latency
-            energy += attn_energy
+        if packed:
+            table, kv = self._table, self._kv
+            latency = _seq_sum(
+                latency, table.cum_lat[kv + tokens] - table.cum_lat[kv]
+            )
+            energy = _seq_sum(
+                energy, table.cum_energy[kv + tokens] - table.cum_energy[kv]
+            )
+        else:
+            for state in self.running:
+                kv = state.request.prompt_tokens + state.tokens_out
+                attn_latency, attn_energy = self.cache.attn_segment(
+                    kv + 1, kv + tokens
+                )
+                latency += attn_latency
+                energy += attn_energy
         if self._has_faults:
             latency *= self._fault_factor()
         if self.profiler is not None:
             self.profiler.add("segment_costing", perf_counter() - costing_t0)
-        if any(state.tokens_out == 0 for state in self.running):
+        if packed:
+            fresh = [self.running[i] for i in self._fresh]
+            self._fresh = []
+        else:
+            fresh = [state for state in self.running if state.tokens_out == 0]
+        if fresh:
             # Clock after the segment's first iteration, accumulated in
             # the same order as the per-token loop.
-            first_latency = weight_latency
-            for state in self.running:
-                kv = state.request.prompt_tokens + state.tokens_out + 1
-                first_latency += self.cache.attn_step(kv)[0]
+            if packed:
+                first_latency = _seq_sum(
+                    weight_latency, self._table.step_lat[self._kv + 1]
+                )
+            else:
+                first_latency = weight_latency
+                for state in self.running:
+                    kv = state.request.prompt_tokens + state.tokens_out + 1
+                    first_latency += self.cache.attn_step(kv)[0]
             if self._has_faults:
                 first_latency *= self._fault_factor()
             first_boundary = self.clock + first_latency
-            trace = self._trace
-            for state in self.running:
-                if state.tokens_out == 0:
-                    state.record.first_token_s = first_boundary
-                    if trace is not None:
-                        trace.emit("first_token", first_boundary,
-                                   self.rank, state.record.req_id)
+            for state in fresh:
+                self._first_token(state, first_boundary)
         self.clock += latency
         self.stats.busy_s += latency
         self.stats.energy_j += energy
         self.stats.decode_iterations += tokens
         self.stats.output_tokens += tokens * batch
-        trace = self._trace
         if self._detail:
-            trace.emit("decode_segment", self.clock, self.rank, batch=batch,
-                       tokens=tokens, latency_s=latency, energy_j=energy)
+            self._trace.emit("decode_segment", self.clock, self.rank,
+                             batch=batch, tokens=tokens, latency_s=latency,
+                             energy_j=energy)
+        if packed:
+            self._kv += tokens
+            self._left -= tokens
+            self._retire_packed([])
+            return
         still_running: List[_RequestState] = []
         for state in self.running:
             state.tokens_out += tokens
             if state.tokens_out >= state.request.gen_tokens:
-                state.record.finish_s = self.clock
-                self._release_kv(state)
-                self.records.append(state.record)
-                if trace is not None:
-                    trace.emit("finish", self.clock, self.rank,
-                               state.record.req_id,
-                               tokens_out=state.tokens_out)
+                self._finish(state)
             else:
                 still_running.append(state)
         self.running = still_running

@@ -731,9 +731,9 @@ class _SoaEngine:
             # Single-iteration segment (prefills in flight, or a request
             # one token from finishing): the per-step tables give the
             # cost in one gather per table, and the first-token boundary
-            # is the same sum — ``step[k] = cum[k] - cum[k - 1]``
-            # exactly, so these floats are bit-identical to the
-            # cumulative-difference form below.
+            # is the same sum.  The step tables hold ``attn_step``
+            # values, the same per-step costs the event engine adds in
+            # its per-token iterations.
             kv1 = kv + 1
             step_lat_sum = float(tables.step_lat[kv1].sum())
             lat = w_lat + step_lat_sum

@@ -10,7 +10,8 @@ of its key, so this suite pins both halves:
 - deployments that differ in anything that changes a cost get distinct
   caches;
 - ``attn_cum`` does not depend on the order depths are filled in, and
-  the dense :class:`SegmentCostTable` agrees with it exactly.
+  the dense :class:`SegmentCostTable` agrees with it and with
+  ``attn_step`` exactly.
 
 It also pins fault-window replay parity: every scheduled stall and
 degrade window is traced once, so the replayed tallies equal
@@ -246,6 +247,21 @@ def test_segment_table_matches_attn_cum_exactly():
         want = np.array([cache.attn_cum(k) for k in range(top + 1)])
         assert np.array_equal(table.cum_lat[: top + 1], want[:, 0])
         assert np.array_equal(table.cum_energy[: top + 1], want[:, 1])
+
+
+@pytest.mark.parametrize("dpus", [2, 256])
+def test_segment_table_steps_match_attn_step_exactly(dpus):
+    # Differencing the cumulative table disagrees with attn_step in the
+    # last bits at most depths, on both sides of the DPU-count floor.
+    cache = _cache(dpus)
+    top = cache._attn_cum_floor + 5 * ATTN_CHECKPOINT + 17
+    table = cache.segment_table()
+    table.ensure(top // 2)
+    table.ensure(top)  # grown in two blocks
+    want = np.array([(0.0, 0.0)] + [cache.attn_step(k)
+                                    for k in range(1, top + 1)])
+    assert np.array_equal(table.step_lat[: top + 1], want[:, 0])
+    assert np.array_equal(table.step_energy[: top + 1], want[:, 1])
 
 
 # ---------------------------------------------------------------------------
