@@ -789,28 +789,16 @@ class _RankEngine:
     def _segment_latency(self, tokens: int) -> float:
         """Closed-form latency of ``tokens`` decode iterations from here."""
         total = tokens * self.cache.weight_step(len(self.running))[0]
-        for state in self.running:
-            kv = state.request.prompt_tokens + state.tokens_out
-            total += self.cache.attn_segment(kv + 1, kv + tokens)[0]
+        if self._kv is not None:
+            cum = self._table.cum_lat
+            total = _seq_sum(total, cum[self._kv + tokens] - cum[self._kv])
+        else:
+            for state in self.running:
+                kv = state.request.prompt_tokens + state.tokens_out
+                total += self.cache.attn_segment(kv + 1, kv + tokens)[0]
         if self._has_faults:
             total *= self._fault_factor()
         return total
-
-    def _packed_segment_latency(self) -> Callable[[int], float]:
-        """:meth:`_segment_latency` on the packed running set.
-
-        The batch's base cumulative costs are gathered once, so each
-        probe of the bisection is one more gather.
-        """
-        weight = self.cache.weight_step(len(self.running))[0]
-        factor = self._fault_factor()  # 1.0 outside degrade windows: exact
-        cum, kv = self._table.cum_lat, self._kv
-        base = cum[kv]
-
-        def latency(tokens: int) -> float:
-            return _seq_sum(tokens * weight, cum[kv + tokens] - base) * factor
-
-        return latency
 
     def _cap_to_arrival(self, tokens: int) -> int:
         """Truncate a segment at the next arrival's iteration boundary.
@@ -821,16 +809,12 @@ class _RankEngine:
         ``tokens`` unchanged when the arrival lands beyond the segment.
         """
         horizon = self.pending[0].request.arrival_s
-        if self._kv is not None:
-            latency = self._packed_segment_latency()
-        else:
-            latency = self._segment_latency
-        if self.clock + latency(tokens) < horizon:
+        if self.clock + self._segment_latency(tokens) < horizon:
             return tokens
         lo, hi = 1, tokens
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.clock + latency(mid) >= horizon:
+            if self.clock + self._segment_latency(mid) >= horizon:
                 hi = mid
             else:
                 lo = mid + 1
