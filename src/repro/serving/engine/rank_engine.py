@@ -654,15 +654,19 @@ class _RankEngine:
                              state.record.req_id, tokens_out=state.tokens_out)
 
     def _decode_iteration(self) -> None:
-        if self._packed():
-            self._decode_iteration_packed()
-            return
-        latency, energy = self.cache.weight_step(len(self.running))
-        for state in self.running:
-            kv_len = state.request.prompt_tokens + state.tokens_out + 1
-            attn_latency, attn_energy = self.cache.attn_step(kv_len)
-            latency += attn_latency
-            energy += attn_energy
+        packed = self._packed()
+        batch = len(self.running)
+        latency, energy = self.cache.weight_step(batch)
+        if packed:
+            kv = self._kv + 1
+            latency = _seq_sum(latency, self._table.step_lat[kv])
+            energy = _seq_sum(energy, self._table.step_energy[kv])
+        else:
+            for state in self.running:
+                kv_len = state.request.prompt_tokens + state.tokens_out + 1
+                attn_latency, attn_energy = self.cache.attn_step(kv_len)
+                latency += attn_latency
+                energy += attn_energy
         if self._has_faults:
             latency *= self._fault_factor()
         self.clock += latency
@@ -671,8 +675,14 @@ class _RankEngine:
         self.stats.decode_iterations += 1
         if self._detail:
             self._trace.emit("decode_segment", self.clock, self.rank,
-                             batch=len(self.running), tokens=1,
-                             latency_s=latency, energy_j=energy)
+                             batch=batch, tokens=1, latency_s=latency,
+                             energy_j=energy)
+        if packed:
+            self.stats.output_tokens += batch
+            self._kv = kv
+            self._left -= 1
+            self._retire_packed(self._fresh)
+            return
         still_running: List[_RequestState] = []
         for state in self.running:
             state.tokens_out += 1
@@ -729,28 +739,6 @@ class _RankEngine:
             state.tokens_out = state.request.gen_tokens - left
         self._kv = self._left = None
         self._fresh = []
-
-    def _decode_iteration_packed(self) -> None:
-        """:meth:`_decode_iteration` on the packed running set."""
-        batch = len(self.running)
-        kv = self._kv + 1
-        latency, energy = self.cache.weight_step(batch)
-        latency = _seq_sum(latency, self._table.step_lat[kv])
-        energy = _seq_sum(energy, self._table.step_energy[kv])
-        if self._has_faults:
-            latency *= self._fault_factor()
-        self.clock += latency
-        self.stats.busy_s += latency
-        self.stats.energy_j += energy
-        self.stats.decode_iterations += 1
-        self.stats.output_tokens += batch
-        if self._detail:
-            self._trace.emit("decode_segment", self.clock, self.rank,
-                             batch=batch, tokens=1, latency_s=latency,
-                             energy_j=energy)
-        self._kv = kv
-        self._left -= 1
-        self._retire_packed(self._fresh)
 
     def _retire_packed(self, firsts: List[int]) -> None:
         """Stamp first tokens at positions ``firsts``, then retire finishes.
