@@ -2,12 +2,25 @@
 
 JSON keeps the nested row structure verbatim, and :func:`write_json`'s
 file is byte-for-byte ``json.dumps(payload, indent=2) + "\\n"``.  It is
-written as a stream: each container whose values are all scalars (every
-row of a request or trace table) is one call to the stdlib C encoder,
-whose item separator already carries the ``indent=2`` line break, and
-goes straight to the file.  That is about twice as fast as
-``json.dump(indent=2)``, which falls back to the pure-Python encoder,
-and never holds the whole document in memory.
+written as a stream, with no call to the pure-Python encoder that
+``json.dump(indent=2)`` falls back to:
+
+* A *row table* (a list of at least two plain dicts with the same
+  ``str`` keys in the same order, such as the request and trace rows)
+  is encoded column by column, :data:`TABLE_BLOCK_ROWS` rows at a
+  time.  Each column of one exact type is one C-level map
+  (``float.__repr__`` for finite floats, ``int.__repr__``, the ASCII
+  string escaper, a bool lookup); any other column of scalars goes
+  through the C encoder value by value.  Each row fills one template
+  built from the keys.  A block holding a row of another shape (key
+  order, an extra or missing key, a nested or unserialisable value,
+  a non-dict) falls back to the walker below, so its bytes and errors
+  are unchanged.
+* Any other container whose values are all scalars is one call to the
+  stdlib C encoder, whose item separator already carries the
+  ``indent=2`` line break.  Other containers are walked item by item.
+
+Memory stays at about one block of rows, never the whole document.
 
 CSV flattens each row with
 dotted keys (``prefill.latency.total_s``) so spreadsheet tooling can
@@ -44,7 +57,9 @@ import csv
 import functools
 import json
 import re
-from typing import Dict, FrozenSet, List, Sequence
+from math import isfinite
+from operator import itemgetter
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 __all__ = [
     "DEFAULT_STRING_COLUMNS",
@@ -109,6 +124,20 @@ def unflatten_row(flat: Dict[str, object]) -> dict:
 #: does.  Subclasses (and anything else) take the per-item path.
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 
+#: Rows per block of a row table.  One block's text is built, written
+#: and dropped before the next, so the writer holds about this many
+#: rows of text at a time.
+TABLE_BLOCK_ROWS = 256
+
+#: Exact column type -> the C function that renders each value as
+#: ``json.dumps`` does (floats only when every value is finite).
+_COLUMN_ENCODERS = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: json.encoder.encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+
 
 @functools.lru_cache(maxsize=None)
 def _level(depth: int) -> tuple:
@@ -141,6 +170,81 @@ def _json_key(key: object, encode) -> str:
     return encode(key)
 
 
+def _table_keys(rows) -> Optional[tuple]:
+    """The key tuple of a row table, or None when ``rows`` is not one.
+
+    A table is at least two rows whose first row is a non-empty plain
+    dict with plain ``str`` keys; :func:`_encode_block` checks that the
+    other rows share its shape.
+    """
+    if len(rows) < 2 or type(rows[0]) is not dict or not rows[0]:
+        return None
+    keys = tuple(rows[0])
+    return keys if set(map(type, keys)) == {str} else None
+
+
+def _encode_block(block, keys: tuple, encode):
+    """Per-row tuples of encoded values of ``block``, built column by
+    column, or None when a row breaks the table's shape.
+
+    Every row must be a plain dict with exactly ``keys`` in that order.
+    A column of one exact type is one C-level map; any other column of
+    scalars goes through the C encoder value by value; a column holding
+    a container or an unserialisable value breaks the shape.  The maps
+    are lazy: values are encoded in document order as the rows are
+    consumed.
+    """
+    if set(map(type, block)) != {dict} or set(map(tuple, block)) != {keys}:
+        return None
+    if len(keys) > 1:
+        columns = zip(*map(itemgetter(*keys), block))
+    else:
+        columns = [[row[keys[0]] for row in block]]
+    encoded = []
+    for column in columns:
+        types = set(map(type, column))
+        fast = None
+        if len(types) == 1:
+            (kind,) = types
+            fast = _COLUMN_ENCODERS.get(kind)
+            if kind is float and not all(map(isfinite, column)):
+                fast = None
+        if fast is None:
+            if not all(kind is type(None) or issubclass(kind, (str, int, float))
+                       for kind in types):
+                return None
+            fast = encode
+        encoded.append(map(fast, column))
+    return zip(*encoded)
+
+
+def _write_table(write, rows, keys: tuple, depth: int, markers: set,
+                 lead: str) -> None:
+    """Stream the rows of a table opening at nesting ``depth``, one
+    block of :data:`TABLE_BLOCK_ROWS` rows at a time.
+
+    Each row of a well-shaped block fills one pre-built template; a
+    block with any row that breaks the shape is walked row by row, so
+    its bytes and errors are exactly the walker's.
+    """
+    encode, _, separator, _ = _level(depth)
+    _, inner, field_separator, outer = _level(depth + 1)
+    fields = field_separator.join(
+        encode(key).replace("%", "%%") + ": %s" for key in keys
+    )
+    template = ("{" + inner + fields + outer + "}").__mod__
+    for start in range(0, len(rows), TABLE_BLOCK_ROWS):
+        block = rows[start:start + TABLE_BLOCK_ROWS]
+        texts = _encode_block(block, keys, encode)
+        if texts is None:
+            for row in block:
+                _write_value(write, row, depth, markers, lead)
+                lead = separator
+        else:
+            write(lead + separator.join(map(template, texts)))
+            lead = separator
+
+
 def _write_value(write, obj: object, depth: int, markers: set,
                  lead: str = "") -> None:
     """Stream ``lead`` and then ``obj``, which opens at nesting ``depth``.
@@ -148,7 +252,8 @@ def _write_value(write, obj: object, depth: int, markers: set,
     A non-empty container whose values are all plain scalars is one C
     encoder call whose item separator already carries the line break
     and indent of ``depth + 1``; only the break after the opening
-    bracket and before the closing one are added here.  Any other
+    bracket and before the closing one are added here.  A list of
+    same-shaped dict rows goes to :func:`_write_table`.  Any other
     container is walked item by item.
     """
     encode, inner, separator, outer = _level(depth + 1)
@@ -177,9 +282,13 @@ def _write_value(write, obj: object, depth: int, markers: set,
             _write_value(write, value, depth + 1, markers, key_lead)
             lead = separator
     else:
-        for value in obj:
-            _write_value(write, value, depth + 1, markers, lead)
-            lead = separator
+        keys = _table_keys(obj)
+        if keys is not None:
+            _write_table(write, obj, keys, depth + 1, markers, lead)
+        else:
+            for value in obj:
+                _write_value(write, value, depth + 1, markers, lead)
+                lead = separator
     write(outer + ("}" if is_dict else "]"))
     markers.remove(marker)
 
@@ -191,9 +300,12 @@ def write_json(path: str, payload: dict) -> None:
     indent=2) + "\\n"`` — same layout, ``NaN``/``Infinity`` literals,
     ASCII escapes, key coercion, tuples as lists, and the same
     ``ValueError`` / ``TypeError`` on circular or unserialisable input.
-    It is streamed: each all-scalar container (every row of a row
-    table) is one call to the stdlib C encoder written straight to the
-    file, so no document-sized string is ever built.
+    It is streamed: a row table is encoded column by column and written
+    one block of :data:`TABLE_BLOCK_ROWS` rows at a time, each other
+    all-scalar container is one call to the stdlib C encoder, and a
+    block or container of any other shape is walked item by item (the
+    fallback keeps the bytes and errors).  No document-sized string is
+    ever built.
     """
     with open(path, "w", encoding="utf-8") as fh:
         _write_value(fh.write, payload, 0, set())

@@ -26,6 +26,8 @@ renderer :func:`format_table`:
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 __all__ = [
@@ -180,6 +182,138 @@ def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
     return out
 
 
+#: Per-request fields a serving scope row reads for every request of
+#: the scope, and for its completed requests only (``rank`` picks the
+#: scope).
+_SCOPE_FIELDS = ("rank", "status", "slo_ttft_s", "preemptions", "retries",
+                 "failovers", "shed")
+_DONE_FIELDS = ("rank", "gen_tokens", "finish_s", "ttft_s", "tpot_s",
+                "latency_s", "queue_s", "slo_ttft_s", "cache_hit")
+
+#: Defaults of the fields a per-request dict row may omit.
+_ROW_DEFAULTS = {"slo_ttft_s": 0.0, "preemptions": 0, "retries": 0,
+                 "failovers": 0, "shed": False, "cache_hit": False}
+
+
+def _row_columns(rows: Sequence[dict]) -> tuple:
+    """:func:`_scope_row`'s per-field lists from per-request dict rows."""
+    def column(items: Sequence[dict], field: str) -> list:
+        if field in _ROW_DEFAULTS:
+            default = _ROW_DEFAULTS[field]
+            return [r.get(field, default) for r in items]
+        return [r[field] for r in items]
+
+    done = [r for r in rows if r["status"] == "completed"]
+    return ({field: column(rows, field) for field in _SCOPE_FIELDS},
+            {field: column(done, field) for field in _DONE_FIELDS})
+
+
+def _attr_columns(items: Sequence) -> tuple:
+    """:func:`_scope_row`'s per-field lists gathered attribute by
+    attribute from objects carrying the fields (request records), with
+    no row dicts and no per-item tuples."""
+    done = [item for item in items if item.status == "completed"]
+    return ({field: list(map(attrgetter(field), items))
+             for field in _SCOPE_FIELDS},
+            {field: list(map(attrgetter(field), done))
+             for field in _DONE_FIELDS})
+
+
+def _scope_row(scope: str, every: Dict[str, Sequence],
+               done: Dict[str, Sequence]) -> dict:
+    """One :func:`serving_table` row from per-field lists.
+
+    ``every`` maps each :data:`_SCOPE_FIELDS` name to one value per
+    request of the scope, ``done`` each :data:`_DONE_FIELDS` name to one
+    value per completed request, both in request order.  Sums run
+    left to right with Python's ``sum`` over those lists, so the row is
+    bit-identical whether the lists came from dict rows or straight
+    from request records.
+    """
+    status = every["status"]
+    ttfts = done["ttft_s"]
+    gens = done["gen_tokens"]
+    # Single-token requests have no post-first-token interval; including
+    # their 0.0 placeholder would bias TPOT low.
+    tpots = list(compress(done["tpot_s"], [g >= 2 for g in gens]))
+    latencies = done["latency_s"]
+    output_tokens = sum(gens)
+    window = max(done["finish_s"], default=0.0)
+    slo_requests = sum(slo > 0 for slo in every["slo_ttft_s"])
+    slo_met = sum(
+        slo > 0 and ttft <= slo
+        for ttft, slo in zip(ttfts, done["slo_ttft_s"])
+    )
+    hits = done["cache_hit"]
+    hit_ttfts = list(compress(ttfts, hits))
+    miss_ttfts = list(compress(ttfts, [not hit for hit in hits]))
+    ttft_p50, ttft_p95, ttft_p99 = percentiles(ttfts, (50, 95, 99))
+    hit_p50, hit_p95 = percentiles(hit_ttfts, (50, 95))
+    miss_p50, miss_p95 = percentiles(miss_ttfts, (50, 95))
+    latency_p50, latency_p95, latency_p99 = percentiles(
+        latencies, (50, 95, 99)
+    )
+    return {
+        "scope": scope,
+        "requests": len(status),
+        "completed": len(ttfts),
+        "rejected": status.count("rejected"),
+        "failed": status.count("failed"),
+        "preemptions": sum(every["preemptions"]),
+        "retries": sum(every["retries"]),
+        "failovers": sum(every["failovers"]),
+        "shed": sum(map(bool, every["shed"])),
+        "slo_requests": slo_requests,
+        "slo_attainment": safe_ratio(slo_met, slo_requests, default=1.0),
+        "ttft_p50_s": ttft_p50,
+        "ttft_p95_s": ttft_p95,
+        "ttft_p99_s": ttft_p99,
+        "ttft_mean_s": safe_ratio(sum(ttfts), len(ttfts)),
+        "cache_hit_requests": len(hit_ttfts),
+        "ttft_hit_p50_s": hit_p50,
+        "ttft_hit_p95_s": hit_p95,
+        "ttft_miss_p50_s": miss_p50,
+        "ttft_miss_p95_s": miss_p95,
+        "tpot_mean_s": safe_ratio(sum(tpots), len(tpots)),
+        "tpot_p99_s": percentile(tpots, 99),
+        "latency_p50_s": latency_p50,
+        "latency_p95_s": latency_p95,
+        "latency_p99_s": latency_p99,
+        "queue_mean_s": safe_ratio(sum(done["queue_s"]), len(ttfts)),
+        "output_tokens": output_tokens,
+        "output_tokens_per_s": safe_ratio(output_tokens, window),
+    }
+
+
+def _rank_columns(columns: Dict[str, list], rank) -> Dict[str, list]:
+    """The entries of ``columns`` whose ``rank`` is ``rank``, in order."""
+    mask = [r == rank for r in columns["rank"]]
+    return {field: list(compress(values, mask))
+            for field, values in columns.items()}
+
+
+def _scope_table(every: Dict[str, list], done: Dict[str, list]) -> List[dict]:
+    """The ``all`` row followed by one row per rank, from
+    :func:`_scope_row`'s per-field lists over all requests.
+
+    Each rank's lists are sliced out of the gathered ones (order kept),
+    so requests are gathered once.  A rank that holds every request (a
+    one-rank run) is not aggregated again: its row is the ``all`` row
+    under its own scope name.
+    """
+    ranks = set(every["rank"])
+    if not ranks:
+        return []
+    table = [_scope_row("all", every, done)]
+    if len(ranks) == 1:
+        table.append(dict(table[0], scope=f"rank{every['rank'][0]}"))
+        return table
+    for rank in sorted(ranks):
+        table.append(_scope_row(f"rank{rank}", _rank_columns(every, rank),
+                                _rank_columns(done, rank)))
+    return table
+
+
 def serving_table(rows: Sequence[dict]) -> List[dict]:
     """Aggregate per-request serving rows into percentile summary rows.
 
@@ -196,75 +330,11 @@ def serving_table(rows: Sequence[dict]) -> List[dict]:
     scope's busy window (trace start to last completion).  When rows
     carry a ``cache_hit`` flag (prefix-cache runs), TTFT percentiles are
     additionally split by hit/miss so the cache's first-token win is
-    directly visible.
+    directly visible.  :func:`repro.serving.metrics.metrics_table`
+    builds the same rows straight from request records
+    (:func:`_attr_columns`) through the same :func:`_scope_row`.
     """
-    if not rows:
-        return []
-    scopes: List[tuple] = [("all", list(rows))]
-    by_rank: Dict[object, List[dict]] = {}
-    for r in rows:
-        by_rank.setdefault(r["rank"], []).append(r)
-    for rank in sorted(by_rank):
-        scopes.append((f"rank{rank}", by_rank[rank]))
-
-    table = []
-    for scope, group in scopes:
-        done = [r for r in group if r["status"] == "completed"]
-        ttfts = [r["ttft_s"] for r in done]
-        # Single-token requests have no post-first-token interval; including
-        # their 0.0 placeholder would bias TPOT low.
-        tpots = [r["tpot_s"] for r in done if r["gen_tokens"] >= 2]
-        latencies = [r["latency_s"] for r in done]
-        output_tokens = sum(r["gen_tokens"] for r in done)
-        window = max((r["finish_s"] for r in done), default=0.0)
-        slo_rows = [r for r in group if r.get("slo_ttft_s", 0.0) > 0]
-        slo_met = sum(
-            r["status"] == "completed" and r["ttft_s"] <= r["slo_ttft_s"]
-            for r in slo_rows
-        )
-        hit_ttfts = [r["ttft_s"] for r in done if r.get("cache_hit", False)]
-        miss_ttfts = [r["ttft_s"] for r in done if not r.get("cache_hit", False)]
-        ttft_p50, ttft_p95, ttft_p99 = percentiles(ttfts, (50, 95, 99))
-        hit_p50, hit_p95 = percentiles(hit_ttfts, (50, 95))
-        miss_p50, miss_p95 = percentiles(miss_ttfts, (50, 95))
-        latency_p50, latency_p95, latency_p99 = percentiles(
-            latencies, (50, 95, 99)
-        )
-        table.append(
-            {
-                "scope": scope,
-                "requests": len(group),
-                "completed": len(done),
-                "rejected": sum(r["status"] == "rejected" for r in group),
-                "failed": sum(r["status"] == "failed" for r in group),
-                "preemptions": sum(r.get("preemptions", 0) for r in group),
-                "retries": sum(r.get("retries", 0) for r in group),
-                "failovers": sum(r.get("failovers", 0) for r in group),
-                "shed": sum(bool(r.get("shed", False)) for r in group),
-                "slo_requests": len(slo_rows),
-                "slo_attainment": safe_ratio(slo_met, len(slo_rows), default=1.0),
-                "ttft_p50_s": ttft_p50,
-                "ttft_p95_s": ttft_p95,
-                "ttft_p99_s": ttft_p99,
-                "ttft_mean_s": safe_ratio(sum(ttfts), len(ttfts)),
-                "cache_hit_requests": len(hit_ttfts),
-                "ttft_hit_p50_s": hit_p50,
-                "ttft_hit_p95_s": hit_p95,
-                "ttft_miss_p50_s": miss_p50,
-                "ttft_miss_p95_s": miss_p95,
-                "tpot_mean_s": safe_ratio(sum(tpots), len(tpots)),
-                "tpot_p99_s": percentile(tpots, 99),
-                "latency_p50_s": latency_p50,
-                "latency_p95_s": latency_p95,
-                "latency_p99_s": latency_p99,
-                "queue_mean_s": safe_ratio(
-                    sum(r["queue_s"] for r in done), len(done)
-                ),
-                "output_tokens": output_tokens,
-                "output_tokens_per_s": safe_ratio(output_tokens, window),
-            }
-        )
-    return table
+    return _scope_table(*_row_columns(rows))
 
 
 #: Summary keys copied verbatim into :func:`policy_table` rows.

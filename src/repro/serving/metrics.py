@@ -9,7 +9,7 @@ dicts the :mod:`repro.experiments.io` writers consume:
   plus one per rank) enriched with energy, utilization and throughput
   from the per-rank counters,
 * :func:`summary` — a single flat dict for JSON payloads and quick
-  assertions,
+  assertions (the ``all`` row alone),
 * :func:`cluster_rows` / :func:`cluster_summary` — the cluster-level
   equivalents: one row per deployment of a
   :class:`~repro.serving.cluster.ClusterResult` (feeding
@@ -34,6 +34,16 @@ cache hit     share of prefix-cache admissions that resumed from a
 KV dedup      logical KV bytes over bytes actually reserved — how much
               MRAM the shared prefixes saved (1.0 = no sharing)
 ============  ========================================================
+
+The percentile rows are built straight from ``result.records``: each
+field of a scope's requests is gathered, attribute by attribute, into
+one list (no per-request row dicts), and one function,
+:func:`repro.experiments.tables._scope_row`, aggregates them.
+:func:`~repro.experiments.tables.serving_table` fills the same lists
+from dict rows, so ``metrics_table(result)`` equals
+``serving_table(record_rows(result))`` plus the enrichment, bit for
+bit.  A one-rank run aggregates its records once and reuses the
+``all`` row as its rank row.
 """
 
 from __future__ import annotations
@@ -41,10 +51,12 @@ from __future__ import annotations
 from typing import List
 
 from repro.experiments.tables import (
+    _attr_columns,
+    _scope_row,
+    _scope_table,
     percentile,
     percentiles,
     safe_ratio,
-    serving_table,
 )
 from repro.serving.scheduler import ServingResult
 
@@ -97,49 +109,57 @@ def record_rows(result: ServingResult) -> List[dict]:
     return rows
 
 
+def _enrich_all(row: dict, result: ServingResult) -> dict:
+    """Add the deployment-level totals to the ``all`` row."""
+    output_tokens = result.output_tokens
+    row["makespan_s"] = result.makespan_s
+    row["prefill_tokens"] = result.prefill_tokens
+    row["energy_j"] = result.total_energy_j
+    row["energy_mj_per_token"] = safe_ratio(
+        1e3 * result.total_energy_j, output_tokens
+    )
+    row["utilization"] = safe_ratio(
+        sum(rs.busy_s for rs in result.rank_stats),
+        len(result.rank_stats) * result.makespan_s,
+    )
+    row["requeues"] = sum(rs.requeues for rs in result.rank_stats)
+    row["recompute_tokens"] = sum(
+        rs.recompute_tokens for rs in result.rank_stats
+    )
+    row["kv_peak_bytes"] = max(
+        (rs.kv_peak_bytes for rs in result.rank_stats), default=0
+    )
+    hits, misses = result.cache_hits, result.cache_misses
+    row["cache_hits"] = hits
+    row["cache_misses"] = misses
+    row["cache_evictions"] = result.cache_evictions
+    row["cache_hit_rate"] = safe_ratio(hits, hits + misses)
+    row["cache_hit_tokens"] = sum(
+        rs.cache_hit_tokens for rs in result.rank_stats
+    )
+    row["kv_dedup_factor"] = safe_ratio(
+        sum(rs.kv_logical_bytes for rs in result.rank_stats),
+        sum(rs.kv_reserved_bytes for rs in result.rank_stats),
+        default=1.0,
+    )
+    return row
+
+
 def metrics_table(result: ServingResult) -> List[dict]:
     """Percentile summary rows enriched with energy and utilization.
 
     The ``all`` row carries deployment-level totals (makespan, energy,
     energy per token, preemption/requeue counters); each ``rank<i>`` row
     carries that replica's counters, so imbalance across the round-robin
-    shards is visible.
+    shards is visible.  The rows equal
+    ``serving_table(record_rows(result))`` but are aggregated straight
+    from the records.
     """
-    table = serving_table(record_rows(result))
+    table = _scope_table(*_attr_columns(result.records))
+    if not table:
+        return table
+    _enrich_all(table[0], result)
     by_scope = {row["scope"]: row for row in table}
-    if "all" in by_scope:
-        row = by_scope["all"]
-        output_tokens = result.output_tokens
-        row["makespan_s"] = result.makespan_s
-        row["prefill_tokens"] = result.prefill_tokens
-        row["energy_j"] = result.total_energy_j
-        row["energy_mj_per_token"] = safe_ratio(
-            1e3 * result.total_energy_j, output_tokens
-        )
-        row["utilization"] = safe_ratio(
-            sum(rs.busy_s for rs in result.rank_stats),
-            len(result.rank_stats) * result.makespan_s,
-        )
-        row["requeues"] = sum(rs.requeues for rs in result.rank_stats)
-        row["recompute_tokens"] = sum(
-            rs.recompute_tokens for rs in result.rank_stats
-        )
-        row["kv_peak_bytes"] = max(
-            (rs.kv_peak_bytes for rs in result.rank_stats), default=0
-        )
-        hits, misses = result.cache_hits, result.cache_misses
-        row["cache_hits"] = hits
-        row["cache_misses"] = misses
-        row["cache_evictions"] = result.cache_evictions
-        row["cache_hit_rate"] = safe_ratio(hits, hits + misses)
-        row["cache_hit_tokens"] = sum(
-            rs.cache_hit_tokens for rs in result.rank_stats
-        )
-        row["kv_dedup_factor"] = safe_ratio(
-            sum(rs.kv_logical_bytes for rs in result.rank_stats),
-            sum(rs.kv_reserved_bytes for rs in result.rank_stats),
-            default=1.0,
-        )
     for rs in result.rank_stats:
         row = by_scope.get(f"rank{rs.rank}")
         if row is None:
@@ -166,9 +186,17 @@ def metrics_table(result: ServingResult) -> List[dict]:
 
 
 def summary(result: ServingResult) -> dict:
-    """Flat deployment-level summary (the ``all`` row plus config keys)."""
-    table = metrics_table(result)
-    row = dict(table[0]) if table else {"scope": "all"}
+    """Flat deployment-level summary (the ``all`` row plus config keys).
+
+    Only the ``all`` scope is aggregated; the per-rank rows of
+    :func:`metrics_table` are not built.
+    """
+    if len(result.records):
+        row = _enrich_all(
+            _scope_row("all", *_attr_columns(result.records)), result
+        )
+    else:
+        row = {"scope": "all"}
     row.update(
         {
             "model": result.config.model,

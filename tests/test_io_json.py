@@ -1,10 +1,12 @@
 """``write_json`` writes exactly ``json.dumps(payload, indent=2) + "\\n"``.
 
 The writer streams each all-scalar container through the stdlib C
-encoder; these tests hold it to the pure-Python ``indent=2`` encoder's
-bytes on real serving payloads and on a seeded structural fuzzer, to
-its errors on bad input, and to a memory bound that only a streaming
-writer meets.
+encoder and encodes row tables column by column, one block of rows at a
+time; these tests hold it to the pure-Python ``indent=2`` encoder's
+bytes on real serving payloads, on a seeded structural fuzzer and on a
+seeded table fuzzer (with rows that break the table's shape), to its
+errors on bad input, and to a memory bound that only a streaming writer
+meets.
 """
 
 import enum
@@ -14,7 +16,8 @@ import tracemalloc
 
 import pytest
 
-from repro.experiments.io import write_json
+from repro.experiments import io as exp_io
+from repro.experiments.io import TABLE_BLOCK_ROWS, write_json
 from repro.serving import cli as serving_cli
 
 
@@ -167,6 +170,169 @@ def test_output_is_identical_without_the_c_encoder(tmp_path, monkeypatch):
     rng = random.Random(3)
     for _ in range(50):
         payload = _value(rng, 0)
+        assert _written(tmp_path, payload) == _reference(payload)
+
+
+# ---------------------------------------------------------------------------
+# (b') seeded row-table fuzzer: column-wise blocks and shape breakers
+# ---------------------------------------------------------------------------
+
+_TABLE_KEYS = (
+    "req_id", "arrival_s", "100% done", 'say "hi"', "two\nlines",
+    "café", "漢字", "\U0001f642", "", "%s", "%(x)s",
+)
+_SPECIAL_FLOATS = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324)
+
+
+def _column_value(rng: random.Random, kind: str) -> object:
+    """One value of a column of ``kind``; a few per column stray."""
+    if kind == "float":
+        return rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-30, 30)
+    if kind == "float_none":
+        return None if rng.random() < 0.1 else rng.random()
+    if kind == "float_special":
+        return rng.choice(_SPECIAL_FLOATS) if rng.random() < 0.2 \
+            else rng.random()
+    if kind == "int":
+        return rng.randint(-10**20, 10**20)
+    if kind == "str":
+        return rng.choice(_STRINGS)
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "subclass":
+        return rng.choice((_Seconds(rng.random()), _Tier.HIGH,
+                           _Name("sub"), _Seconds(float("nan"))))
+    if kind == "none":
+        return None
+    return _scalar(rng)  # "mixed"
+
+
+_COLUMN_KINDS = ("float", "float_none", "float_special", "int", "str",
+                 "bool", "subclass", "none", "mixed")
+
+
+def _table(rng: random.Random, rows: int) -> list:
+    keys = rng.sample(_TABLE_KEYS, rng.randint(1, len(_TABLE_KEYS)))
+    kinds = [rng.choice(_COLUMN_KINDS) for _ in keys]
+    stray = rng.random() < 0.3
+    table = []
+    for _ in range(rows):
+        row = {}
+        for key, kind in zip(keys, kinds):
+            if stray and rng.random() < 0.01:
+                kind = rng.choice(_COLUMN_KINDS)
+            row[key] = _column_value(rng, kind)
+        table.append(row)
+    return table
+
+
+def _table_sizes(rng: random.Random) -> int:
+    block = TABLE_BLOCK_ROWS
+    return rng.choice((2, 3, rng.randint(4, 600), block - 1, block,
+                       block + 1, 2 * block + 1))
+
+
+def test_fuzzed_tables_match_json_dumps(tmp_path):
+    rng = random.Random(20261017)
+    for _ in range(60):
+        payload = {"summary": {"rows": 1},
+                   "requests": _table(rng, _table_sizes(rng)),
+                   "trace": tuple(_table(rng, rng.randint(2, 40)))}
+        assert _written(tmp_path, payload) == _reference(payload)
+
+
+def _break_order(table, at):
+    row = table[at]
+    table[at] = dict(reversed(list(row.items())))
+
+
+def _break_extra(table, at):
+    table[at]["extra"] = 1.5
+
+
+def _break_missing(table, at):
+    table[at].pop(next(iter(table[at])))
+
+
+def _break_nested(table, at):
+    key = next(iter(table[at]))
+    table[at][key] = {"nested": [1, {"deeper": None}], "empty": []}
+
+
+def _break_list_value(table, at):
+    key = list(table[at])[-1]
+    table[at][key] = [0.5, "x", None]
+
+
+def _break_int_key(table, at):
+    table[at][7] = table[at].pop(next(iter(table[at])))
+
+
+def _break_row_type(table, at):
+    table[at] = [1, 2.5, "not a dict"]
+
+
+def _break_dict_subclass(table, at):
+    class Row(dict):
+        pass
+    table[at] = Row(table[at])
+
+
+def _break_empty_row(table, at):
+    table[at] = {}
+
+
+@pytest.mark.parametrize("breaker", [
+    _break_order, _break_extra, _break_missing, _break_nested,
+    _break_list_value, _break_int_key, _break_row_type,
+    _break_dict_subclass, _break_empty_row,
+])
+@pytest.mark.parametrize("at", [0, 1, 300, 599])
+def test_tables_with_a_shape_breaker_match_json_dumps(tmp_path, breaker, at):
+    rng = random.Random(at)
+    table = _table(rng, 600)
+    breaker(table, at)
+    payload = {"requests": table, "tail": _table(rng, 3)}
+    assert _written(tmp_path, payload) == _reference(payload)
+
+
+def _unserialisable_row(table):
+    key = next(iter(table[300]))
+    table[300][key] = object()
+
+
+def _tuple_key_row(table):
+    table[300][(1, 2)] = 1
+
+
+def _circular_row(table):
+    key = next(iter(table[300]))
+    table[300][key] = table
+
+
+@pytest.mark.parametrize("breaker, error", [
+    (_unserialisable_row, TypeError),
+    (_tuple_key_row, TypeError),
+    (_circular_row, ValueError),
+])
+def test_table_errors_match_json_dumps(tmp_path, breaker, error):
+    table = [{"a": float(i), "b": i, "c": "x"} for i in range(600)]
+    breaker(table)
+    payload = {"requests": table}
+    with pytest.raises(error) as expected:
+        json.dumps(payload, indent=2)
+    with pytest.raises(error) as raised:
+        write_json(str(tmp_path / "bad.json"), payload)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7])
+def test_table_bytes_do_not_depend_on_the_block_size(
+        tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(exp_io, "TABLE_BLOCK_ROWS", block_rows)
+    rng = random.Random(block_rows)
+    for _ in range(10):
+        payload = [_table(rng, rng.randint(2, 40)), _table(rng, 5)]
         assert _written(tmp_path, payload) == _reference(payload)
 
 

@@ -1,13 +1,38 @@
-"""Per-request rows and aggregate tables: None timestamps, zero edges."""
+"""Per-request rows and aggregate tables: None timestamps, zero edges,
+and one metrics implementation (records path == dict-rows path)."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.experiments.io import read_csv, write_csv
-from repro.experiments.tables import safe_ratio, serving_table
-from repro.serving import ServingConfig, TraceSpec, generate_trace, simulate_trace
-from repro.serving.metrics import metrics_table, record_rows, summary
+from repro.experiments.tables import (
+    percentile,
+    percentiles,
+    safe_ratio,
+    serving_table,
+)
+from repro.serving import (
+    Deployment,
+    FaultPlan,
+    FaultSpec,
+    Request,
+    RetryPolicy,
+    ServingConfig,
+    TraceSpec,
+    generate_trace,
+    simulate_cluster,
+    simulate_trace,
+)
+from repro.serving.engine.records import ColumnRecords
+from repro.serving.metrics import (
+    cluster_rows,
+    metrics_table,
+    record_rows,
+    summary,
+)
 from repro.serving.scheduler import RequestRecord, ServingResult
 
 
@@ -212,3 +237,312 @@ def test_cache_timeline_rows_round_trip_csv(tmp_path):
     hit = next(r for r in back if r["event"] == "cache_hit")
     assert isinstance(hit["cached_tokens"], int)
     assert isinstance(hit["kv_saved_bytes"], int)
+
+
+# ---------------------------------------------------------------------------
+# one metrics implementation: records path == rows path, bit for bit
+# ---------------------------------------------------------------------------
+
+def _per_row_serving_table(rows):
+    """The per-row ``serving_table`` that predates the shared
+    per-field scope rows: an independent oracle for both paths."""
+    if not rows:
+        return []
+    scopes = [("all", list(rows))]
+    by_rank = {}
+    for r in rows:
+        by_rank.setdefault(r["rank"], []).append(r)
+    for rank in sorted(by_rank):
+        scopes.append((f"rank{rank}", by_rank[rank]))
+    table = []
+    for scope, group in scopes:
+        done = [r for r in group if r["status"] == "completed"]
+        ttfts = [r["ttft_s"] for r in done]
+        tpots = [r["tpot_s"] for r in done if r["gen_tokens"] >= 2]
+        latencies = [r["latency_s"] for r in done]
+        output_tokens = sum(r["gen_tokens"] for r in done)
+        window = max((r["finish_s"] for r in done), default=0.0)
+        slo_rows = [r for r in group if r.get("slo_ttft_s", 0.0) > 0]
+        slo_met = sum(
+            r["status"] == "completed" and r["ttft_s"] <= r["slo_ttft_s"]
+            for r in slo_rows
+        )
+        hit_ttfts = [r["ttft_s"] for r in done if r.get("cache_hit", False)]
+        miss_ttfts = [r["ttft_s"] for r in done
+                      if not r.get("cache_hit", False)]
+        ttft_p50, ttft_p95, ttft_p99 = percentiles(ttfts, (50, 95, 99))
+        hit_p50, hit_p95 = percentiles(hit_ttfts, (50, 95))
+        miss_p50, miss_p95 = percentiles(miss_ttfts, (50, 95))
+        latency_p50, latency_p95, latency_p99 = percentiles(
+            latencies, (50, 95, 99))
+        table.append({
+            "scope": scope,
+            "requests": len(group),
+            "completed": len(done),
+            "rejected": sum(r["status"] == "rejected" for r in group),
+            "failed": sum(r["status"] == "failed" for r in group),
+            "preemptions": sum(r.get("preemptions", 0) for r in group),
+            "retries": sum(r.get("retries", 0) for r in group),
+            "failovers": sum(r.get("failovers", 0) for r in group),
+            "shed": sum(bool(r.get("shed", False)) for r in group),
+            "slo_requests": len(slo_rows),
+            "slo_attainment": safe_ratio(slo_met, len(slo_rows),
+                                         default=1.0),
+            "ttft_p50_s": ttft_p50,
+            "ttft_p95_s": ttft_p95,
+            "ttft_p99_s": ttft_p99,
+            "ttft_mean_s": safe_ratio(sum(ttfts), len(ttfts)),
+            "cache_hit_requests": len(hit_ttfts),
+            "ttft_hit_p50_s": hit_p50,
+            "ttft_hit_p95_s": hit_p95,
+            "ttft_miss_p50_s": miss_p50,
+            "ttft_miss_p95_s": miss_p95,
+            "tpot_mean_s": safe_ratio(sum(tpots), len(tpots)),
+            "tpot_p99_s": percentile(tpots, 99),
+            "latency_p50_s": latency_p50,
+            "latency_p95_s": latency_p95,
+            "latency_p99_s": latency_p99,
+            "queue_mean_s": safe_ratio(sum(r["queue_s"] for r in done),
+                                       len(done)),
+            "output_tokens": output_tokens,
+            "output_tokens_per_s": safe_ratio(output_tokens, window),
+        })
+    return table
+
+
+def _reference_table(result):
+    """The per-row table over ``record_rows(result)`` plus the
+    enrichment ``metrics_table`` applies."""
+    table = _per_row_serving_table(record_rows(result))
+    by_scope = {row["scope"]: row for row in table}
+    stats = result.rank_stats
+    if "all" in by_scope:
+        row = by_scope["all"]
+        hits, misses = result.cache_hits, result.cache_misses
+        row.update({
+            "makespan_s": result.makespan_s,
+            "prefill_tokens": result.prefill_tokens,
+            "energy_j": result.total_energy_j,
+            "energy_mj_per_token": safe_ratio(
+                1e3 * result.total_energy_j, result.output_tokens),
+            "utilization": safe_ratio(sum(rs.busy_s for rs in stats),
+                                      len(stats) * result.makespan_s),
+            "requeues": sum(rs.requeues for rs in stats),
+            "recompute_tokens": sum(rs.recompute_tokens for rs in stats),
+            "kv_peak_bytes": max((rs.kv_peak_bytes for rs in stats),
+                                 default=0),
+            "cache_hits": hits,
+            "cache_misses": misses,
+            "cache_evictions": result.cache_evictions,
+            "cache_hit_rate": safe_ratio(hits, hits + misses),
+            "cache_hit_tokens": sum(rs.cache_hit_tokens for rs in stats),
+            "kv_dedup_factor": safe_ratio(
+                sum(rs.kv_logical_bytes for rs in stats),
+                sum(rs.kv_reserved_bytes for rs in stats), default=1.0),
+        })
+    for rs in stats:
+        row = by_scope.get(f"rank{rs.rank}")
+        if row is None:
+            continue
+        row.update({
+            "makespan_s": rs.finish_s,
+            "prefill_tokens": rs.prefill_tokens,
+            "energy_j": rs.energy_j,
+            "energy_mj_per_token": safe_ratio(1e3 * rs.energy_j,
+                                              rs.output_tokens),
+            "utilization": rs.utilization,
+            "requeues": rs.requeues,
+            "recompute_tokens": rs.recompute_tokens,
+            "kv_peak_bytes": rs.kv_peak_bytes,
+            "cache_hits": rs.cache_hits,
+            "cache_misses": rs.cache_misses,
+            "cache_evictions": rs.cache_evictions,
+            "cache_hit_rate": safe_ratio(
+                rs.cache_hits, rs.cache_hits + rs.cache_misses),
+            "cache_hit_tokens": rs.cache_hit_tokens,
+            "kv_dedup_factor": safe_ratio(
+                rs.kv_logical_bytes, rs.kv_reserved_bytes, default=1.0),
+        })
+    return table
+
+
+def _reference_summary(result):
+    table = _reference_table(result)
+    row = dict(table[0]) if table else {"scope": "all"}
+    config = result.config
+    row.update({
+        "model": config.model, "scheme": config.scheme,
+        "kernel": config.kernel, "policy": config.policy,
+        "engine": config.engine, "prefix_cache": config.prefix_cache,
+        "num_ranks": config.num_ranks,
+        "dpus_per_rank": config.dpus_per_rank,
+        "max_batch": config.max_batch,
+        "kv_capacity_bytes": result.kv_capacity_bytes,
+        "weight_bytes": result.weight_bytes,
+    })
+    return row
+
+
+def _assert_one_implementation(result):
+    """``repr`` equality checks every float bit for bit, and key order."""
+    rows = record_rows(result)
+    assert repr(serving_table(rows)) == repr(_per_row_serving_table(rows))
+    assert repr(metrics_table(result)) == repr(_reference_table(result))
+    assert repr(summary(result)) == repr(_reference_summary(result))
+
+
+def _starved_trace():
+    """An SLO-carrying request no replica can hold, then low-priority
+    fillers evicted by SLO-carrying arrivals, then a one-token request."""
+    trace = [Request(req_id=0, arrival_s=0.0, prompt_tokens=4096,
+                     gen_tokens=4096, slo_ttft_s=5.0)]
+    rid, t = 1, 0.0
+    for _ in range(6):
+        for priority, slo in ((3, 0.0), (3, 0.0), (0, 1.0), (0, 40.0)):
+            trace.append(Request(req_id=rid, arrival_s=t, prompt_tokens=192,
+                                 gen_tokens=191 - rid % 3,
+                                 priority=priority, slo_ttft_s=slo))
+            rid += 1
+        t += 1.5
+    trace.append(Request(req_id=rid, arrival_s=t, prompt_tokens=8,
+                         gen_tokens=1))
+    return trace
+
+
+@pytest.mark.parametrize("ranks", [1, 4])
+def test_metrics_from_records_match_serving_table(ranks):
+    trace = generate_trace(TraceSpec(num_requests=80, seed=ranks,
+                                     scenario="bursty",
+                                     priority_weights=(1.0, 1.0),
+                                     slo_ttft_s=(1.0, 30.0)))
+    # A rejected SLO-carrying request ahead of every completed one.
+    trace = [Request(req_id=0, arrival_s=0.0, prompt_tokens=8,
+                     gen_tokens=10**6, slo_ttft_s=1.0)] + [
+        dataclasses.replace(req, req_id=req.req_id + 1) for req in trace
+    ]
+    result = simulate_trace(trace, ServingConfig(model="gpt-125m",
+                                                 num_ranks=ranks))
+    row = metrics_table(result)[0]
+    assert row["rejected"] == 1
+    assert 0.0 < row["slo_attainment"] < 1.0
+    assert len(metrics_table(result)) == ranks + 1
+    _assert_one_implementation(result)
+
+
+def test_single_rank_scope_is_the_all_row_renamed():
+    trace = generate_trace(TraceSpec(num_requests=40, seed=9))
+    result = simulate_trace(trace, ServingConfig(model="gpt-125m",
+                                                 num_ranks=1))
+    table = metrics_table(result)
+    assert [row["scope"] for row in table] == ["all", "rank0"]
+    assert table[1] is not table[0]
+    aggregate = {k: v for k, v in table[0].items() if k != "scope"}
+    rank = {k: v for k, v in table[1].items() if k != "scope"}
+    assert list(aggregate) == list(rank)
+    for key in serving_table(record_rows(result))[0]:
+        if key != "scope":
+            assert repr(aggregate[key]) == repr(rank[key]), key
+
+
+@pytest.mark.parametrize("engine", ["event", "soa"])
+def test_metrics_match_on_rejections_and_preemptions(engine):
+    config = ServingConfig(model="gpt-125m", num_ranks=1, dpus_per_rank=1,
+                           max_batch=8, policy="priority", engine=engine)
+    result = simulate_trace(_starved_trace(), config)
+    statuses = {rec.status for rec in result.records}
+    assert statuses == {"completed", "rejected"}
+    assert sum(rec.preemptions for rec in result.records) > 0
+    if engine == "soa":
+        assert isinstance(result.records, ColumnRecords)
+    _assert_one_implementation(result)
+
+
+def test_metrics_match_on_prefix_cache_split():
+    result = _cached_result()
+    hits = [rec.cache_hit for rec in result.records
+            if rec.status == "completed"]
+    assert any(hits) and not all(hits)
+    _assert_one_implementation(result)
+
+
+def test_metrics_match_on_empty_result():
+    empty = ServingResult(
+        config=ServingConfig(model="gpt-125m"), records=[], rank_stats=[],
+        kv_capacity_bytes=0, weight_bytes=0,
+    )
+    _assert_one_implementation(empty)
+    columns = ServingResult(
+        config=ServingConfig(model="gpt-125m"),
+        records=ColumnRecords({
+            name: np.zeros(0) for name in (
+                "req_id", "rank", "arrival_s", "prompt_tokens",
+                "gen_tokens", "priority", "slo_ttft_s", "session_id",
+                "turn", "rejected", "admit_s", "first_token_s",
+                "finish_s", "preemptions")
+        }),
+        rank_stats=[], kv_capacity_bytes=0, weight_bytes=0,
+    )
+    _assert_one_implementation(columns)
+
+
+def _faulted_cluster(shed: bool = True):
+    trace = generate_trace(TraceSpec(
+        num_requests=120, seed=3, scenario="bursty",
+        arrival_rate_per_s=30.0, priority_weights=(1.0, 1.0),
+        slo_ttft_s=(2.0, 20.0),
+    ))
+    deployments = [
+        Deployment(ServingConfig(model="gpt-125m", num_ranks=2), name="a",
+                   tier=0),
+        Deployment(ServingConfig(model="gpt-125m", num_ranks=1), name="b",
+                   tier=1),
+    ]
+    plan = FaultPlan((FaultSpec("crash", 0, 0.5), FaultSpec("crash", 2, 1.0)))
+    return simulate_cluster(
+        trace, deployments, faults=plan,
+        retry_policy=RetryPolicy(max_retries=int(shed), backoff_base_s=0.1),
+        shed_tier=1 if shed else None,
+    )
+
+
+@pytest.mark.parametrize("shed", [True, False])
+def test_metrics_match_on_failed_shed_and_retried_requests(shed):
+    """Every record of a faulted cluster as one result.  With shedding
+    and one retry: shed requests on rank -1 and retried, failed-over
+    ones.  Without either: requests failed on the crashed replicas."""
+    cluster = _faulted_cluster(shed)
+    records = cluster.records
+    if shed:
+        assert any(rec.shed for rec in records)
+        assert any(rec.retries and rec.status == "completed"
+                   for rec in records)
+        assert any(rec.failovers for rec in records)
+    else:
+        assert any(rec.status == "failed" and rec.rank >= 0
+                   for rec in records)
+    deps = cluster.deployments
+    result = ServingResult(
+        config=deps[0].serving.config, records=records,
+        rank_stats=[rs for dep in deps for rs in dep.serving.rank_stats],
+        kv_capacity_bytes=0, weight_bytes=0,
+    )
+    assert len(metrics_table(result)) > 2
+    _assert_one_implementation(result)
+
+
+def test_cluster_rows_of_faulted_cluster_match_reference():
+    """Each ``cluster_rows`` row is the reference summary of its
+    deployment's slice plus the cluster keys."""
+    result = _faulted_cluster()
+    rows = cluster_rows(result)
+    assert len(rows) == len(result.deployments)
+    for row, dep in zip(rows, result.deployments):
+        reference = _reference_summary(dep.serving)
+        reference.update({
+            "deployment": dep.name, "tier": dep.tier, "routed": dep.routed,
+            "replicas": dep.replicas_final,
+            "replicas_peak": dep.replicas_peak,
+            "scale_ups": dep.scale_ups, "scale_downs": dep.scale_downs,
+            "replacements": dep.replacements,
+        })
+        assert repr(row) == repr(reference)

@@ -9,7 +9,9 @@ engine against the per-token loop engine on a long-generation trace,
 (f) the structure-of-arrays engine against the event engine on a
 1M-request wide-batch trace, (f') both engines across decode batch
 widths (the curve behind the event engine's packed-running-set
-threshold), (g) a 100k-request bursty scaling trace
+threshold), (g) a 100k-request bursty scaling trace, (g') the
+results path of that run (metrics tables, request/trace rows and the
+JSON export, stage by stage)
 and (h) a 1M-request cluster run across eight heterogeneous
 deployments (plus a router comparison
 and an autoscaled run), then writes the wall-clock numbers, simulated
@@ -29,7 +31,9 @@ engine's (measured on a 100k slice of the same trace), loses requests,
 disagrees with the event engine on the slice or misses its wall
 budget, if the event engine misses its wall budget on that slice, if the
 100k-request scaling run misses its budget, if a disabled tracer slows
-the 100k scaling run beyond its overhead floor, or if the
+the 100k scaling run beyond its overhead floor (median of alternating
+untraced / disabled pairs), if the results path of the scaling result
+misses its budget, or if the
 chunked-prefill policy stops beating FCFS p95 TTFT on the bursty
 long-prefill scenario (or drops completed requests), if the 1M-request
 cluster run misses its 300 s budget or loses requests, or if the
@@ -41,9 +45,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from datetime import datetime, timezone
 from typing import Optional
@@ -86,6 +93,13 @@ OBS_TRACED_REQUESTS = 20_000
 # The tracing-disabled hot path is intended to cost a few percent at
 # most; the gate leaves headroom for shared-runner wall-clock noise.
 OBS_OVERHEAD_RATIO_FLOOR = 1.15
+# Untraced / disabled-tracer pairs behind the overhead ratio (median).
+OBS_OVERHEAD_REPS = 3
+# The results path (metrics, rows, JSON export) of the 100k scaling
+# result: each stage is the median of this many alternating reps, and
+# their sum must stay inside the budget.
+RESULTS_PATH_REPS = 3
+RESULTS_PATH_BUDGET_S = 12.0
 
 
 def _timed(fn):
@@ -364,16 +378,23 @@ def bench_batch_width() -> dict:
     }
 
 
-def bench_scaling() -> dict:
-    """100k-request bursty trace on the event engine (the scaling entry)."""
-    from repro.serving import ServingConfig, TraceSpec, generate_trace, simulate_trace
+def _scaling_run() -> tuple:
+    """The scaling entry's trace spec and serving config."""
+    from repro.serving import ServingConfig, TraceSpec
 
     spec = TraceSpec(
         num_requests=SCALING_REQUESTS, seed=0, scenario="bursty",
         arrival_rate_per_s=32.0, burst_rate_multiplier=8.0,
     )
+    return spec, ServingConfig(model="gpt-1.3b", num_ranks=8)
+
+
+def bench_scaling() -> dict:
+    """100k-request bursty trace on the event engine (the scaling entry)."""
+    from repro.serving import generate_trace, simulate_trace
+
+    spec, config = _scaling_run()
     trace, trace_wall = _timed(lambda: generate_trace(spec))
-    config = ServingConfig(model="gpt-1.3b", num_ranks=8)
     result, wall = _timed(lambda: simulate_trace(trace, config))
     return {
         "requests": SCALING_REQUESTS,
@@ -388,14 +409,16 @@ def bench_scaling() -> dict:
     }
 
 
-def bench_observability(scaling_wall_s: float) -> dict:
+def bench_observability() -> dict:
     """Tracing overhead and the engines' self-profiled phase breakdown.
 
     Three measurements: (a) the 100k-request scaling trace with a
     *disabled* tracer passed in — at runtime this is the same code path
     as passing no tracer at all (the engine stores ``None`` either
-    way), so its wall over the untraced scaling run is the hot-path
-    overhead gate; (b) a 20k-request slice with a full
+    way).  After one warm-up run, untraced and disabled-tracer runs go
+    back to back in alternating order, :data:`OBS_OVERHEAD_REPS` pairs;
+    the median of the per-pair wall ratios is the hot-path overhead
+    gate; (b) a 20k-request slice with a full
     :class:`RecordingTracer`, reporting the absolute cost of recording
     every lifecycle event plus sampled series; (c) a profiled
     1000-request run whose :class:`SelfProfiler` report attributes the
@@ -405,15 +428,21 @@ def bench_observability(scaling_wall_s: float) -> dict:
     from repro.obs import RecordingTracer, SelfProfiler, Tracer
     from repro.serving import ServingConfig, TraceSpec, generate_trace, simulate_trace
 
-    spec = TraceSpec(
-        num_requests=SCALING_REQUESTS, seed=0, scenario="bursty",
-        arrival_rate_per_s=32.0, burst_rate_multiplier=8.0,
-    )
+    spec, config = _scaling_run()
     trace = generate_trace(spec)
-    config = ServingConfig(model="gpt-1.3b", num_ranks=8)
-    _, disabled_wall = _timed(
-        lambda: simulate_trace(trace, config, tracer=Tracer())
-    )
+    simulate_trace(trace, config)  # warm the cost caches
+    walls = {"untraced": [], "disabled": []}
+    for rep in range(OBS_OVERHEAD_REPS):
+        order = ("untraced", "disabled") if rep % 2 == 0 else (
+            "disabled", "untraced")
+        for name in order:
+            tracer = Tracer() if name == "disabled" else None
+            _, wall = _timed(
+                lambda: simulate_trace(trace, config, tracer=tracer)
+            )
+            walls[name].append(wall)
+    ratios = [disabled / untraced for disabled, untraced
+              in zip(walls["disabled"], walls["untraced"])]
 
     sub = trace[:OBS_TRACED_REQUESTS]
     _, sub_wall = _timed(lambda: simulate_trace(sub, config))
@@ -426,11 +455,11 @@ def bench_observability(scaling_wall_s: float) -> dict:
                    profiler=profiler)
     return {
         "requests": SCALING_REQUESTS,
-        "disabled_wall_s": disabled_wall,
-        "untraced_wall_s": scaling_wall_s,
-        "disabled_overhead_ratio": (
-            disabled_wall / scaling_wall_s if scaling_wall_s else 0.0
-        ),
+        "overhead_reps": OBS_OVERHEAD_REPS,
+        "disabled_wall_s": statistics.median(walls["disabled"]),
+        "untraced_wall_s": statistics.median(walls["untraced"]),
+        "disabled_overhead_ratio": statistics.median(ratios),
+        "disabled_overhead_ratios": ratios,
         "overhead_ratio_floor": OBS_OVERHEAD_RATIO_FLOOR,
         "traced_requests": OBS_TRACED_REQUESTS,
         "traced_wall_s": traced_wall,
@@ -438,6 +467,55 @@ def bench_observability(scaling_wall_s: float) -> dict:
         "traced_overhead_ratio": traced_wall / sub_wall if sub_wall else 0.0,
         "traced_events": len(tracer.events),
         "profile": profiler.report(),
+    }
+
+
+def bench_results_path() -> dict:
+    """Host wall of the results path on the 100k scaling result.
+
+    Times the stages the serving CLI runs after the simulation —
+    ``metrics_table``, ``summary``, ``record_rows``, ``trace_rows`` and
+    ``write_json`` of the payload they make — in turn, for
+    :data:`RESULTS_PATH_REPS` reps, and reports each stage's median,
+    so a regression in the output path names its stage.
+    """
+    from repro.experiments.io import write_json
+    from repro.serving import generate_trace, simulate_trace, trace_rows
+    from repro.serving.metrics import metrics_table, record_rows, summary
+
+    spec, config = _scaling_run()
+    trace = generate_trace(spec)
+    result = simulate_trace(trace, config)
+    payload = {
+        "summary": summary(result),
+        "metrics": metrics_table(result),
+        "requests": record_rows(result),
+        "trace": trace_rows(trace),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "results.json")
+        stages = {
+            "metrics_table": lambda: metrics_table(result),
+            "summary": lambda: summary(result),
+            "record_rows": lambda: record_rows(result),
+            "trace_rows": lambda: trace_rows(trace),
+            "write_json": lambda: write_json(path, payload),
+        }
+        samples = {name: [] for name in stages}
+        for _ in range(RESULTS_PATH_REPS):
+            for name, stage in stages.items():
+                samples[name].append(_timed(stage)[1])
+        export_bytes = os.path.getsize(path)
+    medians = {name: statistics.median(walls)
+               for name, walls in samples.items()}
+    return {
+        "requests": SCALING_REQUESTS,
+        "reps": RESULTS_PATH_REPS,
+        "stages_s": medians,
+        "samples_s": samples,
+        "total_s": sum(medians.values()),
+        "wall_budget_s": RESULTS_PATH_BUDGET_S,
+        "export_bytes": export_bytes,
     }
 
 
@@ -736,7 +814,6 @@ def main(argv=None) -> int:
                         help="fail if the trace simulation misses its budget")
     args = parser.parse_args(argv)
 
-    scaling_entry = bench_scaling()
     payload = {
         "meta": environment_meta(),
         "sweep": bench_sweep(),
@@ -745,8 +822,9 @@ def main(argv=None) -> int:
         "engines": bench_engines(),
         "soa": bench_soa(),
         "batch_width": bench_batch_width(),
-        "scaling": scaling_entry,
-        "observability": bench_observability(scaling_entry["wall_s"]),
+        "scaling": bench_scaling(),
+        "observability": bench_observability(),
+        "results_path": bench_results_path(),
         "policies": bench_policies(),
         "prefix_cache": bench_prefix_cache(),
         "cluster": bench_cluster(),
@@ -762,6 +840,7 @@ def main(argv=None) -> int:
     soa = payload["soa"]
     scaling = payload["scaling"]
     obs = payload["observability"]
+    results = payload["results_path"]
     policies = payload["policies"]
     cache = payload["prefix_cache"]
     cluster = payload["cluster"]
@@ -793,6 +872,10 @@ def main(argv=None) -> int:
           f"untraced at {obs['requests']} requests; full recording "
           f"{obs['traced_overhead_ratio']:.2f}x at {obs['traced_requests']} "
           f"({obs['traced_events']} events)")
+    print(f"results path: {results['total_s']:.2f} s at "
+          f"{results['requests']} requests (" + ", ".join(
+              f"{name} {wall:.3f}" for name, wall
+              in results["stages_s"].items()) + ")")
     print(f"policies ({policies['scenario']} long-prefill): chunked_prefill "
           f"p95 TTFT {policies['chunked_vs_fcfs_ttft_p95_speedup']:.3f}x vs fcfs")
     print(f"prefix cache: hit rate {cache['cache_hit_rate']:.3f}, dedup "
@@ -889,6 +972,16 @@ def main(argv=None) -> int:
                 f"{obs['disabled_overhead_ratio']:.3f}x the untraced "
                 f"{obs['requests']}-request run "
                 f"(floor {OBS_OVERHEAD_RATIO_FLOOR}x)",
+                file=sys.stderr,
+            )
+            return 1
+        if results["total_s"] > RESULTS_PATH_BUDGET_S:
+            print(
+                f"FAIL: the results path of the {results['requests']}-"
+                f"request scaling result took {results['total_s']:.2f} s "
+                f"(> {RESULTS_PATH_BUDGET_S} s budget); stages: " + ", ".join(
+                    f"{name} {wall:.3f} s" for name, wall
+                    in results["stages_s"].items()),
                 file=sys.stderr,
             )
             return 1
