@@ -94,7 +94,8 @@ OBS_TRACED_REQUESTS = 20_000
 # most; the gate leaves headroom for shared-runner wall-clock noise.
 OBS_OVERHEAD_RATIO_FLOOR = 1.15
 # Untraced / disabled-tracer pairs behind the overhead ratio (median).
-OBS_OVERHEAD_REPS = 3
+# Even, so each order (untraced first, disabled first) runs equally often.
+OBS_OVERHEAD_REPS = 4
 # The results path (metrics, rows, JSON export) of the 100k scaling
 # result: each stage is the median of this many alternating reps, and
 # their sum must stay inside the budget.
