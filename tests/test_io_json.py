@@ -241,6 +241,15 @@ def test_fuzzed_tables_match_json_dumps(tmp_path):
         assert _written(tmp_path, payload) == _reference(payload)
 
 
+def test_fuzzed_tables_match_json_dumps_without_the_c_encoder(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    rng = random.Random(11)
+    for _ in range(10):
+        payload = {"requests": _table(rng, _table_sizes(rng))}
+        assert _written(tmp_path, payload) == _reference(payload)
+
+
 def _break_order(table, at):
     row = table[at]
     table[at] = dict(reversed(list(row.items())))
