@@ -9,7 +9,12 @@ Small JSON goldens are checked in under ``tests/goldens/``:
   ``priority`` golden pins preemption counters too), and
 * ``serving_conversational_<policy>.json`` — the summary of a fixed-seed
   conversational session trace with the KV prefix cache enabled, so the
-  hit-rate, dedup and eviction counters are pinned per policy.
+  hit-rate, dedup and eviction counters are pinned per policy, and
+* ``cluster_<run>.json`` — three fault-free two-deployment cluster runs
+  (``round_robin`` on sticky conversational sessions, ``least_kv`` with
+  the autoscaler, ``p2c``): the flat ``cluster_summary`` plus a digest
+  of every record's ``(req_id, rank, status, first_token_s,
+  finish_s)``, so routing and placement are pinned request by request.
 
 Any change to kernel costs, the energy model, trace generation or
 scheduler behavior shifts these numbers; the diff shows up in the PR
@@ -33,6 +38,7 @@ layer-identical blocks instead of re-summing per layer (float-rounding
 level shifts).
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -43,9 +49,14 @@ from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.experiments.tables import latency_table
 from repro.serving import (
     POLICIES,
+    Autoscaler,
+    AutoscalerConfig,
+    Deployment,
     ServingConfig,
     TraceSpec,
+    cluster_summary,
     generate_trace,
+    simulate_cluster,
     simulate_trace,
     summary,
 )
@@ -97,6 +108,49 @@ def _conv_config(policy: str, engine: str = "event") -> ServingConfig:
                          engine=engine, prefix_cache=True)
 
 
+CLUSTER_CONV_TRACE_SPEC = TraceSpec(
+    num_requests=40, seed=7, scenario="conversational",
+    arrival_rate_per_s=0.5,
+    prompt_mean=48.0, prompt_sigma=0.8, prompt_max=128,
+    gen_mean=24.0, gen_max=64,
+    priority_weights=(0.3, 0.7), slo_ttft_s=(50.0, 500.0),
+    sessions=10, turns_mean=3.0, turns_max=4, think_time_mean_s=5.0,
+    system_prompt_pool=2, system_prompt_tokens=48,
+)
+
+CLUSTER_BURSTY_TRACE_SPEC = TraceSpec(
+    num_requests=60, seed=5, scenario="bursty", arrival_rate_per_s=2.0,
+    prompt_mean=96.0, prompt_sigma=0.8, prompt_max=512,
+    gen_mean=64.0, gen_max=256,
+    priority_weights=(0.5, 0.5), slo_ttft_s=(50.0, 500.0),
+)
+
+#: Golden cluster runs: name -> (trace spec, router, autoscaled,
+#: prefix cache).
+CLUSTER_RUNS = {
+    "round_robin_sessions": (CLUSTER_CONV_TRACE_SPEC, "round_robin", False,
+                             True),
+    "least_kv_autoscaled": (CLUSTER_BURSTY_TRACE_SPEC, "least_kv", True,
+                            False),
+    "p2c": (CLUSTER_BURSTY_TRACE_SPEC, "p2c", False, False),
+}
+
+
+def _cluster_deployments(prefix_cache: bool):
+    """Two uneven gpt-125m deployments; ``b`` runs the priority policy."""
+    return [
+        Deployment(ServingConfig(model="gpt-125m", num_ranks=2,
+                                 dpus_per_rank=8, max_batch=8,
+                                 prefix_cache=prefix_cache),
+                   name="a", tier=0),
+        Deployment(ServingConfig(model="gpt-125m", num_ranks=1,
+                                 dpus_per_rank=16, max_batch=8,
+                                 prefix_cache=prefix_cache,
+                                 policy="priority"),
+                   name="b", tier=1),
+    ]
+
+
 def _rounded(value, digits: int = 10):
     """Round every float in a nested JSON-ish structure to ``digits``
     significant digits (ints and other scalars pass through)."""
@@ -123,6 +177,32 @@ def _build_conversational_golden(policy: str, engine: str = "event"):
     trace = generate_trace(CONV_TRACE_SPEC)
     config = _conv_config(policy, engine)
     return _rounded(summary(simulate_trace(trace, config)))
+
+
+def _records_digest(records) -> str:
+    """SHA-256 over every record's ``(req_id, rank, status,
+    first_token_s, finish_s)``, timestamps rounded like the goldens."""
+    digest = hashlib.sha256()
+    for rec in records:
+        row = (rec.req_id, rec.rank, rec.status,
+               _rounded(rec.first_token_s), _rounded(rec.finish_s))
+        digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+def _build_cluster_golden(run: str):
+    spec, router, autoscaled, prefix_cache = CLUSTER_RUNS[run]
+    scaler = Autoscaler(AutoscalerConfig(
+        min_replicas=1, max_replicas=3, queue_high=2.0, queue_low=0.5,
+        interval_s=5.0,
+    )) if autoscaled else None
+    result = simulate_cluster(
+        generate_trace(spec), _cluster_deployments(prefix_cache),
+        router=router, autoscaler=scaler,
+    )
+    golden = _rounded(cluster_summary(result))
+    golden["records_sha256"] = _records_digest(result.records)
+    return golden
 
 
 def _golden_path(name: str) -> str:
@@ -191,6 +271,20 @@ def test_loop_engine_reproduces_conversational_golden(policy):
     assert loop == golden
 
 
+@pytest.mark.parametrize("run", sorted(CLUSTER_RUNS))
+def test_cluster_summary_matches_golden(run):
+    assert _build_cluster_golden(run) == _load(f"cluster_{run}.json")
+
+
+def test_cluster_goldens_pin_routing_and_scaling():
+    """The fixtures exercise what they are named for: every request
+    completes, and the autoscaled run actually scaled."""
+    goldens = {run: _load(f"cluster_{run}.json") for run in CLUSTER_RUNS}
+    for run, flat in goldens.items():
+        assert flat["completed"] == flat["requests"], run
+    assert goldens["least_kv_autoscaled"]["scale_events"] > 0
+
+
 def test_conversational_goldens_pin_cache_behavior():
     """The checked-in fixtures themselves prove the cache works: hits
     dominate, dedup saves real bytes, and eviction actually fired."""
@@ -219,6 +313,8 @@ def _update() -> None:
         goldens[f"serving_conversational_{policy}.json"] = (
             _build_conversational_golden(policy)
         )
+    for run in CLUSTER_RUNS:
+        goldens[f"cluster_{run}.json"] = _build_cluster_golden(run)
     for name, payload in goldens.items():
         with open(_golden_path(name), "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
