@@ -317,7 +317,7 @@ def decode_segment_stats(
     weight GEMMs once at ``M = len(kv_lens)`` rows plus each sequence's
     two attention matmuls at ``kv_lens[i] + t + 1``.  This is the
     aggregation the event-driven serving engine
-    (:mod:`repro.serving.scheduler`) uses between scheduler events,
+    (:mod:`repro.serving.engine`) uses between scheduler events,
     where the batch composition is constant: the weight stats scale by
     ``tokens`` and each sequence's attention growth collapses to the
     exact series of :func:`decode_attention_stats_sum`.

@@ -14,7 +14,7 @@ would export to its monitoring stack, reconstructed for the simulator:
 * :mod:`repro.obs.export` — Chrome trace-event JSON (opens in Perfetto)
   and flat timeline rows, plus the CI schema validator,
 * :mod:`repro.obs.replay` — the correctness oracle: rebuild a full
-  :class:`~repro.serving.scheduler.ServingResult` (and the cluster's
+  :class:`~repro.serving.engine.records.ServingResult` (and the cluster's
   fault-recovery counters) from the event stream alone,
 * :mod:`repro.obs.profile` — wall-clock self-profiling of the engines'
   own phases.

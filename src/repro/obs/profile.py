@@ -9,7 +9,7 @@ arrival-boundary bisection).  ``tools/bench.py`` reports the phase
 breakdown so hot-path regressions are attributable to a phase instead
 of a whole run.
 
-Pass an instance to :func:`repro.serving.scheduler.simulate_trace` via
+Pass an instance to :func:`repro.serving.engine.driver.simulate_trace` via
 ``profiler=``; it accumulates across every rank engine of the run.
 When no profiler is passed the engines skip all timing (one ``is not
 None`` check per scheduler event).

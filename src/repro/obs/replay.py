@@ -1,8 +1,8 @@
 """Replay a recorded trace back into serving records and rank stats.
 
 The trace layer doubles as a correctness oracle: every quantity the
-scheduler aggregates (:class:`~repro.serving.scheduler.RequestRecord`
-timestamps, :class:`~repro.serving.scheduler.RankStats` counters, busy
+scheduler aggregates (:class:`~repro.serving.engine.records.RequestRecord`
+timestamps, :class:`~repro.serving.engine.records.RankStats` counters, busy
 time and energy) is also derivable from the ``full``-level event stream
 alone.  :func:`replay_result` performs that derivation, so
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.tracer import EVENT_SCHEMA, TraceEvent
-from repro.serving.scheduler import (
+from repro.serving.engine import (
     RankStats,
     RequestRecord,
     ServingConfig,

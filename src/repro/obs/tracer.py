@@ -239,7 +239,7 @@ class RecordingTracer(Tracer):
     decode segments and the sampled KV / batch / queue-depth time series,
     which the Chrome-trace exporter renders as counter tracks and
     :func:`repro.obs.replay.replay_result` replays into a full
-    :class:`~repro.serving.scheduler.ServingResult`.
+    :class:`~repro.serving.engine.records.ServingResult`.
 
     Each completed request is observed once in the TTFT / TPOT / latency /
     queue-wait histograms, at its finish and from its original arrival —

@@ -16,8 +16,7 @@ single deployment or a heterogeneous routed cluster of them.
   KV-pressure preemption and cache-eviction selection,
 * :mod:`repro.serving.engine` — the layered continuous-batching engine
   package (config / prefix cache / records / cost spine / rank engine /
-  driver); :mod:`repro.serving.scheduler` is its stable re-export shim
-  (:func:`simulate_trace`, :class:`PrefixCache`, ...),
+  driver) behind :func:`simulate_trace`, :class:`PrefixCache`, ...,
 * :mod:`repro.serving.routing` — the :data:`ROUTERS` registry of
   request-routing policies (``round_robin`` / ``least_kv`` / ``p2c`` /
   ``slo_affinity``), used for single-deployment rank sharding and
@@ -55,7 +54,7 @@ from repro.serving.policy import (
     SjfPolicy,
     get_policy,
 )
-from repro.serving.scheduler import (
+from repro.serving.engine import (
     ENGINES,
     CacheEntry,
     PrefixCache,

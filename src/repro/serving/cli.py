@@ -93,7 +93,7 @@ from repro.serving.metrics import (
 )
 from repro.serving.policy import POLICIES
 from repro.serving.routing import ROUTERS
-from repro.serving.scheduler import ENGINES, ServingConfig, simulate_trace
+from repro.serving.engine import ENGINES, ServingConfig, simulate_trace
 from repro.serving.trace import Request, SCENARIOS, TraceSpec, generate_trace, trace_rows
 
 __all__ = ["build_parser", "main"]

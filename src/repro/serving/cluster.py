@@ -12,17 +12,20 @@ optionally an :class:`~repro.serving.autoscale.Autoscaler`:
                    │                                   ▲
                    └── Autoscaler.control ─ add/retire replicas ──────┘
 
-The cluster processes arrivals in global time order.  Deployments
-advance *lazily*: a state-aware router (``least_kv``, ``p2c``) or the
-autoscaler advancing a deployment to the current arrival time is the
-only thing that runs engines mid-trace — under the stateless
-``round_robin`` router all engine work happens at the final drain,
-which makes a single-deployment cluster equivalent to
-:func:`~repro.serving.engine.driver.simulate_trace`'s rank sharding.
-Arrivals are revealed to a deployment at routing time, so a decode
-segment committed before a *later* arrival was routed may run past it
-(the engine never splits a committed segment); scheduling is still
-fully deterministic given the trace and router.
+:meth:`Cluster.run` is one event loop for fault-free and faulted runs
+alike: arrivals in global time order, merged with the retries a crash
+produces.  Deployments advance *lazily*: a state-aware router
+(``least_kv``, ``p2c``) or the autoscaler advancing a deployment to the
+current arrival time, and a replica whose scheduled crash is due, are
+the only things that run engines mid-trace — under the stateless
+``round_robin`` router all other engine work happens at the final
+drain, which makes a single-deployment cluster equivalent to
+:func:`~repro.serving.engine.driver.simulate_trace`'s rank sharding, and
+a fault plan that never fires equivalent to no plan.  Arrivals are
+revealed to a deployment at routing time, so a decode segment committed
+before a *later* arrival was routed may run past it (the engine never
+splits a committed segment); scheduling is still fully deterministic
+given the trace, router and plan.
 
 Each deployment's slice of the run is an ordinary
 :class:`~repro.serving.engine.records.ServingResult`, so the whole
@@ -444,7 +447,10 @@ class Cluster:
     interval, (2) asks the router for a target deployment — session
     turns are sticky to the deployment that served the session's first
     turn — and (3) submits the request there.  After the last arrival
-    every deployment drains to completion.
+    every deployment drains to completion.  A non-empty ``faults`` plan
+    layers crash recovery on the same loop (see :meth:`run`): retries
+    with ``retry_policy`` backoff, health-filtered routing, failover
+    and optional tier shedding.
 
     Before the first replica is built, deployments are grouped by
     :func:`~repro.serving.engine.costs.cost_identity` and each group
@@ -472,9 +478,8 @@ class Cluster:
         self._trace = tracer if tracer is not None and tracer.enabled else None
         self._next_rank = 0
         self._session_target: Dict[int, int] = {}
-        # Fault mode engages only for a non-empty plan: an empty
-        # FaultPlan (or none) runs the original arrival loop verbatim,
-        # bit-identical to a fault-free cluster.
+        # Only a non-empty plan wires faults into the deployments and
+        # makes the loop scan for due crashes and filter by health.
         self.faults = faults
         self._fault_mode = faults is not None and not faults.empty
         self.shed_tier = shed_tier
@@ -545,37 +550,168 @@ class Cluster:
         return rank
 
     def run(self, trace: Sequence[Request]) -> ClusterResult:
-        """Simulate serving ``trace`` across the deployments."""
-        if self._fault_mode:
-            return self._run_faulted(trace)
+        """Simulate serving ``trace`` across the deployments.
+
+        Arrivals are walked in ``(arrival_s, req_id)`` order; retries
+        and backoffs wait in a time-ordered heap, and the next event is
+        the earlier of the two heads (a fresh arrival wins a tie).
+        Under a non-empty fault plan, each event first advances the
+        replicas whose scheduled crash is due by then, so those crashes
+        have fired; harvested losses re-enter the heap as retries (or
+        fail terminally), and only then is the event routed — to a
+        healthy deployment, or back into the heap with backoff when
+        none exists.  No other replica is advanced, so a plan whose
+        faults never fire changes nothing.  After the last event the
+        deployments drain, which can fire late crashes, so the drain
+        repeats until no crash box entry and no retry remain.
+        """
         deployments = self.deployments
         router = self.router
         scaler = self.autoscaler
         session_target = self._session_target
         tracer = self._trace
+        retry = self.retry_policy
+        faulted = self._fault_mode
         ordered = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
-        for request in ordered:
-            t = request.arrival_s
-            if scaler is not None:
-                scaler.control(t, self)
-            session = request.session_id
-            target = session_target.get(session, -1) if session >= 0 else -1
-            if target < 0:
-                target = router.select(request, deployments)
-                if not 0 <= target < len(deployments):
-                    raise ValueError(
-                        f"router {router.name!r} returned invalid target "
-                        f"{target} for {len(deployments)} deployments"
+        arrivals = len(ordered)
+        nxt = 0
+        heap: List[tuple] = []
+        self._seq = arrivals
+        while True:
+            while nxt < arrivals or heap:
+                fresh = nxt < arrivals and (
+                    not heap or ordered[nxt].arrival_s <= heap[0][0]
+                )
+                if faulted:
+                    t_peek = ordered[nxt].arrival_s if fresh else heap[0][0]
+                    for deployment in deployments:
+                        for engine in deployment.engines:
+                            if engine.crash_s <= t_peek and not engine.dead:
+                                engine.advance(t_peek)
+                    if self._crash_box:
+                        # Harvest first: a retry may precede the head event.
+                        self._pump_crashes(heap)
+                        continue
+                if fresh:
+                    request = ordered[nxt]
+                    nxt += 1
+                    t = request.arrival_s
+                    from_rank = -1
+                else:
+                    t, _, request, from_rank = heapq.heappop(heap)
+                self._now = t
+                req_id = request.req_id
+                if scaler is not None:
+                    scaler.control(t, self)
+                    if self._crash_box:
+                        self._pump_crashes(heap)
+                if from_rank < 0 and self._should_shed(request, t):
+                    self._fail_terminal(
+                        RequestRecord.from_request(request, -1), t, shed=True
                     )
-                if session >= 0:
-                    session_target[session] = target
-            deployment = deployments[target]
-            deployment.submit(request)
-            if tracer is not None:
-                tracer.emit("route", t, -1, request.req_id,
-                            deployment=deployment.name, router=router.name)
-        for deployment in deployments:
-            deployment.drain()
+                    if tracer is not None:
+                        tracer.emit("shed", t, -1, req_id,
+                                    deployment="cluster",
+                                    priority=request.priority)
+                    continue
+                healthy = healthy_indices(deployments, t) if faulted else None
+                if healthy is not None and not healthy:
+                    # Nowhere to place it: back off like a crash loss.
+                    attempt = self._retry_counts.get(req_id, 0) + 1
+                    self._origin_arrival.setdefault(
+                        req_id, request.arrival_s
+                    )
+                    if attempt > retry.max_retries:
+                        self._fail_terminal(
+                            RequestRecord.from_request(request, -1), t
+                        )
+                        continue
+                    self._retry_counts[req_id] = attempt
+                    backoff = retry.backoff_s(req_id, attempt)
+                    if tracer is not None:
+                        tracer.emit(
+                            "retry", t + backoff, -1, req_id,
+                            deployment="cluster", attempt=attempt,
+                            backoff_s=backoff,
+                        )
+                    heapq.heappush(heap, (
+                        t + backoff, self._next_seq(),
+                        dc_replace(request, arrival_s=t + backoff),
+                        from_rank,
+                    ))
+                    continue
+                session = request.session_id
+                target = (
+                    session_target.get(session, -1) if session >= 0 else -1
+                )
+                if target >= 0 and healthy is not None and target not in healthy:
+                    # Sticky deployment is down or frozen: fail over.
+                    self._failover_counts[req_id] = (
+                        self._failover_counts.get(req_id, 0) + 1
+                    )
+                    if tracer is not None:
+                        tracer.emit(
+                            "failover", t, -1, req_id,
+                            deployment=deployments[target].name,
+                            from_rank=-1,
+                        )
+                    target = -1
+                    session_target.pop(session, None)
+                if target < 0:
+                    pool = (
+                        deployments if healthy is None
+                        else [deployments[i] for i in healthy]
+                    )
+                    target = router.select(request, pool)
+                    if not 0 <= target < len(pool):
+                        raise ValueError(
+                            f"router {router.name!r} returned invalid "
+                            f"target {target} for {len(pool)} deployments"
+                        )
+                    if healthy is not None:
+                        target = healthy[target]
+                    if session >= 0:
+                        session_target[session] = target
+                deployment = deployments[target]
+                placed = deployment.submit(request)
+                if from_rank >= 0 and placed.rank != from_rank:
+                    # The retry moved off the replica that crashed.
+                    self._failover_counts[req_id] = (
+                        self._failover_counts.get(req_id, 0) + 1
+                    )
+                    if tracer is not None:
+                        tracer.emit(
+                            "failover", t, -1, req_id,
+                            deployment=deployment.name, from_rank=from_rank,
+                        )
+                if tracer is not None:
+                    tracer.emit("route", t, -1, req_id,
+                                deployment=deployment.name, router=router.name)
+            for deployment in deployments:
+                deployment.drain()
+            if self._crash_box:
+                self._pump_crashes(heap)
+            if not heap and not self._crash_box:
+                break
+        # Surviving records of retried requests were created at their
+        # retry submission; restore the origin arrival so TTFT and
+        # latency include the crash and backoff delay, and stamp the
+        # per-request recovery counters.
+        if self._retry_counts or self._failover_counts:
+            for deployment in deployments:
+                for engine in deployment.engines:
+                    for record in engine.records:
+                        retries = self._retry_counts.get(record.req_id, 0)
+                        if retries:
+                            record.retries = retries
+                            record.arrival_s = self._origin_arrival.get(
+                                record.req_id, record.arrival_s
+                            )
+                        failovers = self._failover_counts.get(
+                            record.req_id, 0
+                        )
+                        if failovers:
+                            record.failovers = failovers
         return self._collect_result()
 
     # -- fault mode (crash recovery, retries, shedding) -----------------------
@@ -630,8 +766,8 @@ class Cluster:
 
         Retry times are ``crash_t + backoff``, clamped forward to the
         recovery loop's processing front so submissions stay globally
-        time-ordered (crashes are detected lazily, at the next event's
-        eager advance).
+        time-ordered (crashes are detected lazily, when the first event
+        at or past the crash time advances the replica).
         """
         retry = self.retry_policy
         box, self._crash_box = self._crash_box, []
@@ -687,165 +823,6 @@ class Cluster:
             )
         return depth > high * max(live, 1)
 
-    def _run_faulted(self, trace: Sequence[Request]) -> ClusterResult:
-        """The arrival loop with crash recovery layered on.
-
-        Arrivals and retries merge in one time-ordered heap.  Before
-        each event every deployment is advanced to the event time so
-        crashes scheduled earlier have fired; harvested losses re-enter
-        the heap as retries (or fail terminally), and only then is the
-        head event routed — to a healthy deployment, or back into the
-        heap with backoff when none exists.  After the heap drains the
-        deployments drain, which can itself fire late crashes, so the
-        drain loops until no crash box entry and no heap entry remain.
-        """
-        deployments = self.deployments
-        router = self.router
-        scaler = self.autoscaler
-        session_target = self._session_target
-        tracer = self._trace
-        retry = self.retry_policy
-        ordered = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
-        heap: List[tuple] = [
-            (r.arrival_s, i, r, -1) for i, r in enumerate(ordered)
-        ]
-        heapq.heapify(heap)
-        self._seq = len(ordered)
-        while True:
-            while heap:
-                t_peek = heap[0][0]
-                for deployment in deployments:
-                    deployment.advance(t_peek)
-                if self._crash_box:
-                    # Harvest first: a retry may precede the head event.
-                    self._pump_crashes(heap)
-                    continue
-                t, _, request, from_rank = heapq.heappop(heap)
-                self._now = t
-                req_id = request.req_id
-                if scaler is not None:
-                    scaler.control(t, self)
-                    if self._crash_box:
-                        self._pump_crashes(heap)
-                if from_rank < 0 and self._should_shed(request, t):
-                    record = RequestRecord(
-                        req_id=req_id, rank=-1, arrival_s=request.arrival_s,
-                        prompt_tokens=request.prompt_tokens,
-                        gen_tokens=request.gen_tokens,
-                        priority=request.priority,
-                        slo_ttft_s=request.slo_ttft_s,
-                        session_id=request.session_id, turn=request.turn,
-                    )
-                    self._fail_terminal(record, t, shed=True)
-                    if tracer is not None:
-                        tracer.emit("shed", t, -1, req_id,
-                                    deployment="cluster",
-                                    priority=request.priority)
-                    continue
-                healthy = healthy_indices(deployments, t)
-                if not healthy:
-                    # Nowhere to place it: back off like a crash loss.
-                    attempt = self._retry_counts.get(req_id, 0) + 1
-                    self._origin_arrival.setdefault(
-                        req_id, request.arrival_s
-                    )
-                    if attempt > retry.max_retries:
-                        record = RequestRecord(
-                            req_id=req_id, rank=-1,
-                            arrival_s=request.arrival_s,
-                            prompt_tokens=request.prompt_tokens,
-                            gen_tokens=request.gen_tokens,
-                            priority=request.priority,
-                            slo_ttft_s=request.slo_ttft_s,
-                            session_id=request.session_id,
-                            turn=request.turn,
-                        )
-                        self._fail_terminal(record, t)
-                        continue
-                    self._retry_counts[req_id] = attempt
-                    backoff = retry.backoff_s(req_id, attempt)
-                    if tracer is not None:
-                        tracer.emit(
-                            "retry", t + backoff, -1, req_id,
-                            deployment="cluster", attempt=attempt,
-                            backoff_s=backoff,
-                        )
-                    heapq.heappush(heap, (
-                        t + backoff, self._next_seq(),
-                        dc_replace(request, arrival_s=t + backoff),
-                        from_rank,
-                    ))
-                    continue
-                session = request.session_id
-                target = (
-                    session_target.get(session, -1) if session >= 0 else -1
-                )
-                if target >= 0 and target not in healthy:
-                    # Sticky deployment is down or frozen: fail over.
-                    self._failover_counts[req_id] = (
-                        self._failover_counts.get(req_id, 0) + 1
-                    )
-                    if tracer is not None:
-                        tracer.emit(
-                            "failover", t, -1, req_id,
-                            deployment=deployments[target].name,
-                            from_rank=-1,
-                        )
-                    target = -1
-                    session_target.pop(session, None)
-                if target < 0:
-                    pool = [deployments[i] for i in healthy]
-                    choice = router.select(request, pool)
-                    if not 0 <= choice < len(pool):
-                        raise ValueError(
-                            f"router {router.name!r} returned invalid "
-                            f"target {choice} for {len(pool)} deployments"
-                        )
-                    target = healthy[choice]
-                    if session >= 0:
-                        session_target[session] = target
-                deployment = deployments[target]
-                placed = deployment.submit(request)
-                if from_rank >= 0 and placed.rank != from_rank:
-                    # The retry moved off the replica that crashed.
-                    self._failover_counts[req_id] = (
-                        self._failover_counts.get(req_id, 0) + 1
-                    )
-                    if tracer is not None:
-                        tracer.emit(
-                            "failover", t, -1, req_id,
-                            deployment=deployment.name, from_rank=from_rank,
-                        )
-                if tracer is not None:
-                    tracer.emit("route", t, -1, req_id,
-                                deployment=deployment.name, router=router.name)
-            for deployment in deployments:
-                deployment.drain()
-            if self._crash_box:
-                self._pump_crashes(heap)
-            if not heap and not self._crash_box:
-                break
-        # Surviving records of retried requests were created at their
-        # retry submission; restore the origin arrival so TTFT and
-        # latency include the crash and backoff delay, and stamp the
-        # per-request recovery counters.
-        if self._retry_counts or self._failover_counts:
-            for deployment in deployments:
-                for engine in deployment.engines:
-                    for record in engine.records:
-                        retries = self._retry_counts.get(record.req_id, 0)
-                        if retries:
-                            record.retries = retries
-                            record.arrival_s = self._origin_arrival.get(
-                                record.req_id, record.arrival_s
-                            )
-                        failovers = self._failover_counts.get(
-                            record.req_id, 0
-                        )
-                        if failovers:
-                            record.failovers = failovers
-        return self._collect_result()
-
     def _collect_result(self) -> ClusterResult:
         """Package deployments, scale events and fault state."""
         scaler = self.autoscaler
@@ -898,8 +875,8 @@ def simulate_cluster(
     :data:`~repro.serving.routing.ROUTERS` or a pre-built policy;
     ``autoscaler`` an optional
     :class:`~repro.serving.autoscale.Autoscaler`.  A non-empty
-    ``faults`` plan engages the crash-recovery loop with
-    ``retry_policy`` (defaulted) and optional tier shedding.
+    ``faults`` plan engages crash recovery with ``retry_policy``
+    (defaulted) and optional tier shedding.
     """
     return Cluster(
         deployments, router=router, autoscaler=autoscaler,

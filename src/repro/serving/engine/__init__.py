@@ -29,12 +29,32 @@ natural seams:
   rank engine, aggregate the result (and the ``make_engine`` factory
   the cluster layer builds replicas through).
 
-The scheduling semantics (per-rank sharding, continuous batching,
-event-driven decode segments vs. the per-token reference loop,
-pluggable policies, KV admission/preemption, the prefix cache and the
-observability hooks) are documented on the classes themselves and in
-:mod:`repro.serving.scheduler`, which remains the stable import path
-re-exporting everything here.
+A quick tour of the simulated semantics (details on the classes):
+
+* **Per-rank sharding** — the deployment is ``num_ranks`` model
+  replicas; requests are assigned by the routing layer's round-robin
+  policy in arrival order (session turns land on
+  ``session_id mod num_ranks``) and served entirely by their rank.
+* **Continuous batching** — each rank admits newly arrived requests
+  between iterations, prefills them (optionally chunked), and advances
+  every running request one token per iteration.
+* **Event-driven decode** — ``engine="event"`` advances the running
+  batch whole multi-token segments between scheduler events in closed
+  form; ``engine="loop"`` is the per-token reference walk; and
+  ``engine="soa"`` replays the event schedule over structure-of-arrays
+  columns for million-request traces.
+* **Pluggable scheduling** — admission order, preemption victims and
+  prefill chunking come from a
+  :class:`~repro.serving.policy.SchedulingPolicy`; requests reserve
+  their full KV footprint at admission, and under pressure the policy
+  may preempt (victims requeue and recompute their prefix).
+* **KV prefix cache** — ``prefix_cache=True`` retains finished turns'
+  and shared system prompts' KV for cheap re-admission, with LRU
+  eviction firing strictly before preemption.
+
+>>> from repro.serving.engine import ServingConfig, simulate_trace
+>>> ServingConfig().engine
+'event'
 """
 
 from repro.serving.engine.cache import CacheEntry, PrefixCache

@@ -203,14 +203,7 @@ class _RankEngine:
         self.pending.append(
             _RequestState(
                 request=request,
-                record=RequestRecord(
-                    req_id=request.req_id, rank=self.rank,
-                    arrival_s=request.arrival_s,
-                    prompt_tokens=request.prompt_tokens,
-                    gen_tokens=request.gen_tokens,
-                    priority=request.priority, slo_ttft_s=request.slo_ttft_s,
-                    session_id=request.session_id, turn=request.turn,
-                ),
+                record=RequestRecord.from_request(request, self.rank),
                 kv_bytes=self.cache.model.kv_cache_bytes(
                     1, request.prompt_tokens + request.gen_tokens
                 ),
@@ -250,6 +243,11 @@ class _RankEngine:
             raise ValueError(f"fail_at t_s must be >= 0, got {t_s}")
         self._crash_s = min(self._crash_s, t_s)
         self._has_faults = True
+
+    @property
+    def crash_s(self) -> float:
+        """Scheduled crash time (``inf`` when none is scheduled)."""
+        return self._crash_s
 
     def stall(self, t_s: float, duration_s: float) -> None:
         """Schedule a transient freeze over ``[t_s, t_s + duration_s)``:
@@ -292,9 +290,15 @@ class _RankEngine:
         return factor
 
     def _crash(self) -> None:
-        """Die at the scheduled crash time, losing all in-flight state."""
+        """Die at the scheduled crash time, losing all in-flight state.
+
+        An idle death leaves the clock at the end of the last work, so
+        a crash scheduled after the replica drained does not stretch
+        its ``finish_s`` (nor the run's makespan).
+        """
         t = max(self.clock, self._crash_s)
-        self.clock = t
+        if self.has_work:
+            self.clock = t
         self.dead = True
         self.retired = True
         self._unpack()

@@ -62,6 +62,18 @@ class RequestRecord:
     failovers: int = 0
     shed: bool = False
 
+    @classmethod
+    def from_request(cls, request, rank: int) -> "RequestRecord":
+        """A fresh record for ``request`` placed on replica ``rank``
+        (``-1`` for a request the cluster failed before placing it)."""
+        return cls(
+            req_id=request.req_id, rank=rank, arrival_s=request.arrival_s,
+            prompt_tokens=request.prompt_tokens,
+            gen_tokens=request.gen_tokens, priority=request.priority,
+            slo_ttft_s=request.slo_ttft_s, session_id=request.session_id,
+            turn=request.turn,
+        )
+
     @property
     def queue_s(self) -> float:
         """Arrival-to-first-admission wait."""

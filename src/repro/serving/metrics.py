@@ -1,6 +1,6 @@
 """Serving metrics: per-request rows and aggregate summary tables.
 
-Converts a :class:`~repro.serving.scheduler.ServingResult` into the row
+Converts a :class:`~repro.serving.engine.records.ServingResult` into the row
 dicts the :mod:`repro.experiments.io` writers consume:
 
 * :func:`record_rows` — one row per request (timestamps plus the
@@ -58,7 +58,7 @@ from repro.experiments.tables import (
     percentiles,
     safe_ratio,
 )
-from repro.serving.scheduler import ServingResult
+from repro.serving.engine import ServingResult
 
 __all__ = [
     "record_rows",

@@ -63,8 +63,9 @@ def healthy_indices(targets: Sequence, t_s: float) -> list:
     stalled) is included only when it reports healthy; targets without
     replica state (plain sequences, as the rank-sharding driver passes)
     are always included.  Every routing policy becomes health-aware by
-    selecting over the filtered candidate list — fault-free cluster runs
-    never call this, so the unfiltered paths stay bit-identical.
+    selecting over the filtered candidate list.  The cluster calls this
+    only under a non-empty fault plan; with no plan (or an empty one)
+    it routes over every deployment directly.
     """
     out = []
     for index, target in enumerate(targets):

@@ -1,9 +1,8 @@
-"""API-surface pin: the monolith split must not drop public names.
+"""API-surface pin: refactors must not drop public names.
 
-``repro.serving.scheduler`` became a re-export shim over the
-``repro.serving.engine`` package; these tests freeze the import
-contract so downstream code (and the goldens) keep working against
-either module path.
+The serving engine lives in the ``repro.serving.engine`` package and is
+re-exported by ``repro.serving``; these tests freeze both import
+contracts so downstream code (and the goldens) keep working.
 """
 
 import importlib
@@ -61,7 +60,9 @@ PACKAGE_EXPORTS = SCHEDULER_EXPORTS + (
 
 @pytest.mark.parametrize("name", SCHEDULER_EXPORTS)
 def test_scheduler_shim_exports(name):
-    module = importlib.import_module("repro.serving.scheduler")
+    """The engine package exports every name the removed
+    ``repro.serving.scheduler`` shim did."""
+    module = importlib.import_module("repro.serving.engine")
     assert hasattr(module, name)
     assert name in module.__all__
 
@@ -73,13 +74,6 @@ def test_package_exports(name):
     assert name in module.__all__
 
 
-def test_shim_and_engine_are_same_objects():
-    shim = importlib.import_module("repro.serving.scheduler")
-    engine = importlib.import_module("repro.serving.engine")
-    for name in SCHEDULER_EXPORTS:
-        assert getattr(shim, name) is getattr(engine, name)
-
-
 def test_engine_package_layout():
     for submodule in ("cache", "config", "costs", "driver", "records",
                       "rank_engine", "soa_engine"):
@@ -88,6 +82,6 @@ def test_engine_package_layout():
 
 def test_private_engine_names_still_reachable():
     # The experiment layer and tests reach for the private spine.
-    shim = importlib.import_module("repro.serving.scheduler")
+    engine = importlib.import_module("repro.serving.engine")
     for name in ("_CostCache", "_RankEngine", "_RequestState"):
-        assert hasattr(shim, name)
+        assert hasattr(engine, name)

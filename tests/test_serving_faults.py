@@ -166,6 +166,30 @@ def test_standalone_stall_and_degrade_slow_but_lose_nothing():
     assert degraded.output_tokens == base.output_tokens
 
 
+def test_idle_death_does_not_stretch_the_makespan():
+    """A crash scheduled after a replica's last work still kills and
+    logs it, but its finish time (and the makespan) stays at the end of
+    the work — standalone and clustered."""
+    trace = _trace(5, requests=200, rate=20.0)
+    plan = FaultPlan((FaultSpec("crash", 0, 1e6),))
+    config = ServingConfig(model="gpt-125m", num_ranks=2)
+    base = simulate_trace(trace, config)
+    late = simulate_trace(trace, config, faults=plan)
+    assert late.makespan_s == base.makespan_s < 1e6
+    assert [_record_key(r) for r in late.records] == \
+        [_record_key(r) for r in base.records]
+    for router in ("round_robin", "least_kv"):
+        base = simulate_cluster(trace, _deployments(), router=router)
+        cluster = Cluster(_deployments(), router=router, faults=plan)
+        late = cluster.run(trace)
+        assert late.makespan_s == base.makespan_s < 1e6
+        assert cluster_summary(late)["output_tokens_per_s"] == \
+            cluster_summary(base)["output_tokens_per_s"]
+        assert cluster.deployments[0].engines[0].dead
+        assert [(e["kind"], e["t_s"], e["rank"], e["lost_requests"])
+                for e in late.fault_events] == [("crash", 1e6, 0, 0)]
+
+
 def test_soa_engine_rejects_fault_plans():
     trace = _trace(5, requests=8)
     config = ServingConfig(model="gpt-125m", engine="soa", num_ranks=1)
@@ -194,18 +218,59 @@ def test_empty_plan_is_bit_identical_standalone(engine):
     assert base.makespan_s == empty.makespan_s
 
 
+#: Plans whose faults never fire: none of them may change a cluster run.
+NEVER_FIRING_PLANS = {
+    "empty": FaultPlan(),
+    "crash_at_1e12": FaultPlan((FaultSpec("crash", 0, 1e12),)),
+    "stall_at_1e12": FaultPlan((FaultSpec("stall", 0, 1e12, 5.0),)),
+    "crash_on_absent_rank": FaultPlan((FaultSpec("crash", 10_000, 1.0),)),
+}
+
+
+def _contract_deployments(engine):
+    return [
+        Deployment(ServingConfig(model="gpt-125m", num_ranks=2,
+                                 engine=engine), name="a", tier=0),
+        Deployment(ServingConfig(model="gpt-125m", num_ranks=2,
+                                 dpus_per_rank=16, engine=engine),
+                   name="b", tier=1),
+    ]
+
+
+def _contract_scaler(autoscaled):
+    if not autoscaled:
+        return None
+    return Autoscaler(AutoscalerConfig(
+        min_replicas=1, max_replicas=3, queue_high=2.0, queue_low=0.5,
+        interval_s=2.0,
+    ))
+
+
+@pytest.mark.parametrize("autoscaled", (False, True))
+@pytest.mark.parametrize("engine", ("event", "loop"))
 @pytest.mark.parametrize("router", ROUTER_NAMES)
-def test_empty_plan_is_bit_identical_clustered(router):
-    trace = _trace(7, requests=96)
-    base = simulate_cluster(trace, _deployments(), router=router)
-    empty = simulate_cluster(trace, _deployments(), router=router,
-                             faults=FaultPlan(),
-                             retry_policy=RetryPolicy(), shed_tier=1)
-    assert [_record_key(r) for r in base.records] == \
-        [_record_key(r) for r in empty.records]
-    assert empty.fault_events == []
-    assert empty.failed_records == []
-    assert base.scale_events == empty.scale_events
+def test_empty_plan_is_bit_identical_clustered(router, engine, autoscaled):
+    """A plan that never fires is no plan: records, scale events and the
+    makespan are bit-identical, whatever the router, engine or
+    autoscaler.  Only the never-firing crash is still logged (the
+    replica dies idle, after its last work)."""
+    trace = _trace(3, requests=96, rate=20.0)
+    base = simulate_cluster(trace, _contract_deployments(engine),
+                            router=router,
+                            autoscaler=_contract_scaler(autoscaled))
+    for name, plan in NEVER_FIRING_PLANS.items():
+        run = simulate_cluster(trace, _contract_deployments(engine),
+                               router=router,
+                               autoscaler=_contract_scaler(autoscaled),
+                               faults=plan, retry_policy=RetryPolicy(),
+                               shed_tier=1)
+        assert [_record_key(r) for r in base.records] == \
+            [_record_key(r) for r in run.records], name
+        assert base.scale_events == run.scale_events, name
+        assert base.makespan_s == run.makespan_s, name
+        assert run.failed_records == [], name
+        if name == "empty":
+            assert run.fault_events == []
 
 
 # ---------------------------------------------------------------------------

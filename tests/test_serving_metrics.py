@@ -33,7 +33,7 @@ from repro.serving.metrics import (
     record_rows,
     summary,
 )
-from repro.serving.scheduler import RequestRecord, ServingResult
+from repro.serving.engine import RequestRecord, ServingResult
 
 
 def _result(**record_kwargs):

@@ -2,7 +2,7 @@
 
 Three layers of evidence that the prefix cache is sound:
 
-1. **Unit semantics** — :class:`~repro.serving.scheduler.PrefixCache`
+1. **Unit semantics** — :class:`~repro.serving.engine.cache.PrefixCache`
    in isolation: refcount/children pinning, LRU ordering, chain-aware
    eviction planning, and the error contract (double insert, releasing
    below zero, evicting a referenced entry).

@@ -727,20 +727,24 @@ def bench_cluster() -> dict:
 def bench_faults() -> dict:
     """Fault-tolerance entry: chaos run vs fault-free on the same trace.
 
-    Serves the identical bursty trace three ways on the heterogeneous
+    Serves the identical bursty trace four ways on the heterogeneous
     deployment mix: (a) fault-free, (b) with an explicitly *empty*
-    :class:`FaultPlan` — which must leave every record identical, the
-    bit-identity contract the goldens pin — and (c) under a seeded
-    chaos plan (replica crashes plus stall windows) with retries and an
-    autoscaler replacing the corpses.  The ``--check`` gate requires
-    request conservation, the empty-plan identity, and chaos-run
+    :class:`FaultPlan` and (c) with a plan whose crash and stall sit at
+    10x the fault-free makespan, so they never fire (the backlog drains
+    long after the last arrival, so a time past the arrival horizon
+    alone can still fire mid-drain) — both must leave every
+    record and the makespan identical, the bit-identity contract the
+    goldens pin — and (d) under a seeded chaos plan (replica crashes
+    plus stall windows) with retries and an autoscaler replacing the
+    corpses.  The ``--check`` gate requires request conservation, both
+    identities, and chaos-run
     goodput (completed requests) of at least
     ``FAULT_GOODPUT_FLOOR`` x the fault-free completed count — the
     recovery loop must actually recover, not merely account for losses.
     """
     from repro.serving import (
-        Autoscaler, AutoscalerConfig, FaultPlan, RetryPolicy, TraceSpec,
-        cluster_summary, generate_trace, simulate_cluster,
+        Autoscaler, AutoscalerConfig, FaultPlan, FaultSpec, RetryPolicy,
+        TraceSpec, cluster_summary, generate_trace, simulate_cluster,
     )
 
     spec = TraceSpec(
@@ -752,19 +756,29 @@ def bench_faults() -> dict:
         lambda: simulate_cluster(trace, _cluster_deployments(),
                                  router="round_robin")
     )
-    empty_result = simulate_cluster(
-        trace, _cluster_deployments(), router="round_robin",
-        faults=FaultPlan(),
-    )
-    identical = (
-        [(r.req_id, r.status, r.finish_s) for r in base_result.records]
-        == [(r.req_id, r.status, r.finish_s) for r in empty_result.records]
-    )
+    horizon = max(r.arrival_s for r in trace)
+
+    def identical_to_base(plan) -> bool:
+        result = simulate_cluster(
+            trace, _cluster_deployments(), router="round_robin", faults=plan,
+        )
+        return result.makespan_s == base_result.makespan_s and [
+            (r.req_id, r.status, r.first_token_s, r.finish_s)
+            for r in result.records
+        ] == [
+            (r.req_id, r.status, r.first_token_s, r.finish_s)
+            for r in base_result.records
+        ]
+
+    identical = identical_to_base(FaultPlan())
+    late = 10 * base_result.makespan_s
+    never_firing_identical = identical_to_base(FaultPlan((
+        FaultSpec("crash", 0, late), FaultSpec("stall", 1, late, 2.0),
+    )))
 
     total_ranks = sum(
         d.config.num_ranks for d in _cluster_deployments()
     )
-    horizon = max(r.arrival_s for r in trace)
     plan = FaultPlan.sample(
         seed=7, ranks=range(total_ranks), horizon_s=horizon,
         crash_rate=0.25, stall_s=2.0,
@@ -788,6 +802,7 @@ def bench_faults() -> dict:
         "fault_wall_s": fault_wall,
         "fault_wall_budget_s": FAULT_BUDGET_S,
         "empty_plan_identical": identical,
+        "never_firing_plan_identical": never_firing_identical,
         "crashes": flat["crashes"],
         "stalls": flat["stalls"],
         "replacements": flat["replacements"],
@@ -1054,6 +1069,14 @@ def main(argv=None) -> int:
             print(
                 "FAIL: an empty FaultPlan changed the fault-free cluster "
                 "run (must be bit-identical to passing no plan at all)",
+                file=sys.stderr,
+            )
+            return 1
+        if not faults["never_firing_plan_identical"]:
+            print(
+                "FAIL: a FaultPlan whose crash and stall lie past the "
+                "fault-free makespan changed the cluster run (must be "
+                "bit-identical to passing no plan at all)",
                 file=sys.stderr,
             )
             return 1
