@@ -644,7 +644,8 @@ class Cluster:
                 target = (
                     session_target.get(session, -1) if session >= 0 else -1
                 )
-                if target >= 0 and healthy is not None and target not in healthy:
+                if (target >= 0 and healthy is not None
+                        and target not in healthy):
                     # Sticky deployment is down or frozen: fail over.
                     self._failover_counts[req_id] = (
                         self._failover_counts.get(req_id, 0) + 1

@@ -75,9 +75,10 @@ class SchedulingPolicy:
 
     Subclasses override any of the three hooks.  The ``state`` objects
     passed in are the engine's per-request scheduling states
-    (:class:`repro.serving.engine.rank_engine._RequestState`): ``state.request``
-    is the immutable :class:`~repro.serving.trace.Request` and
-    ``state.tokens_out`` the tokens generated so far.
+    (:class:`repro.serving.engine.rank_engine._RequestState`):
+    ``state.request`` is the immutable
+    :class:`~repro.serving.trace.Request` and ``state.tokens_out`` the
+    tokens generated so far.
     """
 
     #: Registry name; set by every concrete subclass.

@@ -246,31 +246,32 @@ def _contract_scaler(autoscaled):
     ))
 
 
-@pytest.mark.parametrize("autoscaled", (False, True))
-@pytest.mark.parametrize("engine", ("event", "loop"))
 @pytest.mark.parametrize("router", ROUTER_NAMES)
-def test_empty_plan_is_bit_identical_clustered(router, engine, autoscaled):
+def test_empty_plan_is_bit_identical_clustered(router):
     """A plan that never fires is no plan: records, scale events and the
-    makespan are bit-identical, whatever the router, engine or
+    makespan are bit-identical under both engines, with and without the
     autoscaler.  Only the never-firing crash is still logged (the
     replica dies idle, after its last work)."""
     trace = _trace(3, requests=96, rate=20.0)
-    base = simulate_cluster(trace, _contract_deployments(engine),
-                            router=router,
-                            autoscaler=_contract_scaler(autoscaled))
-    for name, plan in NEVER_FIRING_PLANS.items():
-        run = simulate_cluster(trace, _contract_deployments(engine),
-                               router=router,
-                               autoscaler=_contract_scaler(autoscaled),
-                               faults=plan, retry_policy=RetryPolicy(),
-                               shed_tier=1)
-        assert [_record_key(r) for r in base.records] == \
-            [_record_key(r) for r in run.records], name
-        assert base.scale_events == run.scale_events, name
-        assert base.makespan_s == run.makespan_s, name
-        assert run.failed_records == [], name
-        if name == "empty":
-            assert run.fault_events == []
+    for engine in ("event", "loop"):
+        for autoscaled in (False, True):
+            case = (engine, autoscaled)
+            base = simulate_cluster(trace, _contract_deployments(engine),
+                                    router=router,
+                                    autoscaler=_contract_scaler(autoscaled))
+            for name, plan in NEVER_FIRING_PLANS.items():
+                run = simulate_cluster(
+                    trace, _contract_deployments(engine), router=router,
+                    autoscaler=_contract_scaler(autoscaled), faults=plan,
+                    retry_policy=RetryPolicy(), shed_tier=1,
+                )
+                assert [_record_key(r) for r in base.records] == \
+                    [_record_key(r) for r in run.records], (name, case)
+                assert base.scale_events == run.scale_events, (name, case)
+                assert base.makespan_s == run.makespan_s, (name, case)
+                assert run.failed_records == [], (name, case)
+                if name == "empty":
+                    assert run.fault_events == [], case
 
 
 # ---------------------------------------------------------------------------
