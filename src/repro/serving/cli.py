@@ -488,6 +488,20 @@ def _parse_slos(text: Optional[str], tiers: int) -> Tuple[float, ...]:
     return slos
 
 
+def _emit_recording(args, tracer) -> int:
+    """Write the ``--trace-out`` / ``--timeline-out`` files; returns 0."""
+    if args.trace_out:
+        write_chrome_trace(args.trace_out, tracer)
+        if not args.quiet:
+            print(f"wrote {args.trace_out} ({len(tracer.events)} events; "
+                  f"open in https://ui.perfetto.dev)")
+    if args.timeline_out:
+        write_timeline(args.timeline_out, tracer)
+        if not args.quiet:
+            print(f"wrote {args.timeline_out}")
+    return 0
+
+
 def _emit_cluster(args, spec, requests, result, tracer) -> int:
     """Print / write the ``--cluster`` run outputs; returns exit code 0."""
     rows = cluster_rows(result)
@@ -541,16 +555,7 @@ def _emit_cluster(args, spec, requests, result, tracer) -> int:
             )
         if not args.quiet:
             print(f"\nwrote {args.output}")
-    if args.trace_out:
-        write_chrome_trace(args.trace_out, tracer)
-        if not args.quiet:
-            print(f"wrote {args.trace_out} ({len(tracer.events)} events; "
-                  f"open in https://ui.perfetto.dev)")
-    if args.timeline_out:
-        write_timeline(args.timeline_out, tracer)
-        if not args.quiet:
-            print(f"wrote {args.timeline_out}")
-    return 0
+    return _emit_recording(args, tracer)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -712,25 +717,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             write_json(
                 args.output,
                 {
-                    "trace_spec": {
-                        "num_requests": spec.num_requests,
-                        "arrival_rate_per_s": spec.arrival_rate_per_s,
-                        "scenario": spec.scenario,
-                        "prompt_mean": spec.prompt_mean,
-                        "prompt_sigma": spec.prompt_sigma,
-                        "prompt_max": spec.prompt_max,
-                        "gen_mean": spec.gen_mean,
-                        "gen_sigma": spec.gen_sigma,
-                        "gen_max": spec.gen_max,
-                        "priority_weights": list(spec.priority_weights),
-                        "slo_ttft_s": list(spec.slo_ttft_s),
-                        "sessions": spec.sessions,
-                        "turns_mean": spec.turns_mean,
-                        "think_time_mean_s": spec.think_time_mean_s,
-                        "system_prompt_pool": spec.system_prompt_pool,
-                        "system_prompt_tokens": spec.system_prompt_tokens,
-                        "seed": spec.seed,
-                    },
+                    "trace_spec": _spec_dict(spec),
                     "summary": summary(result),
                     "metrics": table,
                     "policy_comparison": comparison,
@@ -740,13 +727,4 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         if not args.quiet:
             print(f"\nwrote {args.output}")
-    if args.trace_out:
-        write_chrome_trace(args.trace_out, tracer)
-        if not args.quiet:
-            print(f"wrote {args.trace_out} ({len(tracer.events)} events; "
-                  f"open in https://ui.perfetto.dev)")
-    if args.timeline_out:
-        write_timeline(args.timeline_out, tracer)
-        if not args.quiet:
-            print(f"wrote {args.timeline_out}")
-    return 0
+    return _emit_recording(args, tracer)

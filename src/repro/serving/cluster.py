@@ -53,7 +53,7 @@ from repro.serving.engine.rank_engine import _RankEngine
 from repro.serving.engine.records import RequestRecord, ServingResult
 from repro.serving.faults import FaultPlan, RetryPolicy
 from repro.serving.routing import RoutingPolicy, get_router, healthy_indices
-from repro.serving.trace import Request
+from repro.serving.trace import Request, Trace
 
 __all__ = [
     "Deployment",
@@ -156,7 +156,7 @@ class Deployment:
         if self.cost_cache is None:
             self.cost_cache = _CostCache(*self._cost_args)
         engine = make_engine(
-            rank, (), self.cost_cache, self.config, self.kv_capacity,
+            rank, self.cost_cache, self.config, self.kv_capacity,
             self.sched_policy, tracer=self._tracer, profiler=self._profiler,
         )
         engine.clock = ready_s
@@ -572,7 +572,8 @@ class Cluster:
         tracer = self._trace
         retry = self.retry_policy
         faulted = self._fault_mode
-        ordered = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
+        # A plain list of the ordered requests: the loop indexes it per event.
+        ordered = list(Trace.of(trace).ordered())
         arrivals = len(ordered)
         nxt = 0
         heap: List[tuple] = []

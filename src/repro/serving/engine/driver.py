@@ -34,14 +34,13 @@ from repro.serving.engine.records import (
 from repro.serving.engine.soa_engine import _SoaEngine
 from repro.serving.policy import SchedulingPolicy
 from repro.serving.routing import RoundRobinRouter
-from repro.serving.trace import Request
+from repro.serving.trace import Request, Trace
 
 __all__ = ["simulate_trace", "make_engine"]
 
 
 def make_engine(
     rank: int,
-    requests,
     cache: _CostCache,
     config: ServingConfig,
     kv_capacity: int,
@@ -60,57 +59,12 @@ def make_engine(
     ``records`` / ``retired``).
     """
     cls = _SoaEngine if config.engine == "soa" else _RankEngine
-    return cls(rank, requests, cache, config, kv_capacity, policy,
+    return cls(rank, cache, config, kv_capacity, policy,
                tracer=tracer, profiler=profiler)
 
 
-def _trace_columns(trace: Sequence[Request]) -> dict:
-    """Column arrays for ``trace``, sorted by ``(arrival_s, req_id)``.
-
-    Reuses the generator-attached :attr:`~repro.serving.trace.Trace.columns`
-    when present (validated by length), otherwise extracts them from the
-    request objects — so hand-built request lists work unchanged.
-    """
-    cols = getattr(trace, "columns", None)
-    n = len(trace)
-    if cols is None or int(cols["req_id"].size) != n:
-        cols = {
-            "req_id": np.fromiter((r.req_id for r in trace), np.int64, n),
-            "arrival_s": np.fromiter(
-                (r.arrival_s for r in trace), np.float64, n
-            ),
-            "prompt_tokens": np.fromiter(
-                (r.prompt_tokens for r in trace), np.int64, n
-            ),
-            "gen_tokens": np.fromiter(
-                (r.gen_tokens for r in trace), np.int64, n
-            ),
-            "priority": np.fromiter((r.priority for r in trace), np.int64, n),
-            "slo_ttft_s": np.fromiter(
-                (r.slo_ttft_s for r in trace), np.float64, n
-            ),
-            "session_id": np.fromiter(
-                (r.session_id for r in trace), np.int64, n
-            ),
-            "turn": np.fromiter((r.turn for r in trace), np.int64, n),
-        }
-    arrival = cols["arrival_s"]
-    req_id = cols["req_id"]
-    if n > 1:
-        unsorted = bool(
-            np.any(
-                (arrival[1:] < arrival[:-1])
-                | ((arrival[1:] == arrival[:-1]) & (req_id[1:] < req_id[:-1]))
-            )
-        )
-        if unsorted:
-            order = np.lexsort((req_id, arrival))
-            cols = {key: value[order] for key, value in cols.items()}
-    return cols
-
-
 def _simulate_trace_soa(
-    trace: Sequence[Request],
+    trace: Trace,
     config: ServingConfig,
     cache: _CostCache,
     kv_capacity: int,
@@ -125,8 +79,8 @@ def _simulate_trace_soa(
     land on ``position mod num_ranks`` and session turns on
     ``session_id mod num_ranks``.
     """
-    cols = _trace_columns(trace)
-    n = int(cols["req_id"].size)
+    cols = trace.columns
+    n = len(trace)
     num_ranks = config.num_ranks
     session = cols["session_id"]
     ranks = np.where(
@@ -139,12 +93,10 @@ def _simulate_trace_soa(
     for rank in range(num_ranks):
         mask = ranks == rank
         shard = {key: value[mask] for key, value in cols.items()}
-        engine = _SoaEngine(rank, (), cache, config, kv_capacity, sched_policy)
+        engine = _SoaEngine(rank, cache, config, kv_capacity, sched_policy)
         engine.submit_columns(shard)
         rank_stats.append(engine.drain())
-        out = engine.output_columns()
-        out["rank"] = np.full(int(out["req_id"].size), rank, dtype=np.int64)
-        outputs.append(out)
+        outputs.append(engine.output_columns())
     merged = {
         key: np.concatenate([out[key] for out in outputs])
         for key in outputs[0]
@@ -199,6 +151,7 @@ def simulate_trace(
         If the packed weights of the model/policy do not leave any MRAM
         for KV cache on a replica.
     """
+    trace = Trace.of(trace).ordered()
     config = config if config is not None else ServingConfig()
     model = get_model_config(config.model)
     scheme_policy = (
@@ -244,16 +197,17 @@ def simulate_trace(
         faults.trace_windows(tracer)
     shards: List[List[Request]] = [[] for _ in range(config.num_ranks)]
     router = RoundRobinRouter()
-    ordered = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
-    for request in ordered:
+    for request in trace:
         shards[router.select(request, shards)].append(request)
 
     records: List[RequestRecord] = []
     rank_stats: List[RankStats] = []
     prefix_caches: List[PrefixCache] = []
     for rank, shard in enumerate(shards):
-        engine = _RankEngine(rank, shard, cache, config, kv_capacity,
-                             sched_policy, tracer=tracer, profiler=profiler)
+        engine = _RankEngine(rank, cache, config, kv_capacity, sched_policy,
+                             tracer=tracer, profiler=profiler)
+        for request in shard:
+            engine.submit(request)
         if have_faults:
             faults.apply(engine)
         shard_records, shard_stats = engine.run()

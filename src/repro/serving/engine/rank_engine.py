@@ -6,9 +6,9 @@ at a time (:meth:`_RankEngine._step`).  Two driving modes share that
 step body:
 
 * **Run-to-drain** (:meth:`_RankEngine.run`) — the single-deployment
-  driver hands every request to the constructor and drains the engine
-  in one call; this is the original monolith behavior, bit-identical to
-  it by construction.
+  driver submits every request of its shard in arrival order, then
+  drains the engine in one call; this is the original monolith
+  behavior, bit-identical to it by construction.
 * **Incremental** (:meth:`_RankEngine.submit` /
   :meth:`_RankEngine.advance` / :meth:`_RankEngine.finalize`) — the
   cluster layer reveals arrivals one routing decision at a time and
@@ -95,7 +95,6 @@ class _RankEngine:
     def __init__(
         self,
         rank: int,
-        requests: Sequence[Request],
         cache: _CostCache,
         config: ServingConfig,
         kv_capacity: int,
@@ -126,8 +125,7 @@ class _RankEngine:
         self.retired = False
         # Fault-injection state.  ``_has_faults`` stays False until a
         # hook arms it, so fault-free runs execute the original step
-        # loop verbatim (the goldens pin this bit-identity).  Set before
-        # the initial shard submission below — submit() guards on dead.
+        # loop verbatim (the goldens pin this bit-identity).
         self.dead = False
         self._has_faults = False
         self._crash_s = math.inf
@@ -138,8 +136,6 @@ class _RankEngine:
         #: recovery loop can retry them.  When unset (standalone runs)
         #: the lost requests become terminal ``failed`` records.
         self.on_crash: Optional[Callable] = None
-        for r in sorted(requests, key=lambda r: (r.arrival_s, r.req_id)):
-            self.submit(r)
         self.ready: List[Tuple[Tuple, int, _RequestState]] = []
         self.prefilling: List[_RequestState] = []
         self.running: List[_RequestState] = []

@@ -130,46 +130,23 @@ class ColumnRecords(Sequence):
             return self._items
         cols = self._columns
         order = np.argsort(cols["req_id"], kind="stable")
-        req_id = cols["req_id"]
-        rank = cols["rank"]
-        arrival = cols["arrival_s"]
-        prompt = cols["prompt_tokens"]
-        gen = cols["gen_tokens"]
-        priority = cols["priority"]
-        slo = cols["slo_ttft_s"]
-        session = cols["session_id"]
-        turn = cols["turn"]
-        rejected = cols["rejected"]
-        admit = cols["admit_s"]
-        first = cols["first_token_s"]
-        finish = cols["finish_s"]
-        preempt = cols["preemptions"]
-        items = []
-        for i in order:
-            items.append(
-                RequestRecord(
-                    req_id=int(req_id[i]),
-                    rank=int(rank[i]),
-                    arrival_s=float(arrival[i]),
-                    prompt_tokens=int(prompt[i]),
-                    gen_tokens=int(gen[i]),
-                    priority=int(priority[i]),
-                    slo_ttft_s=float(slo[i]),
-                    status="rejected" if rejected[i] else "completed",
-                    admit_s=None if math.isnan(admit[i]) else float(admit[i]),
-                    first_token_s=(
-                        None if math.isnan(first[i]) else float(first[i])
-                    ),
-                    finish_s=(
-                        None if math.isnan(finish[i]) else float(finish[i])
-                    ),
-                    preemptions=int(preempt[i]),
-                    session_id=int(session[i]),
-                    turn=int(turn[i]),
-                )
-            )
-        self._items = items
-        return items
+
+        def column(name: str) -> list:
+            return cols[name][order].tolist()
+
+        def stamp(name: str) -> list:
+            return [None if math.isnan(t) else t for t in column(name)]
+
+        status = np.where(cols["rejected"][order], "rejected", "completed")
+        self._items = list(map(
+            RequestRecord,
+            column("req_id"), column("rank"), column("arrival_s"),
+            column("prompt_tokens"), column("gen_tokens"),
+            column("priority"), column("slo_ttft_s"), status.tolist(),
+            stamp("admit_s"), stamp("first_token_s"), stamp("finish_s"),
+            column("preemptions"), column("session_id"), column("turn"),
+        ))
+        return self._items
 
     def __getitem__(self, index):
         return self._materialize()[index]

@@ -54,13 +54,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.serving.engine.config import ServingConfig
 from repro.serving.engine.costs import _CostCache
-from repro.serving.engine.records import RankStats, RequestRecord
+from repro.serving.engine.records import ColumnRecords, RankStats
 from repro.serving.policy import (
     ChunkedPrefillPolicy,
     FcfsPolicy,
@@ -119,11 +119,10 @@ class _SoaEngine:
     def __init__(
         self,
         rank: int,
-        requests=(),
-        cache: Optional[_CostCache] = None,
-        config: Optional[ServingConfig] = None,
-        kv_capacity: int = 0,
-        policy: Optional[SchedulingPolicy] = None,
+        cache: _CostCache,
+        config: ServingConfig,
+        kv_capacity: int,
+        policy: SchedulingPolicy,
         tracer=None,
         profiler=None,
     ) -> None:
@@ -205,8 +204,6 @@ class _SoaEngine:
         self._run_kv = np.zeros(config.max_batch, dtype=np.int64)
         self._pre_buf = np.empty(config.max_batch, dtype=np.int64)
         self._pre_n = 0
-        for r in sorted(requests, key=lambda r: (r.arrival_s, r.req_id)):
-            self.submit(r)
 
     # -- fault injection (rejected) -------------------------------------------
 
@@ -301,8 +298,10 @@ class _SoaEngine:
                 "bulk submission out of arrival order "
                 f"({arrival[0]} < {self._arrival[n - 1]})"
             )
-        if k > 1 and bool(np.any(arrival[1:] < arrival[:-1])):
-            raise ValueError("bulk submission arrivals must be non-decreasing")
+        if not (np.isfinite(arrival).all() and np.all(arrival[1:] >= arrival[:-1])):
+            raise ValueError(
+                "bulk submission arrivals must be finite and non-decreasing"
+            )
         self._ensure_capacity(n + k)
         sl = slice(n, n + k)
         prompt = np.asarray(columns["prompt_tokens"], dtype=np.int64)
@@ -804,7 +803,7 @@ class _SoaEngine:
             self._step()
         return self.finalize()
 
-    def run(self) -> Tuple[List[RequestRecord], RankStats]:
+    def run(self) -> Tuple[ColumnRecords, RankStats]:
         """Drain the engine and return (records, stats), oracle-style."""
         self.drain()
         return self.records, self.stats
@@ -812,11 +811,13 @@ class _SoaEngine:
     # -- results ---------------------------------------------------------------
 
     def output_columns(self) -> dict:
-        """Outcome columns for every submitted request, submission order."""
+        """Outcome columns for every submitted request, submission order
+        (the :class:`~repro.serving.engine.records.ColumnRecords` layout)."""
         n = self._n
         sl = slice(0, n)
         return {
             "req_id": self._req_id[sl],
+            "rank": np.full(n, self.rank, dtype=np.int64),
             "arrival_s": self._arrival[sl],
             "prompt_tokens": self._prompt[sl],
             "gen_tokens": self._gen[sl],
@@ -832,37 +833,15 @@ class _SoaEngine:
         }
 
     @property
-    def records(self) -> List[RequestRecord]:
-        """Terminal :class:`RequestRecord` objects (completed + rejected).
+    def records(self) -> ColumnRecords:
+        """Terminal :class:`RequestRecord` objects (completed + rejected),
+        sorted by ``req_id``.
 
-        Materialised on access — in-flight requests (engine not drained)
-        are omitted, exactly as the oracle's ``records`` list only holds
-        finished outcomes.
+        In-flight requests (engine not drained) are omitted, exactly as
+        the oracle's ``records`` list only holds finished outcomes.
         """
-        recs: List[RequestRecord] = []
-        for i in range(self._n):
-            rejected = bool(self._rejected[i])
-            finish = self._finish_s[i]
-            if not rejected and math.isnan(finish):
-                continue
-            admit = self._admit_s[i]
-            first = self._first_s[i]
-            recs.append(
-                RequestRecord(
-                    req_id=int(self._req_id[i]),
-                    rank=self.rank,
-                    arrival_s=float(self._arrival[i]),
-                    prompt_tokens=int(self._prompt[i]),
-                    gen_tokens=int(self._gen[i]),
-                    priority=int(self._priority[i]),
-                    slo_ttft_s=float(self._slo[i]),
-                    status="rejected" if rejected else "completed",
-                    admit_s=None if math.isnan(admit) else float(admit),
-                    first_token_s=None if math.isnan(first) else float(first),
-                    finish_s=None if math.isnan(finish) else float(finish),
-                    preemptions=int(self._npreempt[i]),
-                    session_id=int(self._session[i]),
-                    turn=int(self._turn[i]),
-                )
-            )
-        return recs
+        columns = self.output_columns()
+        terminal = columns["rejected"] | ~np.isnan(columns["finish_s"])
+        return ColumnRecords(
+            {name: array[terminal] for name, array in columns.items()}
+        )

@@ -1,9 +1,12 @@
 """Synthetic request traces for the serving simulator.
 
-A trace is a list of :class:`Request` records — arrival time, prompt
-length, generation length, priority tier and optional TTFT SLO —
-sorted by arrival.  The generator is fully seeded; equal specs always
-produce identical traces.  Three arrival **scenarios** are available
+A trace is a :class:`Trace`: a sequence of :class:`Request` records —
+arrival time, prompt length, generation length, priority tier, optional
+TTFT SLO and the conversational session/prefix fields — stored as one
+numpy column per field and sorted by arrival.  Columnar consumers read
+the columns; the request objects are built from them only when someone
+reads an element.  The generator is fully seeded; equal specs always
+produce identical traces.  Four arrival **scenarios** are available
 (:data:`SCENARIOS`):
 
 * ``steady`` — homogeneous Poisson arrivals (exponential inter-arrival
@@ -49,8 +52,10 @@ True
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+import operator
+from collections.abc import Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -126,16 +131,20 @@ class Request:
     final_turn: bool = True
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError(f"arrival_s must be non-negative, got {self.arrival_s}")
+        if not 0 <= self.arrival_s < math.inf:
+            raise ValueError(
+                f"arrival_s must be finite and non-negative, got {self.arrival_s}"
+            )
         if self.prompt_tokens < 1:
             raise ValueError(f"prompt_tokens must be >= 1, got {self.prompt_tokens}")
         if self.gen_tokens < 1:
             raise ValueError(f"gen_tokens must be >= 1, got {self.gen_tokens}")
         if self.priority < 0:
             raise ValueError(f"priority must be >= 0, got {self.priority}")
-        if self.slo_ttft_s < 0:
-            raise ValueError(f"slo_ttft_s must be >= 0, got {self.slo_ttft_s}")
+        if not 0 <= self.slo_ttft_s < math.inf:
+            raise ValueError(
+                f"slo_ttft_s must be finite and >= 0, got {self.slo_ttft_s}"
+            )
         if self.turn < 0:
             raise ValueError(f"turn must be >= 0, got {self.turn}")
         if self.shared_prefix_tokens < 0 or self.context_tokens < 0:
@@ -155,26 +164,135 @@ class Request:
             )
 
 
-class Trace(list):
-    """A request trace: a plain list of :class:`Request`, plus columns.
+#: ``(name, dtype, default)`` of every :class:`Request` field in
+#: constructor order -- the columns of a :class:`Trace`.  ``default`` is
+#: ``MISSING`` for the four required fields.
+_COLUMNS = tuple(
+    (f.name, {"int": np.int64, "float": np.float64, "bool": np.bool_}[f.type],
+     f.default)
+    for f in fields(Request)
+)
 
-    :func:`generate_trace` already builds every request field as a numpy
-    array before boxing them into :class:`Request` objects; this list
-    subclass carries those arrays along in :attr:`columns` so columnar
-    consumers (the structure-of-arrays serving engine) can ingest a
-    million-request trace without re-extracting attributes one object at
-    a time.  ``columns`` maps ``req_id`` / ``arrival_s`` /
-    ``prompt_tokens`` / ``gen_tokens`` / ``priority`` / ``slo_ttft_s`` /
-    ``session_id`` / ``turn`` to equal-length arrays in list order, and
-    is ``None`` for traces built by hand or sliced (list operations
-    return plain lists, dropping the columns — consumers must fall back
-    to attribute extraction then).
+
+class Trace(Sequence):
+    """An immutable request trace: a sequence of :class:`Request` over columns.
+
+    The trace's only state is :attr:`columns`, which maps every
+    :class:`Request` field name, in constructor order, to an
+    equal-length read-only numpy array (``int64`` / ``float64`` /
+    ``bool``).  Columnar consumers (the structure-of-arrays engine) read
+    the columns directly, so a generated million-request trace is never
+    boxed into objects.  The :class:`Request` items are built from the
+    columns on first element access (one ``tolist()`` per column) and
+    kept; building them runs :meth:`Request.__post_init__`, so every
+    object an engine sees is validated.  Slicing returns a ``Trace``
+    over the sliced columns that reuses any items already built, and
+    ``==`` compares element-wise against any sequence.
+
+    ``Trace(columns)`` takes a mapping of array-likes; fields with a
+    :class:`Request` default may be omitted and are filled with it.
+    :meth:`of` wraps a list of request objects, and :meth:`ordered` puts
+    a trace in the ``(arrival_s, req_id)`` order the engines consume.
     """
 
-    def __init__(self, requests=(), columns=None) -> None:
-        super().__init__(requests)
-        #: Column arrays in list order, or ``None`` when unavailable.
+    def __init__(self, columns: Mapping[str, Iterable]) -> None:
+        unknown = sorted(set(columns) - {name for name, _, _ in _COLUMNS})
+        if unknown:
+            raise ValueError(f"unknown trace column(s) {unknown}")
+        n = len(columns["req_id"])
+        arrays = {}
+        for name, dtype, default in _COLUMNS:
+            if name in columns:
+                array = np.asarray(columns[name], dtype=dtype).view()
+            elif default is MISSING:
+                raise ValueError(f"trace column {name!r} is required")
+            else:
+                array = np.full(n, default, dtype=dtype)
+            if array.shape != (n,):
+                raise ValueError(
+                    f"trace column {name!r} has shape {array.shape}, "
+                    f"expected ({n},)"
+                )
+            arrays[name] = array
+        self._set(arrays, None)
+
+    def _set(self, columns: dict, items: Optional[List[Request]]) -> None:
+        for array in columns.values():
+            array.flags.writeable = False
+        #: Field name -> read-only column array, in trace order.
         self.columns = columns
+        self._items = items
+
+    @classmethod
+    def _wrap(cls, columns: dict, items: Optional[List[Request]]) -> "Trace":
+        trace = cls.__new__(cls)
+        trace._set(columns, items)
+        return trace
+
+    @classmethod
+    def of(cls, requests: Iterable[Request]) -> "Trace":
+        """``requests`` as a :class:`Trace`: a trace is returned unchanged;
+        any other iterable has its columns extracted once, and its
+        request objects are kept as the trace's items."""
+        if isinstance(requests, Trace):
+            return requests
+        items = list(requests)
+        return cls._wrap(
+            {
+                name: np.fromiter(
+                    map(operator.attrgetter(name), items), dtype, len(items)
+                )
+                for name, dtype, _ in _COLUMNS
+            },
+            items,
+        )
+
+    def ordered(self) -> "Trace":
+        """This trace sorted by ``(arrival_s, req_id)`` (stable); ``self``
+        when it already is -- the one place arrival order is decided."""
+        arrival = self.columns["arrival_s"]
+        req_id = self.columns["req_id"]
+        later, earlier = arrival[1:], arrival[:-1]
+        if not np.any(
+            (later < earlier) | ((later == earlier) & (req_id[1:] < req_id[:-1]))
+        ):
+            return self
+        order = np.lexsort((req_id, arrival))
+        items = self._items
+        return self._wrap(
+            {name: array[order] for name, array in self.columns.items()},
+            None if items is None else [items[i] for i in order.tolist()],
+        )
+
+    def _requests(self) -> List[Request]:
+        if self._items is None:
+            self._items = list(
+                map(Request, *(array.tolist() for array in self.columns.values()))
+            )
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self.columns["req_id"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            items = self._items
+            return self._wrap(
+                {name: array[index] for name, array in self.columns.items()},
+                None if items is None else items[index],
+            )
+        return self._requests()[index]
+
+    def __iter__(self) -> Iterator[Request]:
+        return iter(self._requests())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} requests)"
 
 
 @dataclass(frozen=True)
@@ -259,7 +377,7 @@ class TraceSpec:
     def __post_init__(self) -> None:
         if self.num_requests < 0:
             raise ValueError(f"num_requests must be >= 0, got {self.num_requests}")
-        if self.arrival_rate_per_s <= 0:
+        if not self.arrival_rate_per_s > 0:
             raise ValueError(
                 f"arrival_rate_per_s must be positive, got {self.arrival_rate_per_s}"
             )
@@ -267,23 +385,23 @@ class TraceSpec:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
-        if self.burst_rate_multiplier <= 0:
+        if not self.burst_rate_multiplier > 0:
             raise ValueError(
                 f"burst_rate_multiplier must be positive, "
                 f"got {self.burst_rate_multiplier}"
             )
         for name in ("burst_dwell_s", "calm_dwell_s", "diurnal_period_s"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.diurnal_amplitude <= 1.0:
             raise ValueError(
                 f"diurnal_amplitude must be in [0, 1], got {self.diurnal_amplitude}"
             )
         for name in ("prompt_mean", "gen_mean"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("prompt_sigma", "gen_sigma"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("prompt_max", "gen_max"):
             if getattr(self, name) < 1:
@@ -291,17 +409,17 @@ class TraceSpec:
         for name in ("sessions", "turns_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.turns_mean < 1:
+        if not self.turns_mean >= 1:
             raise ValueError(f"turns_mean must be >= 1, got {self.turns_mean}")
         for name in ("think_time_mean_s", "system_prompt_pool",
                      "system_prompt_tokens"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(
                     f"{name} must be >= 0, got {getattr(self, name)}"
                 )
         if not self.priority_weights:
             raise ValueError("priority_weights must name at least one tier")
-        if any(w <= 0 for w in self.priority_weights):
+        if not all(w > 0 for w in self.priority_weights):
             raise ValueError(
                 f"priority_weights must be positive, got {self.priority_weights}"
             )
@@ -312,8 +430,10 @@ class TraceSpec:
                     f"length ({len(self.priority_weights)}), got "
                     f"{len(self.slo_ttft_s)} entries"
                 )
-            if any(s < 0 for s in self.slo_ttft_s):
-                raise ValueError(f"slo_ttft_s must be >= 0, got {self.slo_ttft_s}")
+            if not all(0 <= s < math.inf for s in self.slo_ttft_s):
+                raise ValueError(
+                    f"slo_ttft_s must be finite and >= 0, got {self.slo_ttft_s}"
+                )
 
 
 def _lengths(
@@ -463,7 +583,7 @@ def _conversational_trace(rng: np.random.Generator, spec: TraceSpec) -> "Trace":
     """
     n = spec.num_requests
     if n == 0:
-        return Trace()
+        return Trace.of(())
     s = min(spec.sessions, n)
     counts = _turn_counts(rng, spec, s)
     session_rate = spec.arrival_rate_per_s * s / n
@@ -488,11 +608,7 @@ def _conversational_trace(rng: np.random.Generator, spec: TraceSpec) -> "Trace":
     arrivals = np.repeat(session_starts, counts) + offsets
     users = _lengths(rng, n, spec.prompt_mean, spec.prompt_sigma, spec.prompt_max)
     gens = _lengths(rng, n, spec.gen_mean, spec.gen_sigma, spec.gen_max)
-    if len(spec.priority_weights) == 1:
-        priorities = np.zeros(s, dtype=int)
-    else:
-        weights = np.asarray(spec.priority_weights, dtype=float)
-        priorities = rng.choice(len(weights), size=s, p=weights / weights.sum())
+    session_tiers = _tiers(rng, spec, s)
     # Carried context: running total of earlier (user + reply) tokens,
     # rebased per session by the same repeat-of-start trick as arrivals.
     totals = users + gens
@@ -502,45 +618,43 @@ def _conversational_trace(rng: np.random.Generator, spec: TraceSpec) -> "Trace":
     turn_idx = np.arange(n) - np.repeat(starts, counts)
     final = turn_idx == np.repeat(counts - 1, counts)
     session_of = np.repeat(np.arange(s), counts)
-    slos = spec.slo_ttft_s if spec.slo_ttft_s else None
+    tiers = session_tiers[session_of]
+    columns = {
+        "arrival_s": arrivals,
+        "prompt_tokens": prompts,
+        "gen_tokens": gens,
+        "priority": tiers,
+        "slo_ttft_s": _tier_slos(spec, tiers),
+        "session_id": session_of,
+        "turn": turn_idx,
+        "shared_prefix_id": sys_ids[session_of],
+        "shared_prefix_tokens": shared[session_of],
+        "context_tokens": context,
+        "final_turn": final,
+    }
     # Turns of one session are already time-ordered; a stable sort keeps
     # them in turn order even when think times are zero.
     order = np.argsort(arrivals, kind="stable")
-    requests = [
-        Request(
-            req_id=pos,
-            arrival_s=float(arrivals[i]),
-            prompt_tokens=int(prompts[i]),
-            gen_tokens=int(gens[i]),
-            priority=int(priorities[session_of[i]]),
-            slo_ttft_s=(
-                float(slos[priorities[session_of[i]]]) if slos is not None else 0.0
-            ),
-            session_id=int(session_of[i]),
-            turn=int(turn_idx[i]),
-            shared_prefix_id=int(sys_ids[session_of[i]]),
-            shared_prefix_tokens=int(shared[session_of[i]]),
-            context_tokens=int(context[i]),
-            final_turn=bool(final[i]),
-        )
-        for pos, i in enumerate(order)
-    ]
-    req_priorities = priorities[session_of][order]
-    columns = {
-        "req_id": np.arange(n, dtype=np.int64),
-        "arrival_s": arrivals[order].astype(float),
-        "prompt_tokens": prompts[order].astype(np.int64),
-        "gen_tokens": gens[order].astype(np.int64),
-        "priority": req_priorities.astype(np.int64),
-        "slo_ttft_s": (
-            np.asarray(slos, dtype=float)[req_priorities]
-            if slos is not None
-            else np.zeros(n)
-        ),
-        "session_id": session_of[order].astype(np.int64),
-        "turn": turn_idx[order].astype(np.int64),
-    }
-    return Trace(requests, columns)
+    return Trace({
+        "req_id": np.arange(n),
+        **{name: array[order] for name, array in columns.items()},
+    })
+
+
+def _tiers(rng: np.random.Generator, spec: TraceSpec, count: int) -> np.ndarray:
+    """``count`` priority tiers drawn from ``priority_weights`` (no draw
+    for a single tier)."""
+    if len(spec.priority_weights) == 1:
+        return np.zeros(count, dtype=int)
+    weights = np.asarray(spec.priority_weights, dtype=float)
+    return rng.choice(len(weights), size=count, p=weights / weights.sum())
+
+
+def _tier_slos(spec: TraceSpec, tiers: np.ndarray) -> np.ndarray:
+    """Each request's TTFT SLO, from its tier (0 = none)."""
+    if not spec.slo_ttft_s:
+        return np.zeros(tiers.size)
+    return np.asarray(spec.slo_ttft_s, dtype=float)[tiers]
 
 
 def generate_trace(spec: TraceSpec) -> Trace:
@@ -551,9 +665,8 @@ def generate_trace(spec: TraceSpec) -> Trace:
     across scenarios with the same arrival-draw count (``steady``
     traces reproduce the pre-scenario generator draw for draw).
 
-    The returned :class:`Trace` is a plain list of :class:`Request`
-    that additionally carries the generator's column arrays
-    (``trace.columns``) for columnar consumers.
+    The returned :class:`Trace` holds the generator's column arrays;
+    its :class:`Request` objects are built only if someone reads them.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.num_requests
@@ -562,38 +675,15 @@ def generate_trace(spec: TraceSpec) -> Trace:
     arrivals = _ARRIVAL_GENERATORS[spec.scenario](rng, spec)
     prompts = _lengths(rng, n, spec.prompt_mean, spec.prompt_sigma, spec.prompt_max)
     gens = _lengths(rng, n, spec.gen_mean, spec.gen_sigma, spec.gen_max)
-    if len(spec.priority_weights) == 1:
-        priorities = np.zeros(n, dtype=int)
-    else:
-        weights = np.asarray(spec.priority_weights, dtype=float)
-        priorities = rng.choice(len(weights), size=n, p=weights / weights.sum())
-    slos = spec.slo_ttft_s if spec.slo_ttft_s else None
-    requests = [
-        Request(
-            req_id=i,
-            arrival_s=float(arrivals[i]),
-            prompt_tokens=int(prompts[i]),
-            gen_tokens=int(gens[i]),
-            priority=int(priorities[i]),
-            slo_ttft_s=float(slos[priorities[i]]) if slos is not None else 0.0,
-        )
-        for i in range(n)
-    ]
-    columns = {
-        "req_id": np.arange(n, dtype=np.int64),
-        "arrival_s": np.asarray(arrivals, dtype=float),
-        "prompt_tokens": prompts.astype(np.int64),
-        "gen_tokens": gens.astype(np.int64),
-        "priority": priorities.astype(np.int64),
-        "slo_ttft_s": (
-            np.asarray(slos, dtype=float)[priorities]
-            if slos is not None
-            else np.zeros(n)
-        ),
-        "session_id": np.full(n, -1, dtype=np.int64),
-        "turn": np.zeros(n, dtype=np.int64),
-    }
-    return Trace(requests, columns)
+    tiers = _tiers(rng, spec, n)
+    return Trace({
+        "req_id": np.arange(n),
+        "arrival_s": arrivals,
+        "prompt_tokens": prompts,
+        "gen_tokens": gens,
+        "priority": tiers,
+        "slo_ttft_s": _tier_slos(spec, tiers),
+    })
 
 
 def trace_rows(trace: Sequence[Request]) -> List[dict]:
@@ -617,14 +707,14 @@ def trace_rows(trace: Sequence[Request]) -> List[dict]:
     ]
 
 
-def rows_to_trace(rows: Sequence[dict]) -> List[Request]:
+def rows_to_trace(rows: Sequence[dict]) -> Trace:
     """Inverse of :func:`trace_rows`: rebuild the trace from row dicts.
 
     ``priority`` / ``slo_ttft_s`` and the session/prefix fields default
     when absent, so traces written before those fields existed still
     load.
     """
-    return [
+    return Trace.of(
         Request(
             req_id=int(row["req_id"]),
             arrival_s=float(row["arrival_s"]),
@@ -640,4 +730,4 @@ def rows_to_trace(rows: Sequence[dict]) -> List[Request]:
             final_turn=bool(row.get("final_turn", True)),
         )
         for row in rows
-    ]
+    )

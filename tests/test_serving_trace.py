@@ -1,8 +1,23 @@
 """Synthetic trace generator: determinism, distributions, round-trips."""
 
+import dataclasses
+import math
+import random
+
+import numpy as np
 import pytest
 
-from repro.serving import Request, TraceSpec, generate_trace, rows_to_trace, trace_rows
+from repro.serving import (
+    SCENARIOS,
+    Request,
+    ServingConfig,
+    TraceSpec,
+    generate_trace,
+    rows_to_trace,
+    simulate_trace,
+    trace_rows,
+)
+from repro.serving.trace import Trace
 
 
 def test_trace_is_deterministic_per_seed():
@@ -57,10 +72,18 @@ def test_empty_trace_and_validation():
 
 
 def test_trace_rows_round_trip():
-    trace = generate_trace(TraceSpec(num_requests=10, seed=5,
-                                     priority_weights=(0.5, 0.5),
-                                     slo_ttft_s=(1.0, 10.0)))
-    assert rows_to_trace(trace_rows(trace)) == trace
+    """Every scenario round-trips, conversational prefix fields included."""
+    for scenario in SCENARIOS:
+        trace = generate_trace(TraceSpec(num_requests=10, seed=5,
+                                         scenario=scenario, sessions=3,
+                                         priority_weights=(0.5, 0.5),
+                                         slo_ttft_s=(1.0, 10.0)))
+        rows = trace_rows(trace)
+        assert rows_to_trace(rows) == trace
+        assert rows_to_trace(rows).columns.keys() == trace.columns.keys()
+    assert any(r.context_tokens > 0 for r in trace)
+    assert any(r.shared_prefix_tokens > 0 for r in trace)
+    assert any(not r.final_turn for r in trace)
 
 
 def test_rows_without_priority_fields_still_load():
@@ -163,3 +186,155 @@ def test_scenario_and_priority_validation():
     with pytest.raises(ValueError, match="slo_ttft_s"):
         Request(req_id=0, arrival_s=0.0, prompt_tokens=1, gen_tokens=1,
                 slo_ttft_s=-2.0)
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,value", [
+    ("arrival_s", math.nan), ("arrival_s", math.inf),
+    ("slo_ttft_s", math.nan), ("slo_ttft_s", math.inf),
+])
+def test_request_rejects_non_finite_times(field, value):
+    fields = dict(req_id=0, arrival_s=0.0, prompt_tokens=4, gen_tokens=1)
+    fields[field] = value
+    with pytest.raises(ValueError, match=field):
+        Request(**fields)
+
+
+@pytest.mark.parametrize("field", [
+    "arrival_rate_per_s", "burst_rate_multiplier", "burst_dwell_s",
+    "calm_dwell_s", "diurnal_period_s", "diurnal_amplitude", "prompt_mean",
+    "prompt_sigma", "gen_mean", "gen_sigma", "turns_mean",
+    "think_time_mean_s",
+])
+def test_trace_spec_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        TraceSpec(**{field: math.nan})
+
+
+def test_trace_spec_rejects_nan_tier_knobs():
+    with pytest.raises(ValueError, match="priority_weights"):
+        TraceSpec(priority_weights=(1.0, math.nan))
+    with pytest.raises(ValueError, match="slo_ttft_s"):
+        TraceSpec(priority_weights=(1.0, 1.0), slo_ttft_s=(1.0, math.nan))
+    with pytest.raises(ValueError, match="slo_ttft_s"):
+        TraceSpec(slo_ttft_s=(math.inf,))
+
+
+@pytest.mark.parametrize("engine", ["event", "soa"])
+def test_nan_arrival_is_rejected_not_simulated(engine):
+    """A NaN arrival used to hang both engines; it now fails fast."""
+    trace = Trace({
+        "req_id": [0, 1, 2, 3],
+        "arrival_s": [0.0, 1.0, math.nan, 3.0],
+        "prompt_tokens": [8] * 4,
+        "gen_tokens": [4] * 4,
+    })
+    config = ServingConfig(model="gpt-125m", num_ranks=1, engine=engine)
+    with pytest.raises(ValueError, match="arrival"):
+        simulate_trace(trace, config)
+
+
+# ---------------------------------------------------------------------------
+# the Trace contract: columns are the state, requests are built from them
+# ---------------------------------------------------------------------------
+
+def _scenario_trace(scenario, n=40):
+    return generate_trace(TraceSpec(
+        num_requests=n, seed=2, scenario=scenario, sessions=8,
+        prompt_mean=24, gen_mean=12, system_prompt_tokens=32,
+        priority_weights=(0.5, 0.5), slo_ttft_s=(2.0, 0.0),
+    ))
+
+
+def _assert_same_columns(a, b):
+    assert list(a.columns) == list(b.columns)
+    for name in a.columns:
+        assert a.columns[name].dtype == b.columns[name].dtype, name
+        assert np.array_equal(a.columns[name], b.columns[name]), name
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_columns_match_extracted_columns(scenario):
+    trace = _scenario_trace(scenario)
+    assert list(trace.columns) == [f.name for f in dataclasses.fields(Request)]
+    rebuilt = Trace.of(list(trace))
+    _assert_same_columns(rebuilt, trace)
+    assert list(rebuilt) == list(trace)
+
+
+def test_of_returns_a_trace_unchanged_and_keeps_caller_objects():
+    trace = _scenario_trace("steady")
+    assert Trace.of(trace) is trace
+    requests = list(trace)
+    wrapped = Trace.of(requests)
+    assert all(a is b for a, b in zip(wrapped, requests))
+
+
+def test_columns_are_read_only_and_requests_built_once():
+    trace = _scenario_trace("bursty")
+    with pytest.raises(ValueError):
+        trace.columns["arrival_s"][0] = 0.0
+    assert trace[3] is trace[3]
+    assert trace[-1].req_id == len(trace) - 1
+
+
+def test_slicing_keeps_columns_and_built_requests():
+    trace = _scenario_trace("conversational")
+    head = trace[5:17:2]
+    assert isinstance(head, Trace)
+    assert list(head) == list(trace)[5:17:2]
+    for name, array in trace.columns.items():
+        assert np.array_equal(head.columns[name], array[5:17:2])
+    built = list(trace)
+    assert trace[5:17][0] is built[5]
+
+
+def test_ordered_matches_sorted_on_a_shuffled_list_with_ties():
+    rng = random.Random(4)
+    requests = [
+        Request(req_id=i, arrival_s=float(rng.choice((0.0, 0.5, 1.0, 2.5))),
+                prompt_tokens=4 + i, gen_tokens=1 + i % 3)
+        for i in range(60)
+    ]
+    rng.shuffle(requests)
+    expected = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
+    ordered = Trace.of(requests).ordered()
+    assert all(a is b for a, b in zip(ordered, expected))
+    _assert_same_columns(ordered, Trace.of(expected))
+    assert ordered.ordered() is ordered
+    # Columns-only traces sort the same way, building items from columns.
+    unsorted = Trace({name: array for name, array in
+                      Trace.of(requests).columns.items()})
+    assert list(unsorted.ordered()) == expected
+
+
+def test_trace_constructor_fills_defaults_and_checks_columns():
+    trace = Trace({"req_id": [0], "arrival_s": [0.5], "prompt_tokens": [4],
+                   "gen_tokens": [2]})
+    assert trace == [Request(req_id=0, arrival_s=0.5, prompt_tokens=4,
+                             gen_tokens=2)]
+    with pytest.raises(ValueError, match="gen_tokens"):
+        Trace({"req_id": [0], "arrival_s": [0.5], "prompt_tokens": [4]})
+    with pytest.raises(ValueError, match="unknown"):
+        Trace({"req_id": [0], "arrival_s": [0.5], "prompt_tokens": [4],
+               "gen_tokens": [2], "tenant": [1]})
+    with pytest.raises(ValueError, match="shape"):
+        Trace({"req_id": [0, 1], "arrival_s": [0.5], "prompt_tokens": [4, 4],
+               "gen_tokens": [2, 2]})
+    bad = Trace({"req_id": [0], "arrival_s": [-1.0], "prompt_tokens": [4],
+                 "gen_tokens": [2]})
+    with pytest.raises(ValueError, match="arrival_s"):
+        list(bad)
+
+
+@pytest.mark.parametrize("scenario", ["bursty", "conversational"])
+def test_soa_on_a_sliced_trace_matches_the_object_list(scenario):
+    trace = _scenario_trace(scenario, n=60)
+    config = ServingConfig(model="gpt-125m", num_ranks=2, engine="soa")
+    columns = simulate_trace(trace[:45], config)
+    objects = simulate_trace(list(trace)[:45], config)
+    assert list(columns.records) == list(objects.records)
+    assert columns.rank_stats == objects.rank_stats
