@@ -7,8 +7,9 @@ replicas with continuous batching and KV-cache admission, producing
 TTFT / TPOT / latency-percentile / throughput / energy metrics — for a
 single deployment or a heterogeneous routed cluster of them.
 
-* :mod:`repro.serving.trace` — :class:`Request`, seeded synthetic
-  traces (steady Poisson, bursty MMPP, diurnal and conversational
+* :mod:`repro.serving.trace` — :class:`Request`, the columns-first
+  :class:`~repro.serving.trace.Trace`, seeded synthetic traces
+  (steady Poisson, bursty MMPP, diurnal and conversational
   session arrival scenarios; log-normal lengths; priority tiers with
   TTFT SLOs),
 * :mod:`repro.serving.policy` — pluggable scheduling policies
