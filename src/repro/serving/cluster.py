@@ -41,14 +41,11 @@ import math
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.model.config import get_model_config
-from repro.model.cost import policy_weight_bytes
 from repro.model.policy import SchemePolicy
 from repro.pim.energy import EnergyModel
-from repro.pim.upmem import UpmemConfig, UpmemSystem
 from repro.serving.engine.config import ServingConfig
 from repro.serving.engine.costs import _CostCache, cost_identity
-from repro.serving.engine.driver import make_engine
+from repro.serving.engine.driver import collect_result, make_engine, replica_budget
 from repro.serving.engine.rank_engine import _RankEngine
 from repro.serving.engine.records import RequestRecord, ServingResult
 from repro.serving.faults import FaultPlan, RetryPolicy
@@ -100,26 +97,8 @@ class Deployment:
             else f"{config.model}-{config.scheme}-r{config.num_ranks}"
         )
         self.tier = tier
-        model = get_model_config(config.model)
-        scheme_policy = (
-            scheme_policy if scheme_policy is not None
-            else SchemePolicy(config.scheme)
-        )
-        energy_model = energy_model if energy_model is not None else EnergyModel()
-        system = UpmemSystem(
-            UpmemConfig(num_ranks=1, dpus_per_rank=config.dpus_per_rank)
-        )
-        self.weight_bytes = policy_weight_bytes(model, scheme_policy)
-        mram_total = config.dpus_per_rank * system.timings.mram_bytes
-        self.kv_capacity = mram_total - self.weight_bytes
-        if self.kv_capacity <= 0:
-            raise ValueError(
-                f"deployment {self.name!r}: packed weights "
-                f"({self.weight_bytes} B) exceed a replica's MRAM "
-                f"({mram_total} B); use more DPUs per rank or a narrower scheme"
-            )
-        self._cost_args = (
-            model, scheme_policy, system, config.kernel, energy_model
+        self._cost_args, self.weight_bytes, self.kv_capacity = replica_budget(
+            config, scheme_policy, energy_model, name=self.name
         )
         #: This deployment's :func:`~repro.serving.engine.costs
         #: .cost_identity`: deployments with equal keys share a cache.
@@ -158,10 +137,10 @@ class Deployment:
         engine = make_engine(
             rank, self.cost_cache, self.config, self.kv_capacity,
             self.sched_policy, tracer=self._tracer, profiler=self._profiler,
+            faults=self._fault_plan,
         )
         engine.clock = ready_s
         if self._fault_plan is not None:
-            self._fault_plan.apply(engine)
             engine.on_crash = self._on_crash
         self.engines.append(engine)
         self.replicas_peak = max(self.replicas_peak, len(self.active_engines()))
@@ -292,25 +271,12 @@ class Deployment:
     def drain(self) -> None:
         """Run every replica to completion and finalize its stats."""
         for engine in self.engines:
-            engine.advance(math.inf)
-            engine.finalize()
+            engine.run()
 
     def result(self) -> ServingResult:
         """This deployment's slice of the run as a ServingResult."""
-        records: List[RequestRecord] = []
-        prefix_caches = []
-        for engine in self.engines:
-            records.extend(engine.records)
-            if engine.prefix_cache is not None:
-                prefix_caches.append(engine.prefix_cache)
-        records.sort(key=lambda rec: rec.req_id)
-        return ServingResult(
-            config=self.config,
-            records=records,
-            rank_stats=[e.stats for e in self.engines],
-            kv_capacity_bytes=self.kv_capacity,
-            weight_bytes=self.weight_bytes,
-            prefix_caches=tuple(prefix_caches),
+        return collect_result(
+            self.config, self.engines, self.kv_capacity, self.weight_bytes
         )
 
 
@@ -483,20 +449,9 @@ class Cluster:
         self.faults = faults
         self._fault_mode = faults is not None and not faults.empty
         self.shed_tier = shed_tier
-        if self._fault_mode:
-            for deployment in self.deployments:
-                if deployment.config.engine == "soa":
-                    raise ValueError(
-                        f"deployment {deployment.name!r} uses "
-                        f"engine='soa', which does not support fault "
-                        f"injection; use engine='event' (or 'loop') for "
-                        f"faulted clusters"
-                    )
-            self.retry_policy = (
-                retry_policy if retry_policy is not None else RetryPolicy()
-            )
-        else:
-            self.retry_policy = retry_policy
+        if self._fault_mode and retry_policy is None:
+            retry_policy = RetryPolicy()
+        self.retry_policy = retry_policy
         # Recovery-loop state (all empty and untouched fault-free).
         self._crash_box: List[tuple] = []
         self._fault_events: List[dict] = []

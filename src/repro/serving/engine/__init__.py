@@ -24,17 +24,21 @@ natural seams:
   event core (``_SoaEngine``): the same event semantics over columnar
   request state, selected with ``engine="soa"`` for million-request
   traces.
-* :mod:`~repro.serving.engine.driver` — :func:`simulate_trace`, the
-  single-deployment driver: shard via the routing layer, drain each
-  rank engine, aggregate the result (and the ``make_engine`` factory
-  the cluster layer builds replicas through).
+* :mod:`~repro.serving.engine.driver` — the replica seam the
+  single-deployment driver and the cluster layer share:
+  ``replica_budget`` (cost-spine arguments, packed weight bytes, KV
+  capacity), ``make_engine`` (the one place an engine is built and
+  armed with a fault plan) and ``collect_result`` (drained engines to
+  a :class:`ServingResult`); and :func:`simulate_trace`, which shards
+  a trace once, runs each replica and collects the result.
 
 A quick tour of the simulated semantics (details on the classes):
 
 * **Per-rank sharding** — the deployment is ``num_ranks`` model
-  replicas; requests are assigned by the routing layer's round-robin
-  policy in arrival order (session turns land on
-  ``session_id mod num_ranks``) and served entirely by their rank.
+  replicas; requests are assigned round-robin in arrival order (session
+  turns land on ``session_id mod num_ranks``) — the routing layer's
+  round-robin rule, applied to the whole trace at once — and served
+  entirely by their rank.
 * **Continuous batching** — each rank admits newly arrived requests
   between iterations, prefills them (optionally chunked), and advances
   every running request one token per iteration.

@@ -2,20 +2,22 @@
 
 :class:`_RankEngine` owns a single rank's scheduler state (pending →
 ready → prefilling → running) and advances it one scheduler iteration
-at a time (:meth:`_RankEngine._step`).  Two driving modes share that
-step body:
+at a time (:meth:`_RankEngine._step`) through one drive path,
+:meth:`_RankEngine.advance`:
 
-* **Run-to-drain** (:meth:`_RankEngine.run`) — the single-deployment
-  driver submits every request of its shard in arrival order, then
-  drains the engine in one call; this is the original monolith
-  behavior, bit-identical to it by construction.
+* **Run-to-drain** (:meth:`_RankEngine.run`, which is
+  ``advance(math.inf)`` then :meth:`_RankEngine.finalize`) — the
+  single-deployment driver submits every request of its shard in
+  arrival order, then drains the engine in one call.
 * **Incremental** (:meth:`_RankEngine.submit` /
   :meth:`_RankEngine.advance` / :meth:`_RankEngine.finalize`) — the
   cluster layer reveals arrivals one routing decision at a time and
   advances the engine lazily to a time horizon, so routers can observe
   live queue depth and KV occupancy between arrivals.
-  ``advance(math.inf)`` after the last ``submit`` is equivalent to
-  ``run()``.
+
+A :class:`~repro.serving.faults.FaultPlan` passed to the constructor
+registers its specs for the engine's rank through the fault hooks
+(:meth:`_RankEngine.fail_at` / ``stall`` / ``degrade``).
 
 Event-driven engines whose running batch is at least
 :data:`PACKED_MIN_BATCH` wide keep it as a *packed running set*: numpy
@@ -101,6 +103,7 @@ class _RankEngine:
         policy: SchedulingPolicy,
         tracer=None,
         profiler=None,
+        faults=None,
     ) -> None:
         self.cache = cache
         self.config = config
@@ -153,6 +156,8 @@ class _RankEngine:
         self._left: Optional[np.ndarray] = None
         self._fresh: List[int] = []
         self._table: Optional[SegmentCostTable] = None
+        if faults is not None:
+            faults.apply(self)
 
     # -- incremental driving (cluster seam) -----------------------------------
 
@@ -936,13 +941,7 @@ class _RankEngine:
             # Idle: jump to the next arrival.
             self.clock = max(self.clock, self.pending[0].request.arrival_s)
 
-    def run(self) -> Tuple[List[RequestRecord], RankStats]:
-        """Drain the engine (all requests known upfront) and finalize."""
-        if self._has_faults:
-            self._advance_faulted(math.inf)
-            self.finalize()
-            return self.records, self.stats
-        while self.pending or self.ready or self.prefilling or self.running:
-            self._step()
-        self.finalize()
-        return self.records, self.stats
+    def run(self) -> RankStats:
+        """Drain the engine: ``advance(math.inf)``, then :meth:`finalize`."""
+        self.advance(math.inf)
+        return self.finalize()

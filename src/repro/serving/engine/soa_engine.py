@@ -45,9 +45,11 @@ bisection as the object engine with each probe evaluated as one gather
 over the batch ("batched bisection") instead of a per-request Python
 loop.
 
-Not supported (use the object engines): the KV prefix cache, engine
-tracing, the self-profiler, and scheduling policies other than the four
-built-ins — the constructor raises ``ValueError`` for each.
+Not supported (use the object engines): the KV prefix cache
+(:class:`~repro.serving.engine.config.ServingConfig` rejects it),
+engine tracing, the self-profiler, scheduling policies other than the
+four built-ins, and fault plans — the constructor raises
+``ValueError`` for each of the last four.
 """
 
 from __future__ import annotations
@@ -125,12 +127,8 @@ class _SoaEngine:
         policy: SchedulingPolicy,
         tracer=None,
         profiler=None,
+        faults=None,
     ) -> None:
-        if config.prefix_cache:
-            raise ValueError(
-                "the soa engine does not support the KV prefix cache; "
-                "use engine='event' or 'loop'"
-            )
         if tracer is not None and tracer.enabled:
             raise ValueError(
                 "engine tracing requires an object engine "
@@ -165,6 +163,11 @@ class _SoaEngine:
                 f"policies {tuple(sorted(('fcfs', 'sjf', 'priority', 'chunked_prefill')))}; "
                 f"got {ptype.__name__} — use engine='event' for custom policies"
             )
+        if faults is not None and not faults.empty:
+            raise ValueError(
+                "fault injection requires an object engine (engine='event' "
+                "or 'loop'); the soa engine has no fault hooks"
+            )
         self.cache = cache
         self.config = config
         self.kv_capacity = kv_capacity
@@ -178,8 +181,8 @@ class _SoaEngine:
         self.prefix_cache = None
         #: Cluster-managed flag, same contract as the object engine.
         self.retired = False
-        #: Never set: the soa engine rejects fault plans (see
-        #: :meth:`fail_at`), so a soa replica cannot die or stall.
+        #: Never set: the soa engine rejects fault plans, so a soa
+        #: replica cannot die.
         self.dead = False
         self._kv_per_token = cache.model.kv_cache_bytes(1, 1)
         self._tables = cache.segment_table()
@@ -204,29 +207,6 @@ class _SoaEngine:
         self._run_kv = np.zeros(config.max_batch, dtype=np.int64)
         self._pre_buf = np.empty(config.max_batch, dtype=np.int64)
         self._pre_n = 0
-
-    # -- fault injection (rejected) -------------------------------------------
-
-    _FAULT_ERROR = (
-        "fault injection requires an object engine (engine='event' or "
-        "'loop'); the soa engine has no fault hooks"
-    )
-
-    def fail_at(self, t_s: float) -> None:
-        """Unsupported: the soa engine rejects fault plans."""
-        raise ValueError(self._FAULT_ERROR)
-
-    def stall(self, t_s: float, duration_s: float) -> None:
-        """Unsupported: the soa engine rejects fault plans."""
-        raise ValueError(self._FAULT_ERROR)
-
-    def degrade(self, t_s: float, duration_s: float, factor: float) -> None:
-        """Unsupported: the soa engine rejects fault plans."""
-        raise ValueError(self._FAULT_ERROR)
-
-    def is_stalled(self, t_s: float) -> bool:
-        """Always False: a soa replica never carries stall windows."""
-        return False
 
     # -- submission -----------------------------------------------------------
 
@@ -797,16 +777,10 @@ class _SoaEngine:
             if a > self.clock:
                 self.clock = float(a)
 
-    def drain(self) -> RankStats:
-        """Run every submitted request to completion and finalize."""
-        while self.has_work:
-            self._step()
+    def run(self) -> RankStats:
+        """Drain the engine: ``advance(math.inf)``, then :meth:`finalize`."""
+        self.advance(math.inf)
         return self.finalize()
-
-    def run(self) -> Tuple[ColumnRecords, RankStats]:
-        """Drain the engine and return (records, stats), oracle-style."""
-        self.drain()
-        return self.records, self.stats
 
     # -- results ---------------------------------------------------------------
 

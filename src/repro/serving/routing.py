@@ -4,11 +4,12 @@ A :class:`RoutingPolicy` picks which *target* serves each request.  The
 same abstraction is used at two levels:
 
 * **Rank sharding** — the single-deployment driver
-  (:func:`repro.serving.engine.driver.simulate_trace`) routes every
-  request to one of ``num_ranks`` replica engines with
-  :class:`RoundRobinRouter`, reproducing the legacy
-  ``rank = seq % num_ranks`` / session-affine
-  ``rank = session_id % num_ranks`` assignment bit-identically.
+  (:func:`repro.serving.engine.driver.simulate_trace`) assigns every
+  request to one of ``num_ranks`` replica engines by
+  :class:`RoundRobinRouter`'s rule — ``rank = seq % num_ranks``, or
+  ``rank = session_id % num_ranks`` for session turns — applied
+  vectorized over the trace columns rather than by calling the router
+  per request.
 * **Deployment routing** — the cluster layer
   (:mod:`repro.serving.cluster`) routes across heterogeneous
   :class:`~repro.serving.cluster.Deployment` targets, where the
@@ -19,7 +20,7 @@ Targets are duck-typed: every policy may call ``len(targets)``;
 ``least_kv`` additionally calls ``target.kv_occupancy(t)``, ``p2c``
 calls ``target.queue_depth(t)`` and ``slo_affinity`` reads
 ``target.tier``.  Plain sequences therefore work for the stateless
-policies (the driver passes its shard lists):
+policies:
 
 >>> from repro.serving.routing import get_router
 >>> from repro.serving.trace import Request

@@ -174,6 +174,28 @@ _COLUMNS = tuple(
 )
 
 
+def _invalid_rows(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Mask of the rows :meth:`Request.__post_init__` would refuse (the
+    same rules, one numpy pass each)."""
+    arrival = columns["arrival_s"]
+    slo = columns["slo_ttft_s"]
+    prompt = columns["prompt_tokens"]
+    shared = columns["shared_prefix_tokens"]
+    context = columns["context_tokens"]
+    return (
+        ~((arrival >= 0) & (arrival < np.inf))
+        | (prompt < 1)
+        | (columns["gen_tokens"] < 1)
+        | (columns["priority"] < 0)
+        | ~((slo >= 0) & (slo < np.inf))
+        | (columns["turn"] < 0)
+        | (shared < 0)
+        | (context < 0)
+        | ((columns["shared_prefix_id"] < 0) & (shared > 0))
+        | (prompt < shared + context + 1)
+    )
+
+
 class Trace(Sequence):
     """An immutable request trace: a sequence of :class:`Request` over columns.
 
@@ -191,6 +213,10 @@ class Trace(Sequence):
 
     ``Trace(columns)`` takes a mapping of array-likes; fields with a
     :class:`Request` default may be omitted and are filled with it.
+    Every row is checked against the :meth:`Request.__post_init__`
+    rules, vectorized, and the first bad row raises that request's own
+    ``ValueError``, so no engine — object or columnar — sees a request
+    its constructor would refuse.
     :meth:`of` wraps a list of request objects, and :meth:`ordered` puts
     a trace in the ``(arrival_s, req_id)`` order the engines consume.
     """
@@ -214,6 +240,11 @@ class Trace(Sequence):
                     f"expected ({n},)"
                 )
             arrays[name] = array
+        bad = np.flatnonzero(_invalid_rows(arrays))
+        if bad.size:
+            # Building the first bad row raises its own Request error.
+            row = int(bad[0])
+            Request(*(array[row].item() for array in arrays.values()))
         self._set(arrays, None)
 
     def _set(self, columns: dict, items: Optional[List[Request]]) -> None:

@@ -200,6 +200,19 @@ def test_soa_engine_rejects_fault_plans():
                                    num_ranks=1))
     with pytest.raises(ValueError, match="soa"):
         Cluster([dep], faults=plan)
+    # Mixed fleet: the plan targets only the event replica (rank 1), so
+    # per-rank registration never reaches the soa replica (rank 0); the
+    # soa engine must still refuse the plan when it is built.
+    mixed = [
+        Deployment(ServingConfig(model="gpt-125m", engine="soa",
+                                 num_ranks=1), name="columnar"),
+        Deployment(ServingConfig(model="gpt-125m", engine="event",
+                                 num_ranks=1), name="objects"),
+    ]
+    event_only = FaultPlan((FaultSpec("crash", 1, 1.0),))
+    assert event_only.for_rank(0) == ()
+    with pytest.raises(ValueError, match="soa"):
+        Cluster(mixed, faults=event_only)
 
 
 # ---------------------------------------------------------------------------

@@ -91,22 +91,46 @@ def test_round_robin_session_affinity_consumes_counter():
     assert picks == [2, 1, 2]
 
 
-@pytest.mark.parametrize("scenario", ["bursty", "conversational"])
-def test_round_robin_reproduces_simulate_trace_sharding(scenario):
-    # The driver's record.rank must equal the explicit legacy loop.
+def _sharding_case_id(case):
+    scenario, engine, num_ranks = case
+    if (engine, num_ranks) == ("event", 3):
+        return scenario
+    return f"{scenario}-{engine}-{num_ranks}"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(scenario, engine, num_ranks)
+     for scenario in ("bursty", "conversational")
+     for engine in ("event", "loop", "soa")
+     for num_ranks in (1, 3, 4)],
+    ids=_sharding_case_id,
+)
+def test_round_robin_reproduces_simulate_trace_sharding(case):
+    # The driver shards with a vectorized form of RoundRobinRouter's
+    # rule; record.rank must equal both the explicit legacy loop and a
+    # fresh router's pick, for every engine.
+    scenario, engine, num_ranks = case
     spec = TraceSpec(num_requests=48, seed=11, scenario=scenario)
     trace = generate_trace(spec)
-    config = ServingConfig(model="gpt-125m", num_ranks=3)
+    config = ServingConfig(model="gpt-125m", num_ranks=num_ranks,
+                           engine=engine)
     result = simulate_trace(trace, config)
     ordered = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
     expected = {}
+    router = RoundRobinRouter()
+    targets = [[] for _ in range(num_ranks)]
+    picks = {}
     for i, request in enumerate(ordered):
         if request.session_id >= 0:
-            expected[request.req_id] = request.session_id % 3
+            expected[request.req_id] = request.session_id % num_ranks
         else:
-            expected[request.req_id] = i % 3
+            expected[request.req_id] = i % num_ranks
+        picks[request.req_id] = router.select(request, targets)
+    assert len(result.records) == len(trace)
     for record in result.records:
         assert record.rank == expected[record.req_id]
+        assert record.rank == picks[record.req_id]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -225,16 +226,66 @@ def test_trace_spec_rejects_nan_tier_knobs():
 
 @pytest.mark.parametrize("engine", ["event", "soa"])
 def test_nan_arrival_is_rejected_not_simulated(engine):
-    """A NaN arrival used to hang both engines; it now fails fast."""
-    trace = Trace({
-        "req_id": [0, 1, 2, 3],
-        "arrival_s": [0.0, 1.0, math.nan, 3.0],
-        "prompt_tokens": [8] * 4,
-        "gen_tokens": [4] * 4,
-    })
+    """A NaN arrival used to hang both engines; it now fails fast, at
+    trace construction."""
     config = ServingConfig(model="gpt-125m", num_ranks=1, engine=engine)
     with pytest.raises(ValueError, match="arrival"):
-        simulate_trace(trace, config)
+        simulate_trace(Trace({
+            "req_id": [0, 1, 2, 3],
+            "arrival_s": [0.0, 1.0, math.nan, 3.0],
+            "prompt_tokens": [8] * 4,
+            "gen_tokens": [4] * 4,
+        }), config)
+
+
+@pytest.mark.parametrize("bad", [
+    {"arrival_s": -1.0},
+    {"prompt_tokens": 0},
+    {"gen_tokens": 0},
+    {"priority": -1},
+    {"slo_ttft_s": math.nan},
+    {"slo_ttft_s": math.inf},
+    {"turn": -1},
+    {"shared_prefix_tokens": -1},
+    {"context_tokens": -1},
+    {"shared_prefix_tokens": 2},
+    {"context_tokens": 8},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_trace_columns_are_validated_like_requests(bad, monkeypatch):
+    """``Trace(columns)`` refuses every row ``Request`` refuses, with the
+    request's own message, before either engine can see the row."""
+    from repro.serving.engine.rank_engine import _RankEngine
+    from repro.serving.engine.soa_engine import _SoaEngine
+
+    columns = {
+        "req_id": [0, 1, 2, 3],
+        "arrival_s": [0.0, 0.5, 1.0, 1.5],
+        "prompt_tokens": [8] * 4,
+        "gen_tokens": [4] * 4,
+    }
+    row = {name: values[2] for name, values in columns.items()}
+    row.update(bad)
+    with pytest.raises(ValueError) as expected:
+        Request(**row)
+    defaults = {field.name: field.default
+                for field in dataclasses.fields(Request)}
+    for name, value in bad.items():
+        column = list(columns.get(name, [defaults[name]] * 4))
+        column[2] = value
+        columns[name] = column
+    with pytest.raises(ValueError) as raised:
+        Trace(columns)
+    assert str(raised.value) == str(expected.value)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an engine received the bad row")
+
+    monkeypatch.setattr(_RankEngine, "submit", unreachable)
+    monkeypatch.setattr(_SoaEngine, "submit_columns", unreachable)
+    for engine in ("event", "soa"):
+        config = ServingConfig(model="gpt-125m", num_ranks=1, engine=engine)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            simulate_trace(Trace(columns), config)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +375,9 @@ def test_trace_constructor_fills_defaults_and_checks_columns():
     with pytest.raises(ValueError, match="shape"):
         Trace({"req_id": [0, 1], "arrival_s": [0.5], "prompt_tokens": [4, 4],
                "gen_tokens": [2, 2]})
-    bad = Trace({"req_id": [0], "arrival_s": [-1.0], "prompt_tokens": [4],
-                 "gen_tokens": [2]})
     with pytest.raises(ValueError, match="arrival_s"):
-        list(bad)
+        Trace({"req_id": [0], "arrival_s": [-1.0], "prompt_tokens": [4],
+               "gen_tokens": [2]})
 
 
 @pytest.mark.parametrize("scenario", ["bursty", "conversational"])
