@@ -6,10 +6,15 @@ what the bit-exactness tests need but is far too slow for sweeping whole
 transformer models (a single GPT-6.7B FFN projection is a
 ``[M, 4096] x [4096, 16384]`` GEMM).  :func:`gemm_cost` produces the
 *identical* :class:`~repro.pim.upmem.ExecutionStats` from just the GEMM
-shape and the quantization scheme: it builds the same LUT objects the
-kernel would and routes them through the very same shared cost functions
-(``_lut_cost_stats`` / ``_naive_cost_stats``), so consistency with the
-functional kernels is structural, not coincidental.
+shape and the quantization scheme: it builds LUT objects with the same
+builders the kernel uses and routes them through the very same shared
+cost functions (``_lut_cost_stats`` / ``_naive_cost_stats``), so
+consistency with the functional kernels is structural, not coincidental.
+The LUTs depend only on the scheme's codecs, so each (scheme, kernel)
+pair builds its tables once and every GEMM shape reads them; the
+per-shape results are memoised on top.  Errors are never memoised, so
+the WRAM-overflow check runs on every call for a scheme whose LUTs do
+not fit.
 
 Example
 -------
@@ -64,6 +69,21 @@ def _dummy_operands(scheme: QuantScheme) -> tuple[QuantizedTensor, QuantizedTens
     return a, w
 
 
+@lru_cache(maxsize=64)
+def _scheme_luts(
+    scheme: QuantScheme, software_reorder: bool
+) -> tuple[CanonicalLut, ReorderingLut | None]:
+    """The scheme's canonical and reordering LUTs, built once per kernel.
+
+    The tables depend only on the codecs, never on the GEMM shape, so
+    every shape costed under one (scheme, kernel) reads the same pair.
+    The reordering LUT is ``None`` for the software-reorder kernel.
+    """
+    activations, weights = _dummy_operands(scheme)
+    rlut = None if software_reorder else ReorderingLut.build(scheme.weight_bits)
+    return CanonicalLut.build(weights, activations), rlut
+
+
 @lru_cache(maxsize=65536)
 def _cached_cost(
     scheme: QuantScheme, m: int, k: int, n: int, kernel: str, config: UpmemConfig
@@ -73,10 +93,8 @@ def _cached_cost(
     if kernel == "naive_pim_gemm":
         _check_naive_codecs(scheme.activation_codec, scheme.weight_codec)
         return _naive_cost_stats(system, scheme.activation_bits, m, k, n)
-    activations, weights = _dummy_operands(scheme)
     software_reorder = kernel == "software_reorder_gemm"
-    rlut = None if software_reorder else ReorderingLut.build(scheme.weight_bits)
-    clut = CanonicalLut.build(weights, activations)
+    clut, rlut = _scheme_luts(scheme, software_reorder)
     return _lut_cost_stats(
         system,
         clut,

@@ -48,8 +48,10 @@ class DramBank:
     capacity_bytes:
         Total bank capacity (64 MB per DPU on the evaluated platform).
     row_bytes:
-        Row-buffer width; a streaming access touching ``n`` bytes opens
-        ``ceil`` of the spanned rows once each.
+        Row-buffer width; a streaming access opens each row it spans
+        once, except a first row that is already open (a hit).  The
+        accounting is O(1) per access however many rows it spans (see
+        :meth:`_touch_rows`).
     """
 
     capacity_bytes: int = 64 * 1024 * 1024
@@ -77,16 +79,24 @@ class DramBank:
             )
 
     def _touch_rows(self, address: int, nbytes: int) -> None:
+        """Account one access's spanned rows through the row buffer.
+
+        Equal to visiting each spanned row in order (hit if it is the
+        open row, else miss and open it), in O(1): the rows are distinct
+        and ascending, so only the first can hit the open row, every
+        later row misses the row just opened before it, and the access
+        leaves the last row open.
+        """
         if nbytes == 0:
             return
         first = address // self.row_bytes
         last = (address + nbytes - 1) // self.row_bytes
-        for row in range(first, last + 1):
-            if row == self.open_row:
-                self.stats.row_hits += 1
-            else:
-                self.stats.row_misses += 1
-                self.open_row = row
+        if first == self.open_row:
+            self.stats.row_hits += 1
+            self.stats.row_misses += last - first
+        else:
+            self.stats.row_misses += last - first + 1
+        self.open_row = last
 
     def read(self, address: int, nbytes: int) -> int:
         """Record a read; returns the number of row activations it caused."""

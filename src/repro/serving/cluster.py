@@ -79,8 +79,9 @@ class Deployment:
     ------
     ValueError
         If the packed weights of the model/scheme do not leave any MRAM
-        for KV cache on a replica (same contract as
-        :func:`~repro.serving.engine.driver.simulate_trace`).
+        for KV cache on a replica, or if a scheme cannot run on the
+        config's kernel (same contract as
+        :func:`~repro.serving.engine.driver.replica_budget`).
     """
 
     def __init__(

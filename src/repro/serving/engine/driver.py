@@ -6,7 +6,8 @@ collected through the same three functions:
 
 * :func:`replica_budget` resolves a config's model, scheme policy and
   energy model into the cost-spine arguments, the packed weight bytes
-  and the KV capacity left in a replica's MRAM;
+  and the KV capacity left in a replica's MRAM, and refuses a scheme
+  the config's kernel cannot run;
 * :func:`make_engine` builds the engine ``config.engine`` selects and
   arms it with a fault plan;
 * :func:`collect_result` turns drained engines into one
@@ -25,9 +26,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.kernels.cost import gemm_cost
 from repro.model.config import get_model_config
 from repro.model.cost import policy_weight_bytes
 from repro.model.policy import SchemePolicy
+from repro.pim.buffer import BufferOverflowError
 from repro.pim.energy import EnergyModel
 from repro.pim.upmem import UpmemConfig, UpmemSystem
 from repro.serving.engine.config import ServingConfig
@@ -60,7 +63,10 @@ def replica_budget(
     Raises
     ------
     ValueError
-        If the packed weights leave no MRAM for KV cache.
+        If the packed weights leave no MRAM for KV cache, or if a
+        scheme the policy resolves to cannot run on ``config.kernel``
+        (its LUTs overflow WRAM, or the naive kernel rejects its
+        codecs).
     """
     model = get_model_config(config.model)
     if scheme_policy is None:
@@ -70,16 +76,35 @@ def replica_budget(
     system = UpmemSystem(
         UpmemConfig(num_ranks=1, dpus_per_rank=config.dpus_per_rank)
     )
+    owner = f"deployment {name!r}: " if name is not None else ""
     weight_bytes = policy_weight_bytes(model, scheme_policy)
     mram_total = config.dpus_per_rank * system.timings.mram_bytes
     kv_capacity = mram_total - weight_bytes
     if kv_capacity <= 0:
-        owner = f"deployment {name!r}: " if name is not None else ""
         raise ValueError(
             f"{owner}packed weights ({weight_bytes} B) exceed a replica's "
             f"MRAM ({mram_total} B); use more DPUs per rank or a narrower "
             f"scheme"
         )
+    # Cost each distinct scheme once, on the first batch-1 decode weight
+    # GEMM it governs.  The LUT kernels' WRAM check does not depend on
+    # the shape, so a scheme that overflows here would overflow at the
+    # run's first prefill; the costs land in the gemm_cost memo the run
+    # reads.
+    checked = set()
+    for layer in range(model.num_layers):
+        for projection, (k, n) in model.projection_shapes().items():
+            scheme = scheme_policy.scheme_for(layer, projection)
+            if scheme in checked:
+                continue
+            checked.add(scheme)
+            try:
+                gemm_cost(scheme, 1, k, n, system=system, kernel=config.kernel)
+            except BufferOverflowError as exc:
+                raise ValueError(
+                    f"{owner}scheme {scheme.name} cannot run on kernel "
+                    f"{config.kernel!r}: {exc}"
+                ) from exc
     cost_args = (model, scheme_policy, system, config.kernel, energy_model)
     return cost_args, weight_bytes, kv_capacity
 
@@ -189,8 +214,10 @@ def simulate_trace(
     ------
     ValueError
         If the packed weights of the model/policy do not leave any MRAM
-        for KV cache on a replica, or if ``config.engine`` cannot run
-        the given tracer, profiler, policy or fault plan.
+        for KV cache on a replica, if a scheme of the policy cannot run
+        on ``config.kernel`` (see :func:`replica_budget`), or if
+        ``config.engine`` cannot run the given tracer, profiler, policy
+        or fault plan.  All are raised before any request is simulated.
     """
     trace = Trace.of(trace).ordered()
     config = config if config is not None else ServingConfig()

@@ -1,6 +1,9 @@
 """Tests for the per-DPU substrate: DramBank, LocalBuffer, DpuProcessor,
 TransferModel and EnergyModel."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.pim import (
@@ -55,6 +58,79 @@ class TestDramBank:
         bank.read(0, 8)
         bank.reset_stats()
         assert bank.stats.reads == 0 and bank.open_row is None
+
+
+class _WalkingBank(DramBank):
+    """Reference bank: the per-row walk the O(1) accounting replaced."""
+
+    def _touch_rows(self, address, nbytes):
+        if nbytes == 0:
+            return
+        first = address // self.row_bytes
+        last = (address + nbytes - 1) // self.row_bytes
+        for row in range(first, last + 1):
+            if row == self.open_row:
+                self.stats.row_hits += 1
+            else:
+                self.stats.row_misses += 1
+                self.open_row = row
+
+
+def _bank_access(rng, bank):
+    """One seeded ``(address, nbytes)`` drawn from the edge-case mix."""
+    cap, row = bank.capacity_bytes, bank.row_bytes
+    kind = rng.integers(7)
+    if kind == 0:  # zero-byte access
+        return int(rng.integers(cap + 1)), 0
+    if kind == 1:  # inside a single row
+        start = int(rng.integers(cap // row)) * row
+        lo = int(rng.integers(row))
+        return start + lo, int(rng.integers(1, row - lo + 1))
+    if kind == 2:  # row-aligned, whole rows
+        rows = int(rng.integers(1, cap // row + 1))
+        start = int(rng.integers(cap // row - rows + 1)) * row
+        return start, rows * row
+    if kind == 3:  # the last byte of the bank
+        return cap - 1, 1
+    if kind == 4:  # starts in the open row (a first-row hit), spans on
+        base = bank.open_row if bank.open_row is not None else 0
+        address = base * row + int(rng.integers(row))
+        return address, int(rng.integers(0, cap - address + 1))
+    if kind == 5:  # runs to the end of the bank
+        address = int(rng.integers(cap))
+        return address, cap - address
+    address = int(rng.integers(cap))
+    return address, int(rng.integers(0, cap - address + 1))
+
+
+@pytest.mark.parametrize("row_bytes", [1, 64, 8192])
+@pytest.mark.parametrize("seed", range(4))
+def test_dram_row_accounting_matches_per_row_walk(row_bytes, seed):
+    rng = np.random.default_rng(seed)
+    cap = row_bytes * 48
+    fast = DramBank(capacity_bytes=cap, row_bytes=row_bytes)
+    walk = _WalkingBank(capacity_bytes=cap, row_bytes=row_bytes)
+    hits = misses = 0
+    for _ in range(600):
+        op = rng.choice(["read", "write", "read", "write", "precharge", "reset"])
+        if op == "precharge":
+            fast.precharge()
+            walk.precharge()
+        elif op == "reset":
+            hits += fast.stats.row_hits
+            misses += fast.stats.row_misses
+            fast.reset_stats()
+            walk.reset_stats()
+        else:
+            address, nbytes = _bank_access(rng, fast)
+            assert getattr(fast, op)(address, nbytes) == getattr(walk, op)(
+                address, nbytes
+            )
+        assert fast.open_row == walk.open_row
+        assert dataclasses.asdict(fast.stats) == dataclasses.asdict(walk.stats)
+    # The mix must exercise both outcomes of the first row.
+    assert hits + fast.stats.row_hits > 0
+    assert misses + fast.stats.row_misses > 0
 
 
 class TestLocalBuffer:

@@ -56,6 +56,17 @@ def test_cli_rejects_bad_arguments(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_rejects_scheme_that_cannot_run_on_the_kernel(capsys):
+    """A scheme whose LUTs overflow WRAM is a usage error, not a crash."""
+    for flags in (["--scheme", "W8A8"],
+                  ["--cluster", "--deployments", "gpt-125m:W8A8"]):
+        assert main(["--requests", "5", "--quiet"] + flags) == 2, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "W8A8" in err, err
+    assert main(["--kernel", "naive_pim_gemm", "--scheme", "W8A8",
+                 "--requests", "4", "--quiet"]) == 0
+
+
 def test_cli_rejects_nonsensical_numeric_inputs(capsys):
     """Negative/zero numeric flags exit 2 with a message naming the flag
     (not an internal dataclass field) and no traceback."""

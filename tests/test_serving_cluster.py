@@ -4,6 +4,7 @@ session stickiness, observability and the cluster tables."""
 import pytest
 
 from repro.experiments.tables import cluster_table
+from repro.model.policy import SchemePolicy
 from repro.obs import RecordingTracer
 from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.obs.tracer import CLUSTER_KINDS, EVENT_KINDS, LIFECYCLE_KINDS
@@ -162,6 +163,38 @@ def test_deployment_rejects_weights_larger_than_mram():
     with pytest.raises(ValueError, match="packed weights"):
         Deployment(ServingConfig(model="gpt-6.7b", num_ranks=1,
                                  dpus_per_rank=1))
+
+
+@pytest.mark.parametrize("kernel", ["lut_gemm", "software_reorder_gemm"])
+def test_scheme_overflowing_wram_is_rejected_at_sizing(kernel, monkeypatch):
+    import repro.serving.engine.driver as driver
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built for an unrunnable scheme")
+
+    monkeypatch.setattr(driver, "make_engine", no_engine)
+    config = ServingConfig(model="gpt-125m", scheme="W8A8", kernel=kernel)
+    with pytest.raises(ValueError, match="W8A8") as info:
+        simulate_trace(_trace(1, requests=4), config)
+    assert kernel in str(info.value) and "WRAM" in str(info.value)
+    assert isinstance(info.value.__cause__, MemoryError)
+    with pytest.raises(ValueError, match="deployment 'wide': scheme W8A8"):
+        Deployment(config, name="wide")
+
+
+def test_mixed_policy_names_the_overflowing_scheme():
+    policy = SchemePolicy("W2A2", layer_overrides={5: "W8A8"})
+    with pytest.raises(ValueError, match="scheme W8A8 cannot run on kernel "
+                                         "'lut_gemm'"):
+        Deployment(ServingConfig(model="gpt-125m"), scheme_policy=policy)
+
+
+def test_naive_kernel_still_serves_w8a8():
+    config = ServingConfig(model="gpt-125m", scheme="W8A8",
+                           kernel="naive_pim_gemm")
+    result = simulate_trace(_trace(1, requests=4), config)
+    assert len(result.records) == 4
+    assert Deployment(config).kv_capacity == result.kv_capacity_bytes
 
 
 # ---------------------------------------------------------------------------
