@@ -15,9 +15,7 @@ would export to its monitoring stack, reconstructed for the simulator:
   and flat timeline rows, plus the CI schema validator,
 * :mod:`repro.obs.replay` — the correctness oracle: rebuild a full
   :class:`~repro.serving.engine.records.ServingResult` (and the cluster's
-  fault-recovery counters) from the event stream alone,
-* :mod:`repro.obs.profile` — wall-clock self-profiling of the engines'
-  own phases.
+  fault-recovery counters) from the event stream alone.
 """
 
 from repro.obs.registry import (
@@ -44,7 +42,6 @@ from repro.obs.export import (
     write_timeline,
 )
 from repro.obs.replay import replay_result
-from repro.obs.profile import SelfProfiler
 
 __all__ = [
     "Counter",
@@ -65,5 +62,4 @@ __all__ = [
     "write_chrome_trace",
     "write_timeline",
     "replay_result",
-    "SelfProfiler",
 ]

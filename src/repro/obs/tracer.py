@@ -262,6 +262,10 @@ class RecordingTracer(Tracer):
             raise ValueError(
                 f"unknown trace level {level!r}; expected one of {TRACE_LEVELS}"
             )
+        if max_series_samples < 2:
+            raise ValueError(
+                f"max_series_samples must be >= 2, got {max_series_samples}"
+            )
         self.level = level
         self.wants_engine_detail = level == "full"
         self.events: List[TraceEvent] = []

@@ -111,14 +111,21 @@ def _code_value_table(exponent_bits: int, mantissa_bits: int) -> np.ndarray:
 
 
 def _nearest_codes(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Return, for each value, the index of the nearest table entry."""
+    """Return, for each value, the index of the nearest table entry.
+
+    A value halfway between two entries rounds to the one with an even
+    code (round half to even): a code's lowest bit is its mantissa's
+    lowest bit, or its exponent's when there are no mantissa bits.
+    """
     order = np.argsort(table)
     sorted_table = table[order]
     pos = np.searchsorted(sorted_table, values)
     pos = np.clip(pos, 1, len(sorted_table) - 1)
-    left = sorted_table[pos - 1]
-    right = sorted_table[pos]
-    choose_right = (values - left) > (right - values)
+    left_gap = values - sorted_table[pos - 1]
+    right_gap = sorted_table[pos] - values
+    choose_right = (left_gap > right_gap) | (
+        (left_gap == right_gap) & (order[pos] % 2 == 0)
+    )
     nearest_sorted = np.where(choose_right, pos, pos - 1)
     return order[nearest_sorted].astype(np.int64)
 

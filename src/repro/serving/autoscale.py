@@ -57,13 +57,15 @@ class AutoscalerConfig:
                 f"max_replicas ({self.max_replicas}) must be >= "
                 f"min_replicas ({self.min_replicas})"
             )
-        if self.queue_low < 0 or self.queue_high <= self.queue_low:
+        if not 0.0 <= self.queue_low < self.queue_high < math.inf:
             raise ValueError(
-                f"need 0 <= queue_low < queue_high, got "
+                f"need 0 <= queue_low < queue_high < inf, got "
                 f"queue_low={self.queue_low}, queue_high={self.queue_high}"
             )
-        if self.interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {self.interval_s}")
+        if not 0.0 < self.interval_s < math.inf:
+            raise ValueError(
+                f"interval_s must be finite and > 0, got {self.interval_s}"
+            )
 
 
 class Autoscaler:

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -334,15 +335,19 @@ def _validate_cluster_args(args: argparse.Namespace) -> None:
             raise ValueError(
                 f"--crash-rate must be in [0, 1], got {args.crash_rate}"
             )
-        if args.stall is not None and args.stall < 0:
-            raise ValueError(f"--stall must be >= 0, got {args.stall}")
+        if args.stall is not None and not 0.0 <= args.stall < math.inf:
+            raise ValueError(
+                f"--stall must be finite and >= 0, got {args.stall}"
+            )
         if args.retry_max is not None and args.retry_max < 0:
             raise ValueError(
                 f"--retry-max must be >= 0, got {args.retry_max}"
             )
-        if args.retry_backoff is not None and args.retry_backoff <= 0:
+        if (args.retry_backoff is not None
+                and not 0.0 < args.retry_backoff < math.inf):
             raise ValueError(
-                f"--retry-backoff must be positive, got {args.retry_backoff}"
+                f"--retry-backoff must be finite and positive, got "
+                f"{args.retry_backoff}"
             )
         if args.shed_tier is not None and args.shed_tier < 0:
             raise ValueError(
@@ -360,9 +365,11 @@ def _validate_cluster_args(args: argparse.Namespace) -> None:
         )
     if args.scale_max is not None and args.scale_max < 1:
         raise ValueError(f"--scale-max must be >= 1, got {args.scale_max}")
-    if args.scale_interval is not None and args.scale_interval <= 0:
+    if (args.scale_interval is not None
+            and not 0.0 < args.scale_interval < math.inf):
         raise ValueError(
-            f"--scale-interval must be positive, got {args.scale_interval}"
+            f"--scale-interval must be finite and positive, got "
+            f"{args.scale_interval}"
         )
 
 

@@ -115,7 +115,6 @@ class Deployment:
         self._place = 0  # intra-deployment round-robin counter
         self._session_engine: Dict[int, _RankEngine] = {}
         self._tracer = None
-        self._profiler = None
         # Fault seams, wired by the cluster in fault mode only: the
         # plan applied to each new replica, the crash harvest callback
         # handed to every engine, and the failover notifier for sticky
@@ -137,8 +136,7 @@ class Deployment:
             self.cost_cache = _CostCache(*self._cost_args)
         engine = make_engine(
             rank, self.cost_cache, self.config, self.kv_capacity,
-            self.sched_policy, tracer=self._tracer, profiler=self._profiler,
-            faults=self._fault_plan,
+            self.sched_policy, tracer=self._tracer, faults=self._fault_plan,
         )
         engine.clock = ready_s
         if self._fault_plan is not None:
@@ -432,7 +430,6 @@ class Cluster:
         router: Union[str, RoutingPolicy] = "round_robin",
         autoscaler=None,
         tracer=None,
-        profiler=None,
         faults: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         shed_tier: Optional[int] = None,
@@ -491,7 +488,6 @@ class Cluster:
                 deployment.cost_cache = spines[key]
         for deployment in self.deployments:
             deployment._tracer = tracer
-            deployment._profiler = profiler
             if self._fault_mode:
                 deployment._fault_plan = faults
                 deployment._on_crash = self._crash_collector(deployment)
@@ -820,7 +816,6 @@ def simulate_cluster(
     router: Union[str, RoutingPolicy] = "round_robin",
     autoscaler=None,
     tracer=None,
-    profiler=None,
     faults: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     shed_tier: Optional[int] = None,
@@ -838,6 +833,6 @@ def simulate_cluster(
     """
     return Cluster(
         deployments, router=router, autoscaler=autoscaler,
-        tracer=tracer, profiler=profiler, faults=faults,
+        tracer=tracer, faults=faults,
         retry_policy=retry_policy, shed_tier=shed_tier,
     ).run(trace)

@@ -53,8 +53,7 @@ class ServingConfig:
         structure-of-arrays event core — identical event semantics over
         columnar request state, ~an order of magnitude faster on
         million-request traces; does not support the prefix cache,
-        engine tracing, the self-profiler, custom policies or fault
-        plans).
+        engine tracing, custom policies or fault plans).
     prefix_cache:
         Enable the per-rank KV :class:`~repro.serving.engine.cache.PrefixCache`
         (off by default; when off the simulator is bit-identical to the

@@ -116,7 +116,6 @@ def make_engine(
     kv_capacity: int,
     policy: SchedulingPolicy,
     tracer=None,
-    profiler=None,
     faults=None,
 ):
     """Build the rank engine selected by ``config.engine``.
@@ -127,14 +126,14 @@ def make_engine(
     :class:`~repro.serving.faults.FaultPlan`) that target ``rank``;
     ``"soa"`` the columnar
     :class:`~repro.serving.engine.soa_engine._SoaEngine`, which rejects
-    a tracer, a profiler, a custom policy and any non-empty plan.  Both
+    a tracer, a custom policy and any non-empty plan.  Both
     expose the same incremental API (``submit`` / ``advance`` /
     ``finalize`` / ``run`` / ``has_work`` / ``queue_depth`` /
     ``next_event_s`` / ``records`` / ``retired``).
     """
     cls = _SoaEngine if config.engine == "soa" else _RankEngine
     return cls(rank, cache, config, kv_capacity, policy,
-               tracer=tracer, profiler=profiler, faults=faults)
+               tracer=tracer, faults=faults)
 
 
 def collect_result(
@@ -179,7 +178,6 @@ def simulate_trace(
     energy_model: Optional[EnergyModel] = None,
     sched_policy: Optional[SchedulingPolicy] = None,
     tracer=None,
-    profiler=None,
     faults=None,
 ) -> ServingResult:
     """Simulate serving ``trace`` under ``config``; returns the full result.
@@ -198,17 +196,18 @@ def simulate_trace(
     ``sched_policy`` overrides the scheduling policy named by
     ``config.policy`` (useful for pre-configured policy instances).
     ``tracer`` (a :class:`repro.obs.tracer.Tracer`, e.g. the recording
-    tracer) receives every engine lifecycle event; ``profiler`` (a
-    :class:`repro.obs.profile.SelfProfiler`) accumulates the engines'
-    own wall-clock phase times.  Both default to off with no hot-path
-    cost beyond one branch per scheduler event.  ``faults`` (a
+    tracer) receives every engine lifecycle event; it defaults to off
+    with no hot-path cost beyond one branch per emission site.  The
+    engines time nothing themselves: ``tools/bench.py`` attributes
+    their host wall clock by wrapping engine methods in spans from
+    outside.  ``faults`` (a
     :class:`~repro.serving.faults.FaultPlan`) injects crashes, stalls
     and degradations into the replica engines *without* a recovery
     layer — lost requests end ``failed`` (the cluster layer adds
     retries).  A traced faulted run records each stall and degrade
     window once, as scheduled
     (:meth:`~repro.serving.faults.FaultPlan.trace_windows`).  The soa
-    engine accepts none of the three (see :func:`make_engine`).
+    engine accepts neither (see :func:`make_engine`).
 
     Raises
     ------
@@ -216,8 +215,8 @@ def simulate_trace(
         If the packed weights of the model/policy do not leave any MRAM
         for KV cache on a replica, if a scheme of the policy cannot run
         on ``config.kernel`` (see :func:`replica_budget`), or if
-        ``config.engine`` cannot run the given tracer, profiler, policy
-        or fault plan.  All are raised before any request is simulated.
+        ``config.engine`` cannot run the given tracer, policy or fault
+        plan.  All are raised before any request is simulated.
     """
     trace = Trace.of(trace).ordered()
     config = config if config is not None else ServingConfig()
@@ -239,7 +238,7 @@ def simulate_trace(
     engines = []
     for rank in range(num_ranks):
         engine = make_engine(rank, cache, config, kv_capacity, sched_policy,
-                             tracer=tracer, profiler=profiler, faults=faults)
+                             tracer=tracer, faults=faults)
         mask = ranks == rank
         if config.engine == "soa":
             engine.submit_columns(

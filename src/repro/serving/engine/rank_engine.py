@@ -36,7 +36,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,7 +101,6 @@ class _RankEngine:
         kv_capacity: int,
         policy: SchedulingPolicy,
         tracer=None,
-        profiler=None,
         faults=None,
     ) -> None:
         self.cache = cache
@@ -118,7 +116,6 @@ class _RankEngine:
         self._detail = (
             self._trace is not None and self._trace.wants_engine_detail
         )
-        self.profiler = profiler
         self.stats = RankStats(rank=rank)
         self.records: List[RequestRecord] = []
         self.pending: deque = deque()
@@ -824,7 +821,6 @@ class _RankEngine:
         from the segment's first iteration boundary, computed exactly
         the way :meth:`_decode_iteration` would.
         """
-        costing_t0 = perf_counter() if self.profiler is not None else 0.0
         packed = self._packed()
         if packed:
             tokens = int(self._left.min())
@@ -864,8 +860,6 @@ class _RankEngine:
                 energy += attn_energy
         if self._has_faults:
             latency *= self._fault_factor()
-        if self.profiler is not None:
-            self.profiler.add("segment_costing", perf_counter() - costing_t0)
         if packed:
             fresh = [self.running[i] for i in self._fresh]
             self._fresh = []
@@ -915,28 +909,17 @@ class _RankEngine:
 
     def _step(self) -> None:
         """One scheduler iteration: collect, admit, prefill, advance decode."""
-        prof = self.profiler
-        if prof is not None:
-            t0 = perf_counter()
         self._collect_arrivals()
         self._admit()
         if self._detail:
             self._trace.sample(self.clock, self.rank, self.kv_used,
                                len(self.running), len(self.ready))
-        if prof is not None:
-            t1 = perf_counter()
-            prof.add("admission", t1 - t0)
         self._prefill_stage()
-        if prof is not None:
-            t2 = perf_counter()
-            prof.add("prefill", t2 - t1)
         if self.running:
             if self._event_driven and not self.prefilling:
                 self._decode_segment()
             else:
                 self._decode_iteration()
-            if prof is not None:
-                prof.add("decode", perf_counter() - t2)
         elif not self.prefilling and self.pending:
             # Idle: jump to the next arrival.
             self.clock = max(self.clock, self.pending[0].request.arrival_s)

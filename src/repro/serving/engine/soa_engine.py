@@ -47,9 +47,9 @@ loop.
 
 Not supported (use the object engines): the KV prefix cache
 (:class:`~repro.serving.engine.config.ServingConfig` rejects it),
-engine tracing, the self-profiler, scheduling policies other than the
-four built-ins, and fault plans — the constructor raises
-``ValueError`` for each of the last four.
+engine tracing, scheduling policies other than the four built-ins, and
+fault plans — the constructor raises ``ValueError`` for each of the
+last three.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ class _SoaEngine:
         kv_capacity: int,
         policy: SchedulingPolicy,
         tracer=None,
-        profiler=None,
         faults=None,
     ) -> None:
         if tracer is not None and tracer.enabled:
@@ -134,11 +133,6 @@ class _SoaEngine:
                 "engine tracing requires an object engine "
                 "(engine='event' or 'loop'); the soa engine emits no "
                 "per-event trace"
-            )
-        if profiler is not None:
-            raise ValueError(
-                "the self-profiler requires an object engine "
-                "(engine='event' or 'loop')"
             )
         ptype = type(policy)
         if ptype is ChunkedPrefillPolicy:

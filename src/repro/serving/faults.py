@@ -38,6 +38,7 @@ all (the goldens pin this).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Tuple
@@ -82,20 +83,23 @@ class FaultSpec:
             )
         if self.rank < 0:
             raise ValueError(f"fault rank must be >= 0, got {self.rank}")
-        if self.t_s < 0:
-            raise ValueError(f"fault t_s must be >= 0, got {self.t_s}")
+        if not 0.0 <= self.t_s < math.inf:
+            raise ValueError(
+                f"fault t_s must be finite and >= 0, got {self.t_s}"
+            )
         if self.kind == "crash":
             if self.duration_s != 0.0:
                 raise ValueError(
                     f"a crash has no duration; got duration_s={self.duration_s}"
                 )
-        elif self.duration_s <= 0:
+        elif not 0.0 < self.duration_s < math.inf:
             raise ValueError(
-                f"{self.kind} needs duration_s > 0, got {self.duration_s}"
+                f"{self.kind} needs a finite duration_s > 0, got "
+                f"{self.duration_s}"
             )
-        if self.kind == "degrade" and self.factor <= 1.0:
+        if self.kind == "degrade" and not 1.0 < self.factor < math.inf:
             raise ValueError(
-                f"degrade factor must be > 1.0, got {self.factor}"
+                f"degrade factor must be finite and > 1.0, got {self.factor}"
             )
 
 
@@ -195,10 +199,12 @@ class FaultPlan:
             raise ValueError(
                 f"degrade_rate must be in [0, 1], got {degrade_rate}"
             )
-        if stall_s < 0:
-            raise ValueError(f"stall_s must be >= 0, got {stall_s}")
-        if horizon_s <= 0:
-            raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
+        if not 0.0 <= stall_s < math.inf:
+            raise ValueError(f"stall_s must be finite and >= 0, got {stall_s}")
+        if not 0.0 < horizon_s < math.inf:
+            raise ValueError(
+                f"horizon_s must be finite and > 0, got {horizon_s}"
+            )
         rng = random.Random(seed)
         specs = []
         for rank in ranks:
@@ -242,16 +248,20 @@ class RetryPolicy:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff_base_s <= 0:
+        if not 0.0 < self.backoff_base_s < math.inf:
             raise ValueError(
-                f"backoff_base_s must be > 0, got {self.backoff_base_s}"
+                f"backoff_base_s must be finite and > 0, got "
+                f"{self.backoff_base_s}"
             )
-        if self.backoff_mult < 1.0:
+        if not 1.0 <= self.backoff_mult < math.inf:
             raise ValueError(
-                f"backoff_mult must be >= 1.0, got {self.backoff_mult}"
+                f"backoff_mult must be finite and >= 1.0, got "
+                f"{self.backoff_mult}"
             )
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        if not 0.0 <= self.jitter < math.inf:
+            raise ValueError(
+                f"jitter must be finite and >= 0, got {self.jitter}"
+            )
 
     def backoff_s(self, req_id: int, attempt: int) -> float:
         """Backoff before re-submission ``attempt`` (1-based) of a request.

@@ -1,4 +1,8 @@
-"""Tracer hook surface, recording levels and the self-profiler."""
+"""Tracer hook surface and recording levels.
+
+Host wall-clock attribution is not the tracer's job: see
+``tests/test_bench_spans.py`` for the span breakdown.
+"""
 
 import pytest
 
@@ -8,7 +12,6 @@ from repro.obs import (
     LIFECYCLE_KINDS,
     TRACE_LEVELS,
     RecordingTracer,
-    SelfProfiler,
     Tracer,
 )
 from repro.serving import (
@@ -66,6 +69,12 @@ def test_recording_tracer_rejects_unknown_level():
     with pytest.raises(ValueError, match="trace level"):
         RecordingTracer("verbose")
     assert set(TRACE_LEVELS) == {"lifecycle", "full"}
+
+
+def test_recording_tracer_rejects_tiny_series_cap():
+    # Refused up front, not by the first sampled series mid-run.
+    with pytest.raises(ValueError, match="max_series_samples"):
+        RecordingTracer(max_series_samples=1)
 
 
 def test_lifecycle_kinds_exclude_decode_segment():
@@ -172,24 +181,3 @@ def test_events_for_and_lifecycle_by_request():
         e.req_id is None for e in tracer.events_for(None)
     )
 
-
-def test_self_profiler_phases_and_shares():
-    prof = SelfProfiler()
-    trace = generate_trace(TraceSpec(num_requests=16, seed=0))
-    simulate_trace(trace, ServingConfig(model="gpt-125m"), profiler=prof)
-    report = prof.report()
-    assert {"admission", "prefill", "decode"} <= set(report["phases"])
-    assert report["total_s"] > 0.0
-    # segment_costing nests inside decode and is excluded from the total.
-    named = {p: v["wall_s"] for p, v in report["phases"].items()}
-    assert report["total_s"] == pytest.approx(
-        sum(v for p, v in named.items() if p != "segment_costing")
-    )
-    for phase, entry in report["phases"].items():
-        assert entry["calls"] >= 1
-        assert entry["wall_s"] >= 0.0
-
-
-def test_self_profiler_empty_report():
-    report = SelfProfiler().report()
-    assert report == {"total_s": 0.0, "phases": {}}

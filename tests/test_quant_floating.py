@@ -56,6 +56,26 @@ class TestQuantize:
         for v, r in zip(values, recon):
             assert abs(v - r) <= np.min(np.abs(table - v)) + 1e-15
 
+    @pytest.mark.parametrize("codec", [FP4, FP8_E4M3], ids=lambda c: c.name)
+    def test_ties_round_half_to_even(self, codec):
+        table = codec.code_values()
+        levels = np.unique(table)
+        midpoints = (levels[:-1] + levels[1:]) / 2
+        # The largest magnitude pins the scale at 1.
+        qt = codec.quantize(np.append(midpoints, levels[-1]))
+        assert qt.scale == 1.0
+        codes = qt.codes[:-1]
+        assert np.all(codes % 2 == 0)
+        got = table[codes]
+        assert np.all((got == levels[:-1]) | (got == levels[1:]))
+
+    def test_e4m3_tie_goes_to_even_mantissa(self):
+        top = FP8_E4M3.code_values().max()
+        qt = FP8_E4M3.quantize(np.array([1.1875, -1.1875, top]))
+        # 1.1875 sits halfway between 1.125 (mantissa 1) and 1.25 (2).
+        assert qt.codes[0] == 58
+        assert list(qt.dequantize()[:2]) == [1.25, -1.25]
+
     def test_empty_tensor(self):
         qt = FP4.quantize(np.array([]))
         assert qt.codes.shape == (0,) and qt.scale == 1.0

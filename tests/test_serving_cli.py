@@ -91,11 +91,16 @@ def test_cli_rejects_nonsensical_numeric_inputs(capsys):
         (["--think-time", "-1"], "--think-time"),
         (["--prompt-pool", "-1"], "--prompt-pool"),
         (["--system-prompt-tokens", "-1"], "--system-prompt-tokens"),
+        (["--cluster", "--faults", "7", "--stall", "nan"], "--stall"),
+        (["--cluster", "--faults", "7", "--retry-backoff", "nan"],
+         "--retry-backoff"),
+        (["--cluster", "--autoscale", "--scale-interval", "nan"],
+         "--scale-interval"),
     ]
     for flags, name in cases:
         assert main(["--model", "gpt-125m", "--quiet"] + flags) == 2, flags
         err = capsys.readouterr().err
-        assert name in err, (flags, err)
+        assert err.startswith("error:") and name in err, (flags, err)
         assert "Traceback" not in err
 
 

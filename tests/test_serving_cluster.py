@@ -1,6 +1,8 @@
 """Cluster layer: routing invariants across seeds, autoscaler accounting,
 session stickiness, observability and the cluster tables."""
 
+import math
+
 import pytest
 
 from repro.experiments.tables import cluster_table
@@ -308,6 +310,11 @@ def test_end_to_end_autoscaled_run_has_scale_events():
     {"queue_low": -1.0},
     {"queue_high": 1.0, "queue_low": 1.0},
     {"interval_s": 0.0},
+    {"interval_s": math.nan},
+    {"interval_s": math.inf},
+    {"queue_low": math.nan},
+    {"queue_high": math.nan},
+    {"queue_high": math.inf},
 ])
 def test_autoscaler_config_validation(kwargs):
     with pytest.raises(ValueError):

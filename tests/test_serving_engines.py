@@ -345,16 +345,13 @@ def test_soa_rejects_prefix_cache():
         ServingConfig(engine="soa", prefix_cache=True)
 
 
-def test_soa_rejects_tracing_and_profiling():
-    from repro.obs.profile import SelfProfiler
+def test_soa_rejects_tracing():
     from repro.obs.tracer import RecordingTracer
 
     trace = generate_trace(TraceSpec(num_requests=4, seed=0))
     config = ServingConfig(model="gpt-125m", num_ranks=1, engine="soa")
     with pytest.raises(ValueError, match="tracing"):
         simulate_trace(trace, config, tracer=RecordingTracer())
-    with pytest.raises(ValueError, match="profiler"):
-        simulate_trace(trace, config, profiler=SelfProfiler())
 
 
 def test_soa_rejects_custom_policies():

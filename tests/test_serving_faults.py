@@ -73,6 +73,26 @@ def test_fault_spec_validation():
         FaultSpec("degrade", 0, 1.0, duration_s=1.0, factor=1.0)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_fault_parameters_must_be_finite(bad):
+    # Each of these slipped past a `x < 0` check: a NaN degrade factor
+    # made a rank's busy time NaN and dropped its records, a NaN crash
+    # time never fired.
+    with pytest.raises(ValueError, match="t_s"):
+        FaultSpec("crash", 0, bad)
+    with pytest.raises(ValueError, match="duration_s > 0"):
+        FaultSpec("stall", 0, 1.0, duration_s=bad)
+    with pytest.raises(ValueError, match="factor"):
+        FaultSpec("degrade", 0, 1.0, duration_s=1.0, factor=bad)
+    with pytest.raises(ValueError, match="stall_s"):
+        FaultPlan.sample(0, range(2), 10.0, stall_s=bad)
+    with pytest.raises(ValueError, match="horizon_s"):
+        FaultPlan.sample(0, range(2), bad)
+    for field in ("backoff_base_s", "backoff_mult", "jitter"):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: bad})
+
+
 def test_fault_plan_sorts_specs_and_filters_by_rank():
     plan = FaultPlan((
         FaultSpec("stall", 1, 5.0, 1.0),

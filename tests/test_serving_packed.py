@@ -3,9 +3,8 @@
 From :data:`~repro.serving.engine.rank_engine.PACKED_MIN_BATCH` running
 requests up, the event engine keeps its batch as numpy columns and costs
 decode with dense-table gathers.  The packed path must not change a
-single bit: records, every ``RankStats`` field, the full tracer event
-stream (order and payloads) and the self-profiler's phase keys are
-compared *exactly* with the threshold forced to 1 (every batch packs),
+single bit: records, every ``RankStats`` field and the full tracer
+event stream (order and payloads) are compared *exactly* with the threshold forced to 1 (every batch packs),
 set mid-range (batches pack and unpack as they cross it) and set above
 any batch (nothing packs).  The grid covers every policy on steady,
 bursty and diurnal traffic over roomy and KV-starved deployments
@@ -19,7 +18,7 @@ import dataclasses
 import pytest
 
 import repro.serving.engine.rank_engine as rank_engine
-from repro.obs import RecordingTracer, SelfProfiler
+from repro.obs import RecordingTracer
 from repro.serving import (
     POLICIES,
     Autoscaler,
@@ -42,7 +41,7 @@ FORCED, MID, NEVER = 1, 3, 10**9
 
 
 def _observe(monkeypatch, threshold, run):
-    """Everything observable about ``run(tracer, profiler)`` at ``threshold``.
+    """Everything observable about ``run(tracer)`` at ``threshold``.
 
     Also returns whether any decode step took the packed path.
     """
@@ -56,8 +55,8 @@ def _observe(monkeypatch, threshold, run):
         return on
 
     monkeypatch.setattr(_RankEngine, "_packed", spy)
-    tracer, profiler = RecordingTracer("full"), SelfProfiler()
-    result = run(tracer, profiler)
+    tracer = RecordingTracer("full")
+    result = run(tracer)
     monkeypatch.undo()
     if hasattr(result, "deployments"):
         stats = [s for dep in result.deployments
@@ -71,7 +70,6 @@ def _observe(monkeypatch, threshold, run):
         [dataclasses.astuple(s) for s in stats],
         [(e.kind, e.t_s, e.rank, e.req_id, list(e.data.items()))
          for e in tracer.events],
-        sorted(profiler.phase_s),
     )
     return observed, any(packed), stats
 
@@ -83,7 +81,7 @@ def _assert_packed_identical(monkeypatch, run):
     for threshold in (FORCED, MID):
         got, packed, _ = _observe(monkeypatch, threshold, run)
         assert packed, f"threshold {threshold}: packed path never taken"
-        for part, a, b in zip(("records", "stats", "events", "phases"),
+        for part, a, b in zip(("records", "stats", "events"),
                               want, got):
             assert a == b, f"threshold {threshold}: {part} differ"
     return stats
@@ -115,18 +113,16 @@ def _config(policy, starved):
 def test_packed_matches_per_request(monkeypatch, policy, scenario, starved):
     trace = generate_trace(_spec(scenario, starved, seed=len(policy)))
     config = _config(policy, starved)
-    _assert_packed_identical(monkeypatch, lambda tracer, profiler:
-                             simulate_trace(trace, config, tracer=tracer,
-                                            profiler=profiler))
+    _assert_packed_identical(monkeypatch, lambda tracer:
+                             simulate_trace(trace, config, tracer=tracer))
 
 
 def test_packed_preemptions_fire_on_starved_rank(monkeypatch):
     # Guards the grid above against going vacuous on its hardest path.
     trace = generate_trace(_spec("bursty", True, seed=8))
     stats = _assert_packed_identical(
-        monkeypatch, lambda tracer, profiler: simulate_trace(
-            trace, _config("priority", True), tracer=tracer,
-            profiler=profiler))
+        monkeypatch, lambda tracer: simulate_trace(
+            trace, _config("priority", True), tracer=tracer))
     assert sum(s.preemptions for s in stats) > 0
 
 
@@ -139,9 +135,8 @@ def test_packed_matches_at_default_threshold_on_wide_batch(monkeypatch):
     config = ServingConfig(model="gpt-125m", num_ranks=1, dpus_per_rank=256,
                            max_batch=512)
 
-    def run(tracer, profiler):
-        return simulate_trace(trace, config, tracer=tracer,
-                              profiler=profiler)
+    def run(tracer):
+        return simulate_trace(trace, config, tracer=tracer)
 
     want, packed, _ = _observe(monkeypatch, NEVER, run)
     got, packed, _ = _observe(monkeypatch, rank_engine.PACKED_MIN_BATCH, run)
@@ -162,8 +157,8 @@ def test_packed_matches_with_prefix_cache(monkeypatch):
                            max_batch=16, policy="priority",
                            prefix_cache=True)
     stats = _assert_packed_identical(
-        monkeypatch, lambda tracer, profiler: simulate_trace(
-            trace, config, tracer=tracer, profiler=profiler))
+        monkeypatch, lambda tracer: simulate_trace(
+            trace, config, tracer=tracer))
     assert sum(s.cache_hits for s in stats) > 0
     assert sum(s.cache_evictions for s in stats) > 0
 
@@ -187,13 +182,12 @@ def _cluster_trace(seed):
 def test_packed_matches_in_autoscaled_least_kv_cluster(monkeypatch):
     trace = _cluster_trace(5)
 
-    def run(tracer, profiler):
+    def run(tracer):
         scaler = Autoscaler(AutoscalerConfig(
             max_replicas=3, queue_high=4.0, queue_low=1.0, interval_s=2.0,
         ))
         return simulate_cluster(trace, _deployments(), router="least_kv",
-                                autoscaler=scaler, tracer=tracer,
-                                profiler=profiler)
+                                autoscaler=scaler, tracer=tracer)
 
     _assert_packed_identical(monkeypatch, run)
 
@@ -206,14 +200,14 @@ def test_packed_matches_in_faulted_cluster(monkeypatch):
         FaultSpec("degrade", 1, 0.0, duration_s=1e6, factor=3.0),
     ))
 
-    def run(tracer, profiler):
+    def run(tracer):
         return simulate_cluster(trace, _deployments(), tracer=tracer,
-                                profiler=profiler, faults=plan,
+                                faults=plan,
                                 retry_policy=RetryPolicy(max_retries=5))
 
     _assert_packed_identical(monkeypatch, run)
     tracer = RecordingTracer("full")
-    run(tracer, None)
+    run(tracer)
     kinds = {e.kind for e in tracer.events}
     assert {"fault_crash", "retry"} <= kinds
 
@@ -221,10 +215,10 @@ def test_packed_matches_in_faulted_cluster(monkeypatch):
 def test_loop_engine_never_packs(monkeypatch):
     trace = generate_trace(_spec("bursty", False, seed=1))
     config = _config("fcfs", False)
-    _, packed, _ = _observe(monkeypatch, FORCED, lambda tracer, profiler:
+    _, packed, _ = _observe(monkeypatch, FORCED, lambda tracer:
                             simulate_trace(trace, dataclasses.replace(
                                 config, engine="loop")))
     assert not packed
-    _, packed, _ = _observe(monkeypatch, FORCED, lambda tracer, profiler:
+    _, packed, _ = _observe(monkeypatch, FORCED, lambda tracer:
                             simulate_trace(trace, config))
     assert packed

@@ -9,7 +9,8 @@ engine against the per-token loop engine on a long-generation trace,
 (f) the structure-of-arrays engine against the event engine on a
 1M-request wide-batch trace, (f') both engines across decode batch
 widths (the curve behind the event engine's packed-running-set
-threshold), (g) a 100k-request bursty scaling trace, (g') the
+threshold), (g) a 100k-request bursty scaling trace (plus tracing
+overhead and the span breakdown of the engine's host wall), (g') the
 results path of that run (metrics tables, request/trace rows and the
 JSON export, stage by stage)
 and (h) a 1M-request cluster run across eight heterogeneous
@@ -53,8 +54,10 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import ExitStack, contextmanager
 from datetime import datetime, timezone
 from typing import Optional
+from unittest.mock import patch
 
 TRACE_REQUESTS = 1000
 TRACE_BUDGET_S = 10.0
@@ -102,12 +105,66 @@ OBS_OVERHEAD_REPS = 4
 # their sum must stay inside the budget.
 RESULTS_PATH_REPS = 3
 RESULTS_PATH_BUDGET_S = 12.0
+# perfbench's span recorder (``spans.SpanRecorder`` and its ``SHIMS``
+# on the serving stack's public entry points) attributes host wall.
+PERFBENCH_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
+)
+#: ``(_RankEngine method, span layer)``: the object engine's scheduler
+#: phases, wrapped on top of ``SHIMS`` for the observability breakdown.
+ENGINE_PHASES = (
+    ("_collect_arrivals", "engine.admission"),
+    ("_admit", "engine.admission"),
+    ("_prefill_stage", "engine.prefill"),
+    ("_decode_segment", "engine.decode"),
+    ("_decode_iteration", "engine.decode"),
+)
 
 
 def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
+
+
+@contextmanager
+def engine_spans():
+    """Record host wall as spans for the duration of the ``with`` block.
+
+    Yields a fresh ``spans.SpanRecorder`` shimmed onto perfbench's
+    ``SHIMS`` and onto the :data:`ENGINE_PHASES` methods of
+    ``_RankEngine``; every original is restored on exit.
+    """
+    if PERFBENCH_DIR not in sys.path:
+        sys.path.insert(0, PERFBENCH_DIR)
+    import spans
+    from repro.serving.engine.rank_engine import _RankEngine
+
+    recorder = spans.SpanRecorder()
+    with ExitStack() as stack:
+        stack.enter_context(spans.recording(recorder))
+        for method, layer in ENGINE_PHASES:
+            wrapped = recorder.wrap(vars(_RankEngine)[method], layer)
+            stack.enter_context(patch.object(_RankEngine, method, wrapped))
+        yield recorder
+
+
+def span_layers(recorder) -> dict:
+    """``{layer: {calls, self_s, share}}`` from ``recorder``'s closed spans.
+
+    ``share`` is the layer's self time over the sum of all self times,
+    which is the total duration of the top-level spans.
+    """
+    totals = recorder.layer_totals()
+    total = sum(self_s for _, self_s in totals.values())
+    return {
+        layer: {
+            "calls": calls,
+            "self_s": self_s,
+            "share": self_s / total if total else 0.0,
+        }
+        for layer, (calls, self_s) in sorted(totals.items())
+    }
 
 
 def environment_meta() -> dict:
@@ -423,7 +480,7 @@ def bench_scaling() -> dict:
 
 
 def bench_observability() -> dict:
-    """Tracing overhead and the engines' self-profiled phase breakdown.
+    """Tracing overhead and the span breakdown of the engine's host wall.
 
     Three measurements: (a) the 100k-request scaling trace with a
     *disabled* tracer passed in — at runtime this is the same code path
@@ -433,13 +490,14 @@ def bench_observability() -> dict:
     the median of the per-pair wall ratios is the hot-path overhead
     gate; (b) a 20k-request slice with a full
     :class:`RecordingTracer`, reporting the absolute cost of recording
-    every lifecycle event plus sampled series; (c) a profiled
-    1000-request run whose :class:`SelfProfiler` report attributes the
-    engine's own wall clock to admission / prefill / decode /
-    segment-costing phases.
+    every lifecycle event plus sampled series; (c) a 1000-request run
+    under :func:`engine_spans`, whose self times attribute its host
+    wall clock to the engine's admission / prefill / decode phases,
+    the cost-table fills and the driver.
     """
-    from repro.obs import RecordingTracer, SelfProfiler, Tracer
+    from repro.obs import RecordingTracer, Tracer
     from repro.serving import ServingConfig, TraceSpec, generate_trace, simulate_trace
+    from repro.serving.engine import driver
 
     spec, config = _scaling_run()
     trace = generate_trace(spec)
@@ -462,10 +520,10 @@ def bench_observability() -> dict:
     tracer = RecordingTracer("full")
     _, traced_wall = _timed(lambda: simulate_trace(sub, config, tracer=tracer))
 
-    profiler = SelfProfiler()
-    prof_trace = generate_trace(TraceSpec(num_requests=TRACE_REQUESTS, seed=0))
-    simulate_trace(prof_trace, ServingConfig(model="gpt-1.3b"),
-                   profiler=profiler)
+    span_trace = generate_trace(TraceSpec(num_requests=TRACE_REQUESTS, seed=0))
+    with engine_spans() as recorder:
+        # Looked up on the module, so the driver's shim is the root span.
+        driver.simulate_trace(span_trace, ServingConfig(model="gpt-1.3b"))
     return {
         "requests": SCALING_REQUESTS,
         "overhead_reps": OBS_OVERHEAD_REPS,
@@ -479,7 +537,7 @@ def bench_observability() -> dict:
         "traced_untraced_wall_s": sub_wall,
         "traced_overhead_ratio": traced_wall / sub_wall if sub_wall else 0.0,
         "traced_events": len(tracer.events),
-        "profile": profiler.report(),
+        "spans": span_layers(recorder),
     }
 
 
