@@ -29,7 +29,8 @@ from repro.kernels.lut_gemm import (
     _finish_stats,
     lut_gemm,
 )
-from repro.pim.upmem import ExecutionStats, UpmemSystem
+from repro.pim.buffer import check_wram_capacity
+from repro.pim.upmem import ExecutionStats, UpmemConfig, UpmemSystem
 from repro.quant.tensor import QuantizedTensor
 
 __all__ = ["naive_pim_gemm", "software_reorder_gemm", "ablation_sweep"]
@@ -46,17 +47,18 @@ def _check_naive_codecs(activation_codec, weight_codec) -> None:
 
 
 def _naive_cost_stats(
-    system: UpmemSystem, activation_bits: int, m: int, k: int, n: int
+    config: UpmemConfig, activation_bits: int, m: int, k: int, n: int
 ) -> ExecutionStats:
     """Analytical cost of the naive int8-MAC baseline on the critical DPU.
 
     Shared by :func:`naive_pim_gemm` and the cost-only entry point
     (:func:`repro.kernels.cost.gemm_cost`), mirroring
-    :func:`repro.kernels.lut_gemm._lut_cost_stats`.
+    :func:`repro.kernels.lut_gemm._lut_cost_stats`; pure arithmetic on
+    ``config``.  No LUT is staged, so the whole WRAM tiles the streams.
     """
-    t = system.timings
+    t = config.timings
     stats = ExecutionStats(kernel="naive_pim_gemm")
-    n_dpus, cols = system.partition(n)
+    n_dpus, cols = config.partition(n)
     stats.n_dpus_used = n_dpus
     if n_dpus == 0 or m == 0 or k == 0:
         return stats
@@ -65,10 +67,11 @@ def _naive_cost_stats(
     stats.compute_s = stats.n_macs * t.int8_mac_latency_s
     stats.n_instructions = stats.n_macs * t.mac_instructions_int8
 
-    buffer = system.new_local_buffer()
+    check_wram_capacity(t.wram_bytes)
     weight_bytes = k * cols  # one byte per unpacked weight
     _finish_stats(
-        system, stats, buffer, weight_bytes, m, k, n, cols, _code_bytes(activation_bits)
+        config, stats, t.wram_bytes, weight_bytes, m, k, n, cols,
+        _code_bytes(activation_bits),
     )
     return stats
 
@@ -93,7 +96,8 @@ def naive_pim_gemm(
     acc = a_int @ w_int
     output = acc.astype(np.float64) * (activations.scale * weights.scale)
 
-    stats = _naive_cost_stats(system, activations.bits, m, k, n)
+    stats = _naive_cost_stats(system.config, activations.bits, m, k, n)
+    system.transfer.record(stats.host_bytes)
     return GemmResult(output=output, accumulator=acc, stats=stats)
 
 

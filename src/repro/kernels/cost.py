@@ -10,6 +10,14 @@ shape and the quantization scheme: it builds LUT objects with the same
 builders the kernel uses and routes them through the very same shared
 cost functions (``_lut_cost_stats`` / ``_naive_cost_stats``), so
 consistency with the functional kernels is structural, not coincidental.
+Those functions share one cost tail that is pure arithmetic on the
+:class:`~repro.pim.upmem.UpmemConfig`: WRAM staging follows the
+8-byte-aligned LUT sizes, the DRAM row activations of the kernel's
+three back-to-back accesses have a closed form, and the host terms are
+the :mod:`repro.pim.transfer` expressions.  No
+:class:`~repro.pim.dram.DramBank`, :class:`~repro.pim.buffer.LocalBuffer`
+or :class:`~repro.pim.upmem.UpmemSystem` is built; those stay as the
+reference models the tests hold the tail to.
 The LUTs depend only on the scheme's codecs, so each (scheme, kernel)
 pair builds its tables once and every GEMM shape reads them; the
 per-shape results are memoised on top.  Errors are never memoised, so
@@ -36,7 +44,7 @@ import numpy as np
 from repro.kernels.baselines import _check_naive_codecs, _naive_cost_stats
 from repro.kernels.lut import CanonicalLut, ReorderingLut
 from repro.kernels.lut_gemm import _code_bytes, _lut_cost_stats
-from repro.pim.dram import DramBank
+from repro.pim.dram import DRAM_ROW_BYTES, check_bank_geometry
 from repro.pim.upmem import ExecutionStats, UpmemConfig, UpmemSystem
 from repro.quant.schemes import QuantScheme, resolve_scheme
 from repro.quant.tensor import QuantizedTensor
@@ -89,14 +97,13 @@ def _cached_cost(
     scheme: QuantScheme, m: int, k: int, n: int, kernel: str, config: UpmemConfig
 ) -> ExecutionStats:
     """Memoised cost computation (schemes and configs are frozen/hashable)."""
-    system = UpmemSystem(config)
     if kernel == "naive_pim_gemm":
         _check_naive_codecs(scheme.activation_codec, scheme.weight_codec)
-        return _naive_cost_stats(system, scheme.activation_bits, m, k, n)
+        return _naive_cost_stats(config, scheme.activation_bits, m, k, n)
     software_reorder = kernel == "software_reorder_gemm"
     clut, rlut = _scheme_luts(scheme, software_reorder)
     return _lut_cost_stats(
-        system,
+        config,
         clut,
         rlut,
         scheme.weight_bits,
@@ -106,6 +113,18 @@ def _cached_cost(
         n,
         software_reorder,
     )
+
+
+def check_kernel(kernel: str) -> None:
+    """Reject a kernel name outside :data:`COST_KERNELS`."""
+    if kernel not in COST_KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {COST_KERNELS}")
+
+
+def check_gemm_dims(m: int, k: int, n: int) -> None:
+    """Reject a GEMM shape with a negative dimension."""
+    if m < 0 or k < 0 or n < 0:
+        raise ValueError(f"GEMM dimensions must be non-negative, got {(m, k, n)}")
 
 
 def gemm_cost(
@@ -141,10 +160,11 @@ def gemm_cost(
     Notes
     -----
     Only ``system.config`` is consulted (results are memoised per
-    config), so unlike the functional kernels this path does not mutate
-    the caller's system — in particular the cumulative
-    ``system.transfer.bytes_moved`` counter does not accrue.  Host-bus
-    traffic is still fully reported per call via ``stats.host_bytes``.
+    config) and every field is computed in closed form, without
+    modelling objects.  Unlike the functional kernels, which add each
+    call's ``stats.host_bytes`` to ``system.transfer.bytes_moved``, this
+    path does not mutate the caller's system; host-bus traffic is still
+    fully reported per call via ``stats.host_bytes``.
 
     Example
     -------
@@ -158,10 +178,8 @@ def gemm_cost(
     >>> gemm_cost("W2A2", 4, 32, 16) == lut_gemm(a, w).stats
     True
     """
-    if kernel not in COST_KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {COST_KERNELS}")
-    if m < 0 or k < 0 or n < 0:
-        raise ValueError(f"GEMM dimensions must be non-negative, got {(m, k, n)}")
+    check_kernel(kernel)
+    check_gemm_dims(m, k, n)
     resolved = resolve_scheme(scheme)
     config = system.config if system is not None else UpmemConfig()
     # Stats are mutable; hand each caller an independent copy of the
@@ -200,8 +218,8 @@ def _sum_ceil_linear(a: int, b: int, f: int, lo: int, hi: int) -> int:
 def _naive_sum_geometry(config: UpmemConfig):
     """Shared constants for the analytical naive-GEMM range sums."""
     t = config.timings
-    row_bytes = DramBank(capacity_bytes=t.mram_bytes).row_bytes
-    return t, config.total_dpus, config.num_ranks, t.wram_bytes, row_bytes
+    check_bank_geometry(t.mram_bytes)
+    return t, config.total_dpus, config.num_ranks, t.wram_bytes, DRAM_ROW_BYTES
 
 
 def _finish_naive_sum(

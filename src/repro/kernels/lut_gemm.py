@@ -36,8 +36,11 @@ import numpy as np
 
 from repro.kernels.lut import CanonicalLut, ReorderingLut
 from repro.kernels.packing import elems_per_byte, pack_codes, unpack_codes
-from repro.pim.buffer import BufferOverflowError
-from repro.pim.upmem import ExecutionStats, UpmemSystem
+from repro.pim.buffer import WRAM_ALIGNMENT, BufferOverflowError, check_wram_capacity
+from repro.pim.dram import DRAM_ROW_BYTES, check_bank_geometry
+from repro.pim.timing import UpmemTimings
+from repro.pim.transfer import broadcast_time_s, scatter_time_s
+from repro.pim.upmem import ExecutionStats, UpmemConfig, UpmemSystem
 from repro.quant.tensor import QuantizedTensor
 
 __all__ = ["GemmResult", "lut_gemm", "quantize_gemm_operands"]
@@ -101,22 +104,40 @@ def _accumulate(clut: CanonicalLut, w_idx: np.ndarray, a_idx: np.ndarray) -> np.
     return acc
 
 
-def _stream_dma(system: UpmemSystem, dma_bytes: int, wram_tile_bytes: int) -> float:
+def _stream_dma(timings: UpmemTimings, dma_bytes: int, wram_tile_bytes: int) -> float:
     """Tiled MRAM→WRAM streaming time for ``dma_bytes`` on one DPU."""
     if dma_bytes <= 0:
         return 0.0
     if wram_tile_bytes <= 0:
         raise ValueError("no WRAM left for streaming tiles")
-    t = system.timings
     n_transfers = -(-dma_bytes // wram_tile_bytes)
-    cycles = n_transfers * t.dma_setup_cycles + dma_bytes / t.dram_to_wram_bytes_per_cycle
-    return cycles * t.cycle_time_s
+    cycles = (
+        n_transfers * timings.dma_setup_cycles
+        + dma_bytes / timings.dram_to_wram_bytes_per_cycle
+    )
+    return cycles * timings.cycle_time_s
+
+
+def _wram_alloc(capacity: int, used: int, name: str, nbytes: int) -> int:
+    """WRAM bytes in use after staging ``nbytes`` under ``name``.
+
+    :meth:`~repro.pim.buffer.LocalBuffer.alloc` as arithmetic: the
+    request is rounded up to :data:`WRAM_ALIGNMENT` and must fit what is
+    still free.
+    """
+    size = -(-nbytes // WRAM_ALIGNMENT) * WRAM_ALIGNMENT
+    if size > capacity - used:
+        raise BufferOverflowError(
+            f"cannot allocate {size} B for {name!r}: "
+            f"{capacity - used} B free of {capacity} B"
+        )
+    return used + size
 
 
 def _finish_stats(
-    system: UpmemSystem,
+    config: UpmemConfig,
     stats: ExecutionStats,
-    buffer,
+    wram_free: int,
     weight_bytes: int,
     m: int,
     k: int,
@@ -124,31 +145,42 @@ def _finish_stats(
     cols: int,
     act_code_bytes: int,
 ) -> None:
-    """Shared cost tail: DMA streaming, DRAM bookkeeping and host transfers.
+    """Shared cost tail: DMA streaming, DRAM row activations and host transfers.
 
     MRAM layout is weights at offset 0, activation codes after, outputs
     after that; every kernel shares it so their stats stay comparable.
+    Every term is closed-form: the three accesses are checked against
+    the bank capacity in order, as a :class:`~repro.pim.dram.DramBank`
+    would, and because they run back to back from offset 0 on a fresh
+    bank each spanned row is activated exactly once (an access that
+    starts mid-row hits the row its predecessor left open).
     """
-    t = system.timings
+    t = config.timings
     act_bytes = m * k * act_code_bytes
     out_bytes = m * cols * t.accumulator_bytes
     stats.dma_bytes = weight_bytes + act_bytes + out_bytes
-    stats.dma_s = _stream_dma(system, stats.dma_bytes, buffer.bytes_free)
+    stats.dma_s = _stream_dma(t, stats.dma_bytes, wram_free)
 
-    bank = system.new_dram_bank()
-    bank.read(0, weight_bytes)
-    bank.read(weight_bytes, act_bytes)
-    bank.write(weight_bytes + act_bytes, out_bytes)
-    stats.dram_activations = bank.stats.activations
-    stats.wram_peak_bytes = buffer.peak_bytes
+    check_bank_geometry(t.mram_bytes)
+    address = 0
+    for nbytes in (weight_bytes, act_bytes, out_bytes):
+        if address + nbytes > t.mram_bytes:
+            raise ValueError(
+                f"access [{address}, {address + nbytes}) exceeds bank capacity "
+                f"{t.mram_bytes}"
+            )
+        address += nbytes
+    stats.dram_activations = -(-stats.dma_bytes // DRAM_ROW_BYTES)
 
     out_total = m * n * t.accumulator_bytes
-    stats.host_bytes = act_bytes * system.config.num_ranks + out_total
-    stats.host_s = system.broadcast_s(act_bytes) + system.gather_s(out_total)
+    stats.host_bytes = act_bytes * config.num_ranks + out_total
+    stats.host_s = broadcast_time_s(t, act_bytes) + scatter_time_s(
+        t, out_total, config.num_ranks
+    )
 
 
 def _lut_cost_stats(
-    system: UpmemSystem,
+    config: UpmemConfig,
     clut: CanonicalLut,
     rlut: ReorderingLut | None,
     weight_bits: int,
@@ -163,37 +195,43 @@ def _lut_cost_stats(
     Shared by the functional kernel (:func:`lut_gemm`) and the cost-only
     entry point (:func:`repro.kernels.cost.gemm_cost`) so model-level
     sweeps are guaranteed to report exactly what the kernel would.
-    ``rlut`` must be ``None`` iff ``software_reorder`` is set.
+    ``rlut`` must be ``None`` iff ``software_reorder`` is set.  Pure
+    arithmetic on ``config``: the LUTs are staged into WRAM with the
+    :class:`~repro.pim.buffer.LocalBuffer` rules (see :func:`_wram_alloc`).
     """
-    t = system.timings
+    t = config.timings
     stats = ExecutionStats(
         kernel="software_reorder_gemm" if software_reorder else "lut_gemm"
     )
-    n_dpus, cols = system.partition(n)
+    n_dpus, cols = config.partition(n)
     stats.n_dpus_used = n_dpus
     if n_dpus == 0 or m == 0 or k == 0:
         return stats
 
-    buffer = system.new_local_buffer()
-    lut_bytes = clut.nbytes(t.lut_entry_bytes)
+    check_wram_capacity(t.wram_bytes)
+    wram = t.wram_bytes
+    clut_bytes = clut.nbytes(t.lut_entry_bytes)
+    lut_bytes = clut_bytes
     if not software_reorder:
-        lut_bytes += rlut.nbytes(t.reorder_entry_bytes)
-    if lut_bytes > buffer.bytes_free:
+        rlut_bytes = rlut.nbytes(t.reorder_entry_bytes)
+        lut_bytes += rlut_bytes
+    if lut_bytes > wram:
         raise BufferOverflowError(
             f"the {weight_bits}-bit x {activation_bits}-bit LUTs need "
-            f"{lut_bytes} B but only {buffer.bytes_free} B of WRAM are free; "
+            f"{lut_bytes} B but only {wram} B of WRAM are free; "
             f"this scheme cannot run on the LUT kernel (use naive_pim_gemm "
             f"or a narrower configuration)"
         )
-    buffer.alloc("canonical_lut", clut.nbytes(t.lut_entry_bytes))
+    staged = _wram_alloc(wram, 0, "canonical_lut", clut_bytes)
     stats.n_lut_entry_pairs = clut.num_entries
     if not software_reorder:
-        buffer.alloc("reordering_lut", rlut.nbytes(t.reorder_entry_bytes))
+        staged = _wram_alloc(wram, staged, "reordering_lut", rlut_bytes)
         # Both LUTs are staged from DRAM entry by entry at L_D each, so
         # the loads sum (the tables are different sizes and cannot be
         # fetched pairwise).
         stats.n_lut_entry_pairs = clut.num_entries + rlut.num_entries
     stats.lut_load_s = stats.n_lut_entry_pairs * t.dram_entry_load_latency_s
+    stats.wram_peak_bytes = staged
 
     stats.n_lookups = m * k * cols
     stats.compute_s = stats.n_lookups * t.local_lookup_latency_s
@@ -206,7 +244,8 @@ def _lut_cost_stats(
     kb = -(-k // elems_per_byte(weight_bits))
     weight_bytes = kb * cols
     _finish_stats(
-        system, stats, buffer, weight_bytes, m, k, n, cols, _code_bytes(activation_bits)
+        config, stats, wram - staged, weight_bytes, m, k, n, cols,
+        _code_bytes(activation_bits),
     )
     return stats
 
@@ -250,6 +289,8 @@ def lut_gemm(
 
     # --- cost path (critical-path DPU, N partitioned column-wise) --------
     stats = _lut_cost_stats(
-        system, clut, rlut, weights.bits, activations.bits, m, k, n, software_reorder
+        system.config, clut, rlut, weights.bits, activations.bits, m, k, n,
+        software_reorder,
     )
+    system.transfer.record(stats.host_bytes)
     return GemmResult(output=output, accumulator=acc, stats=stats)

@@ -35,9 +35,12 @@ tested field by field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.kernels.cost import (
+    _cached_cost,
+    check_kernel,
     gemm_cost,
     naive_gemm_cost_sum_k,
     naive_gemm_cost_sum_n,
@@ -46,7 +49,13 @@ from repro.model.config import ModelConfig, packed_weight_bytes
 from repro.model.decoder import ATTENTION_SCHEME, attention_gemm_costs
 from repro.model.policy import SchemePolicy
 from repro.pim.energy import EnergyBreakdown, EnergyModel
-from repro.pim.upmem import ExecutionStats, UpmemSystem
+from repro.pim.upmem import ExecutionStats, UpmemConfig, UpmemSystem
+from repro.quant.schemes import QuantScheme
+
+# The block memo below keys whole weight passes by value, so each GEMM
+# inside one is evaluated unmemoised rather than filling the per-shape
+# ``gemm_cost`` memo a second time.
+_gemm_stats = _cached_cost.__wrapped__
 
 __all__ = [
     "DECODE_METHODS",
@@ -73,6 +82,13 @@ def _layers_identical(policy: SchemePolicy) -> bool:
     :meth:`~repro.pim.upmem.ExecutionStats.scaled`).
     """
     return not policy.layer_overrides
+
+
+def _check_batch(batch: int) -> None:
+    """Reject a batch below one sequence (every cost entry point's rule)."""
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+
 
 #: Decode-phase aggregation strategies accepted by
 #: :func:`model_inference_cost` / :func:`decode_phase_stats`.
@@ -184,6 +200,7 @@ def block_gemm_cost(
     (total, per_gemm):
         Summed block stats and the individual GEMM stats by name.
     """
+    _check_batch(batch)
     m = batch * seq_q
     per_gemm: Dict[str, ExecutionStats] = {}
     for name, (k, n) in config.projection_shapes().items():
@@ -217,6 +234,7 @@ def decode_step_weight_stats(
     per-layer scheme overrides, one layer's GEMMs are costed once and
     scaled by ``num_layers``.
     """
+    _check_batch(batch)
     total = ExecutionStats(kernel="decode")
     shapes = config.projection_shapes()
     layers = range(1) if _layers_identical(policy) else range(config.num_layers)
@@ -228,6 +246,38 @@ def decode_step_weight_stats(
     if _layers_identical(policy):
         total = total.scaled(config.num_layers)
     return total
+
+
+@lru_cache(maxsize=65536)
+def _block_weight_stats(
+    m: int,
+    gemms: Tuple[Tuple[QuantScheme, int, int], ...],
+    upmem: UpmemConfig,
+    kernel: str,
+) -> ExecutionStats:
+    """Summed stats of one block's weight GEMMs at ``M = m`` rows.
+
+    ``gemms`` holds ``(scheme, k, n)`` per projection in block order;
+    the sum starts from an empty ``decoder_block`` record and adds them
+    in that order, exactly as :func:`block_gemm_cost` does before its
+    attention terms.  Keyed by value, so every prefill chunk of one
+    length (whatever its ``done_tokens``) shares one entry.  Callers
+    must not mutate the result.
+    """
+    total = ExecutionStats(kernel="decoder_block")
+    for scheme, k, n in gemms:
+        total = total + _gemm_stats(scheme, m, k, n, kernel, upmem)
+    return total
+
+
+def _weight_gemms(
+    config: ModelConfig, policy: SchemePolicy, layer: int
+) -> Tuple[Tuple[QuantScheme, int, int], ...]:
+    """``(scheme, k, n)`` of ``layer``'s weight GEMMs in block order."""
+    return tuple(
+        (policy.scheme_for(layer, name), k, n)
+        for name, (k, n) in config.projection_shapes().items()
+    )
 
 
 def prefill_chunk_stats(
@@ -251,24 +301,37 @@ def prefill_chunk_stats(
     the one-shot prefill, which costs every query against the full
     prompt length.  With no per-layer scheme overrides, one block is
     costed and scaled by ``num_layers``.
+
+    Equal, field for field, to summing :func:`block_gemm_cost` per
+    layer.  The weight GEMMs depend only on the chunk length, so each
+    layer's weight pass comes from a memo keyed by value and a new
+    ``(done_tokens, chunk_tokens)`` pair costs only its two attention
+    matmuls.
     """
+    _check_batch(batch)
     if chunk_tokens < 1:
         raise ValueError(f"chunk_tokens must be >= 1, got {chunk_tokens}")
     if done_tokens < 0:
         raise ValueError(f"done_tokens must be >= 0, got {done_tokens}")
+    check_kernel(kernel)
+    upmem = system.config if system is not None else UpmemConfig()
+    m = batch * chunk_tokens
+    # Layer 0's weights are costed before the attention matmuls, as in
+    # block_gemm_cost, so a scheme that cannot run reports the same error.
+    first = _block_weight_stats(m, _weight_gemms(config, policy, 0), upmem, kernel)
+    attention = attention_gemm_costs(
+        config.num_heads, config.head_dim, batch, chunk_tokens,
+        done_tokens + chunk_tokens, system,
+    )
+    scores, values = attention["attn_scores"], attention["attn_values"]
     total = ExecutionStats(kernel="prefill_chunk")
     if _layers_identical(policy):
-        block, _ = block_gemm_cost(
-            config, policy, 0, batch, chunk_tokens,
-            done_tokens + chunk_tokens, system=system, kernel=kernel,
-        )
-        return total + block.scaled(config.num_layers)
+        return total + (first + scores + values).scaled(config.num_layers)
     for layer in range(config.num_layers):
-        block, _ = block_gemm_cost(
-            config, policy, layer, batch, chunk_tokens,
-            done_tokens + chunk_tokens, system=system, kernel=kernel,
+        weights = first if layer == 0 else _block_weight_stats(
+            m, _weight_gemms(config, policy, layer), upmem, kernel
         )
-        total = total + block
+        total = total + (weights + scores + values)
     return total
 
 
@@ -372,6 +435,7 @@ def decode_phase_stats(
       (:meth:`~repro.pim.upmem.ExecutionStats.allclose`), at a cost
       independent of ``decode_tokens``.
     """
+    _check_batch(batch)
     if method not in DECODE_METHODS:
         raise ValueError(
             f"unknown decode method {method!r}; expected one of {DECODE_METHODS}"
@@ -425,8 +489,7 @@ def model_inference_cost(
     scheme's LUTs exceed WRAM) — sweep drivers catch these to mark grid
     points unsupported.
     """
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
+    _check_batch(batch)
     if prefill_tokens < 1:
         raise ValueError("prefill_tokens must be >= 1 (the prompt has at least one token)")
     if decode_tokens < 0:

@@ -26,12 +26,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.kernels.cost import gemm_cost
+from repro.kernels.baselines import _check_naive_codecs, _naive_cost_stats
+from repro.kernels.cost import check_gemm_dims
 from repro.kernels.lut_gemm import lut_gemm
 from repro.model.config import PROJECTION_NAMES, ModelConfig
 from repro.model.policy import SchemePolicy
-from repro.pim.upmem import ExecutionStats, UpmemSystem
-from repro.quant.schemes import get_scheme
+from repro.pim.upmem import ExecutionStats, UpmemConfig, UpmemSystem
+from repro.quant.schemes import resolve_scheme
 from repro.quant.tensor import QuantizedTensor
 
 __all__ = [
@@ -45,6 +46,11 @@ __all__ = [
 #: Precision at which the dynamic attention matmuls are costed on the
 #: substrate (the DPU's native 8-bit multiplier; see module docstring).
 ATTENTION_SCHEME = "W8A8"
+
+# Resolved, and checked against the naive kernel's codec limits, once at
+# import (a typo or an unsupported precision fails here).
+_ATTENTION = resolve_scheme(ATTENTION_SCHEME)
+_check_naive_codecs(_ATTENTION.activation_codec, _ATTENTION.weight_codec)
 
 
 def attention_gemm_costs(
@@ -63,18 +69,21 @@ def attention_gemm_costs(
     costed on the native int8-MAC path at :data:`ATTENTION_SCHEME`
     precision.  This is the single source of truth for those shapes:
     the functional block and the cost-only sweep both call it, so they
-    cannot drift apart.
+    cannot drift apart.  Each call evaluates the naive kernel's
+    arithmetic cost tail directly: the result equals
+    ``gemm_cost(ATTENTION_SCHEME, ..., kernel="naive_pim_gemm")`` without
+    its per-call scheme resolution, memo lookup and copy, and one-off
+    attention shapes do not fill the ``gemm_cost`` memo.
     """
     m = batch * num_heads * seq_q
+    config = system.config if system is not None else UpmemConfig()
+    bits = _ATTENTION.activation_bits
+    check_gemm_dims(m, head_dim, kv_len)
+    scores = _naive_cost_stats(config, bits, m, head_dim, kv_len)
+    check_gemm_dims(m, kv_len, head_dim)
     return {
-        "attn_scores": gemm_cost(
-            ATTENTION_SCHEME, m, head_dim, kv_len,
-            system=system, kernel="naive_pim_gemm",
-        ),
-        "attn_values": gemm_cost(
-            ATTENTION_SCHEME, m, kv_len, head_dim,
-            system=system, kernel="naive_pim_gemm",
-        ),
+        "attn_scores": scores,
+        "attn_values": _naive_cost_stats(config, bits, m, kv_len, head_dim),
     }
 
 
@@ -260,7 +269,3 @@ class DecoderBlock:
         for s in per_gemm.values():
             stats = stats + s
         return BlockResult(output=x, stats=stats, per_gemm=per_gemm, cache=cache)
-
-
-# Resolve the default attention scheme eagerly so a typo fails at import.
-get_scheme(ATTENTION_SCHEME)

@@ -12,7 +12,16 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-__all__ = ["LocalBuffer", "BufferOverflowError"]
+__all__ = ["LocalBuffer", "BufferOverflowError", "WRAM_ALIGNMENT", "check_wram_capacity"]
+
+#: Allocation granularity of WRAM; UPMEM DMA requires 8-byte alignment.
+WRAM_ALIGNMENT = 8
+
+
+def check_wram_capacity(capacity_bytes: int) -> None:
+    """Reject a local buffer with no usable capacity."""
+    if capacity_bytes <= 0:
+        raise ValueError("capacity_bytes must be positive")
 
 
 class BufferOverflowError(MemoryError):
@@ -30,9 +39,10 @@ class LocalBuffer:
         Allocation granularity; UPMEM DMA requires 8-byte alignment.
     """
 
-    def __init__(self, capacity_bytes: int = 64 * 1024, alignment: int = 8) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive")
+    def __init__(
+        self, capacity_bytes: int = 64 * 1024, alignment: int = WRAM_ALIGNMENT
+    ) -> None:
+        check_wram_capacity(capacity_bytes)
         if alignment <= 0:
             raise ValueError("alignment must be positive")
         self.capacity_bytes = capacity_bytes

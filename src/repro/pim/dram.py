@@ -14,7 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["DramBank", "DramBankStats"]
+__all__ = ["DRAM_ROW_BYTES", "DramBank", "DramBankStats", "check_bank_geometry"]
+
+#: Row-buffer width of one bank (the evaluated platform's 8 KB rows).
+DRAM_ROW_BYTES = 8192
+
+
+def check_bank_geometry(capacity_bytes: int, row_bytes: int = DRAM_ROW_BYTES) -> None:
+    """Reject a bank narrower than one row (or with non-positive rows)."""
+    if row_bytes <= 0:
+        raise ValueError(f"row_bytes must be positive, got {row_bytes}")
+    if capacity_bytes < row_bytes:
+        raise ValueError("capacity_bytes must be at least one row")
 
 
 @dataclass
@@ -55,15 +66,12 @@ class DramBank:
     """
 
     capacity_bytes: int = 64 * 1024 * 1024
-    row_bytes: int = 8192
+    row_bytes: int = DRAM_ROW_BYTES
     open_row: int | None = None
     stats: DramBankStats = field(default_factory=DramBankStats)
 
     def __post_init__(self) -> None:
-        if self.row_bytes <= 0:
-            raise ValueError(f"row_bytes must be positive, got {self.row_bytes}")
-        if self.capacity_bytes < self.row_bytes:
-            raise ValueError("capacity_bytes must be at least one row")
+        check_bank_geometry(self.capacity_bytes, self.row_bytes)
 
     @property
     def num_rows(self) -> int:

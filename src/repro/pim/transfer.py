@@ -42,7 +42,26 @@ from __future__ import annotations
 
 from repro.pim.timing import DEFAULT_TIMINGS, UpmemTimings
 
-__all__ = ["TransferModel"]
+__all__ = ["TransferModel", "broadcast_time_s", "scatter_time_s"]
+
+
+def broadcast_time_s(timings: UpmemTimings, nbytes: int) -> float:
+    """Latency of replicating ``nbytes`` to every rank.
+
+    Rank copies proceed in parallel, so the time is a single payload
+    over the per-rank bandwidth plus the fixed launch latency.
+    """
+    if nbytes == 0:
+        return 0.0
+    return timings.host_latency_s + nbytes / timings.host_bandwidth_bytes_per_s
+
+
+def scatter_time_s(timings: UpmemTimings, total_bytes: int, num_ranks: int) -> float:
+    """Latency of moving ``total_bytes`` of per-DPU data split across ranks."""
+    if total_bytes == 0:
+        return 0.0
+    bandwidth = timings.host_bandwidth_bytes_per_s * num_ranks
+    return timings.host_latency_s + total_bytes / bandwidth
 
 
 class TransferModel:
@@ -52,33 +71,25 @@ class TransferModel:
         self.timings = timings
         self.bytes_moved = 0
 
-    def _record(self, nbytes: int) -> None:
+    def record(self, nbytes: int) -> None:
+        """Count ``nbytes`` that crossed the bus."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         self.bytes_moved += nbytes
 
     def broadcast_s(self, nbytes: int, num_ranks: int = 1) -> float:
-        """Replicate ``nbytes`` to every rank.
-
-        Rank copies proceed in parallel, so the time is a single payload
-        over the per-rank bandwidth plus the fixed launch latency.
-        """
+        """Replicate ``nbytes`` to every rank (see :func:`broadcast_time_s`)."""
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
-        self._record(nbytes * num_ranks)
-        if nbytes == 0:
-            return 0.0
-        return self.timings.host_latency_s + nbytes / self.timings.host_bandwidth_bytes_per_s
+        self.record(nbytes * num_ranks)
+        return broadcast_time_s(self.timings, nbytes)
 
     def scatter_s(self, total_bytes: int, num_ranks: int = 1) -> float:
         """Move ``total_bytes`` of per-DPU private data, split across ranks."""
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
-        self._record(total_bytes)
-        if total_bytes == 0:
-            return 0.0
-        bandwidth = self.timings.host_bandwidth_bytes_per_s * num_ranks
-        return self.timings.host_latency_s + total_bytes / bandwidth
+        self.record(total_bytes)
+        return scatter_time_s(self.timings, total_bytes, num_ranks)
 
     #: Gather shares the scatter cost model (symmetric bus).
     gather_s = scatter_s

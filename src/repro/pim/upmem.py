@@ -210,6 +210,20 @@ class UpmemConfig:
     def total_dpus(self) -> int:
         return self.num_ranks * self.dpus_per_rank
 
+    def partition(self, n_items: int) -> tuple[int, int]:
+        """Split ``n_items`` across DPUs.
+
+        Returns ``(n_dpus_used, items_on_critical_dpu)``.  The critical
+        DPU carries the ceiling share; with fewer items than DPUs each
+        used DPU carries one.
+        """
+        if n_items < 0:
+            raise ValueError("n_items must be non-negative")
+        if n_items == 0:
+            return 0, 0
+        n_dpus = min(self.num_ranks * self.dpus_per_rank, n_items)
+        return n_dpus, -(-n_items // n_dpus)  # ceiling division
+
 
 def _cached_frozen_hash(self) -> int:
     """Per-instance hash cache for frozen config dataclasses.
@@ -251,19 +265,8 @@ class UpmemSystem:
         return self.config.total_dpus
 
     def partition(self, n_items: int) -> tuple[int, int]:
-        """Split ``n_items`` across DPUs.
-
-        Returns ``(n_dpus_used, items_on_critical_dpu)``.  The critical
-        DPU carries the ceiling share; with fewer items than DPUs each
-        used DPU carries one.
-        """
-        if n_items < 0:
-            raise ValueError("n_items must be non-negative")
-        if n_items == 0:
-            return 0, 0
-        n_dpus = min(self.total_dpus, n_items)
-        per_dpu = -(-n_items // n_dpus)  # ceiling division
-        return n_dpus, per_dpu
+        """Split ``n_items`` across DPUs (see :meth:`UpmemConfig.partition`)."""
+        return self.config.partition(n_items)
 
     def new_dram_bank(self) -> DramBank:
         return DramBank(capacity_bytes=self.timings.mram_bytes)

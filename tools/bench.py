@@ -32,9 +32,9 @@ engine's (measured on a 100k slice of the same trace), loses requests,
 disagrees with the event engine on the slice or misses its wall
 budget (simulation alone, and trace generation plus simulation), if
 the event engine misses its wall budget on that slice, if the
-100k-request scaling run misses its budget, if a disabled tracer slows
-the 100k scaling run beyond its overhead floor (median of alternating
-untraced / disabled pairs), if the results path of the scaling result
+100k-request scaling run misses its budget, if a disabled tracer on the
+100k scaling run receives any event or changes its records or rank
+stats, if the results path of the scaling result
 misses its budget, or if the
 chunked-prefill policy stops beating FCFS p95 TTFT on the bursty
 long-prefill scenario (or drops completed requests), if the 1M-request
@@ -94,11 +94,9 @@ FAULT_BUDGET_S = 120.0
 # 10% of the fault-free completed count on the same trace.
 FAULT_GOODPUT_FLOOR = 0.9
 OBS_TRACED_REQUESTS = 20_000
-# The tracing-disabled hot path is intended to cost a few percent at
-# most; the gate leaves headroom for shared-runner wall-clock noise.
-OBS_OVERHEAD_RATIO_FLOOR = 1.15
-# Untraced / disabled-tracer pairs behind the overhead ratio (median).
-# Even, so each order (untraced first, disabled first) runs equally often.
+# Untraced / disabled-tracer pairs behind the reported overhead ratio
+# (median; not gated: both arms run the same code, so the ratio is host
+# noise around 1).  Even, so each order runs equally often.
 OBS_OVERHEAD_REPS = 4
 # The results path (metrics, rows, JSON export) of the 100k scaling
 # result: each stage is the median of this many alternating reps, and
@@ -486,9 +484,12 @@ def bench_observability() -> dict:
     *disabled* tracer passed in — at runtime this is the same code path
     as passing no tracer at all (the engine stores ``None`` either
     way).  After one warm-up run, untraced and disabled-tracer runs go
-    back to back in alternating order, :data:`OBS_OVERHEAD_REPS` pairs;
-    the median of the per-pair wall ratios is the hot-path overhead
-    gate; (b) a 20k-request slice with a full
+    back to back in alternating order, :data:`OBS_OVERHEAD_REPS` pairs.
+    The disabled tracer counts the hook calls that reach it: the gate
+    is that it sees none and that its runs' records and rank stats
+    equal the untraced runs'.  The median of the per-pair wall ratios
+    is reported, not gated (identical code, so it measures host noise);
+    (b) a 20k-request slice with a full
     :class:`RecordingTracer`, reporting the absolute cost of recording
     every lifecycle event plus sampled series; (c) a 1000-request run
     under :func:`engine_spans`, whose self times attribute its host
@@ -499,19 +500,35 @@ def bench_observability() -> dict:
     from repro.serving import ServingConfig, TraceSpec, generate_trace, simulate_trace
     from repro.serving.engine import driver
 
+    class CountingTracer(Tracer):
+        """A disabled tracer that counts every hook call reaching it."""
+
+        calls = 0
+
+        def emit(self, *args, **kwargs) -> None:
+            self.calls += 1
+
+        def sample(self, *args, **kwargs) -> None:
+            self.calls += 1
+
     spec, config = _scaling_run()
     trace = generate_trace(spec)
     simulate_trace(trace, config)  # warm the cost caches
     walls = {"untraced": [], "disabled": []}
+    observed = {}
+    disabled_calls = 0
     for rep in range(OBS_OVERHEAD_REPS):
         order = ("untraced", "disabled") if rep % 2 == 0 else (
             "disabled", "untraced")
         for name in order:
-            tracer = Tracer() if name == "disabled" else None
-            _, wall = _timed(
+            tracer = CountingTracer() if name == "disabled" else None
+            result, wall = _timed(
                 lambda: simulate_trace(trace, config, tracer=tracer)
             )
             walls[name].append(wall)
+            if tracer is not None:
+                disabled_calls += tracer.calls
+            observed[name] = (result.records, result.rank_stats)
     ratios = [disabled / untraced for disabled, untraced
               in zip(walls["disabled"], walls["untraced"])]
 
@@ -531,7 +548,8 @@ def bench_observability() -> dict:
         "untraced_wall_s": statistics.median(walls["untraced"]),
         "disabled_overhead_ratio": statistics.median(ratios),
         "disabled_overhead_ratios": ratios,
-        "overhead_ratio_floor": OBS_OVERHEAD_RATIO_FLOOR,
+        "disabled_tracer_calls": disabled_calls,
+        "disabled_identical": observed["disabled"] == observed["untraced"],
         "traced_requests": OBS_TRACED_REQUESTS,
         "traced_wall_s": traced_wall,
         "traced_untraced_wall_s": sub_wall,
@@ -1061,12 +1079,12 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        if obs["disabled_overhead_ratio"] > OBS_OVERHEAD_RATIO_FLOOR:
+        if obs["disabled_tracer_calls"] or not obs["disabled_identical"]:
             print(
-                f"FAIL: a disabled tracer costs "
-                f"{obs['disabled_overhead_ratio']:.3f}x the untraced "
-                f"{obs['requests']}-request run "
-                f"(floor {OBS_OVERHEAD_RATIO_FLOOR}x)",
+                f"FAIL: a disabled tracer on the {obs['requests']}-request "
+                f"run received {obs['disabled_tracer_calls']} hook call(s) "
+                f"(expected 0); records and rank stats identical to the "
+                f"untraced run: {obs['disabled_identical']}",
                 file=sys.stderr,
             )
             return 1
