@@ -14,7 +14,12 @@ Small JSON goldens are checked in under ``tests/goldens/``:
   (``round_robin`` on sticky conversational sessions, ``least_kv`` with
   the autoscaler, ``p2c``): the flat ``cluster_summary`` plus a digest
   of every record's ``(req_id, rank, status, first_token_s,
-  finish_s)``, so routing and placement are pinned request by request.
+  finish_s)``, so routing and placement are pinned request by request,
+  and
+* ``cluster_chaos.json`` — a faulted cluster run (seeded crashes, stalls
+  and degradations, retries, failovers, an autoscaler replacement and
+  tier shedding under ``p2c``) pinned the same way, so the recovery loop
+  and the replica roster are held to one fixed outcome.
 
 Any change to kernel costs, the energy model, trace generation or
 scheduler behavior shifts these numbers; the diff shows up in the PR
@@ -42,6 +47,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace as dc_replace
 
 import pytest
 
@@ -52,6 +58,8 @@ from repro.serving import (
     Autoscaler,
     AutoscalerConfig,
     Deployment,
+    FaultPlan,
+    RetryPolicy,
     ServingConfig,
     TraceSpec,
     cluster_summary,
@@ -136,6 +144,14 @@ CLUSTER_RUNS = {
 }
 
 
+# A conversational trace dense enough that crash losses, retries and
+# session failovers overlap the stall and degrade windows.
+CLUSTER_CHAOS_TRACE_SPEC = dc_replace(
+    CLUSTER_CONV_TRACE_SPEC, num_requests=300, arrival_rate_per_s=4.0,
+    sessions=100,
+)
+
+
 def _cluster_deployments(prefix_cache: bool):
     """Two uneven gpt-125m deployments; ``b`` runs the priority policy."""
     return [
@@ -199,6 +215,30 @@ def _build_cluster_golden(run: str):
     result = simulate_cluster(
         generate_trace(spec), _cluster_deployments(prefix_cache),
         router=router, autoscaler=scaler,
+    )
+    golden = _rounded(cluster_summary(result))
+    golden["records_sha256"] = _records_digest(result.records)
+    return golden
+
+
+def _build_cluster_chaos_golden():
+    """The faulted run: a seeded plan over the three initial replicas
+    and the first replacement rank, windows sized off the trace horizon,
+    the autoscaler on and tier-1 arrivals sheddable."""
+    trace = generate_trace(CLUSTER_CHAOS_TRACE_SPEC)
+    horizon = max(r.arrival_s for r in trace)
+    plan = FaultPlan.sample(
+        seed=1, ranks=range(4), horizon_s=horizon, crash_rate=0.5,
+        stall_s=horizon / 20, degrade_rate=0.3, degrade_s=horizon / 20,
+    )
+    scaler = Autoscaler(AutoscalerConfig(
+        min_replicas=1, max_replicas=3, queue_high=2.0, queue_low=0.5,
+        interval_s=horizon / 40,
+    ))
+    result = simulate_cluster(
+        trace, _cluster_deployments(prefix_cache=True), router="p2c",
+        autoscaler=scaler, faults=plan,
+        retry_policy=RetryPolicy(max_retries=2), shed_tier=1,
     )
     golden = _rounded(cluster_summary(result))
     golden["records_sha256"] = _records_digest(result.records)
@@ -285,6 +325,20 @@ def test_cluster_goldens_pin_routing_and_scaling():
     assert goldens["least_kv_autoscaled"]["scale_events"] > 0
 
 
+def test_cluster_chaos_matches_golden():
+    assert _build_cluster_chaos_golden() == _load("cluster_chaos.json")
+
+
+def test_cluster_chaos_golden_pins_recovery():
+    """The faulted fixture fires every recovery path it is meant to pin."""
+    flat = _load("cluster_chaos.json")
+    for key in ("crashes", "stalls", "degrades", "retries", "failovers",
+                "replacements", "shed"):
+        assert flat[key] > 0, key
+    assert flat["completed"] + flat["rejected"] + flat["failed"] == \
+        flat["requests"]
+
+
 def test_conversational_goldens_pin_cache_behavior():
     """The checked-in fixtures themselves prove the cache works: hits
     dominate, dedup saves real bytes, and eviction actually fired."""
@@ -315,6 +369,7 @@ def _update() -> None:
         )
     for run in CLUSTER_RUNS:
         goldens[f"cluster_{run}.json"] = _build_cluster_golden(run)
+    goldens["cluster_chaos.json"] = _build_cluster_chaos_golden()
     for name, payload in goldens.items():
         with open(_golden_path(name), "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
