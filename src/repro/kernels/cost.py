@@ -43,7 +43,8 @@ import numpy as np
 
 from repro.kernels.baselines import _check_naive_codecs, _naive_cost_stats
 from repro.kernels.lut import CanonicalLut, ReorderingLut
-from repro.kernels.lut_gemm import _code_bytes, _lut_cost_stats
+from repro.kernels.lut_gemm import _check_mram_layout, _code_bytes, _lut_cost_stats
+from repro.pim.buffer import check_wram_capacity
 from repro.pim.dram import DRAM_ROW_BYTES, check_bank_geometry
 from repro.pim.upmem import ExecutionStats, UpmemConfig, UpmemSystem
 from repro.quant.schemes import QuantScheme, resolve_scheme
@@ -216,10 +217,17 @@ def _sum_ceil_linear(a: int, b: int, f: int, lo: int, hi: int) -> int:
 
 
 def _naive_sum_geometry(config: UpmemConfig):
-    """Shared constants for the analytical naive-GEMM range sums."""
+    """Shared constants for the analytical naive-GEMM range sums.
+
+    Runs the per-call checks of
+    :func:`repro.kernels.baselines._naive_cost_stats` in its order (WRAM,
+    then bank geometry), so a sum raises what its first non-empty term
+    would; callers return their empty-term results before calling it.
+    """
     t = config.timings
+    check_wram_capacity(t.wram_bytes)
     check_bank_geometry(t.mram_bytes)
-    return t, config.total_dpus, config.num_ranks, t.wram_bytes, DRAM_ROW_BYTES
+    return t, t.wram_bytes, DRAM_ROW_BYTES
 
 
 def _finish_naive_sum(
@@ -264,15 +272,16 @@ def _cached_naive_sum_n(
     scheme: QuantScheme, m: int, k: int, lo: int, hi: int, config: UpmemConfig
 ) -> ExecutionStats:
     """Memoised ``sum(naive cost over n in [lo, hi])`` (see public wrapper)."""
-    t, n_dpus_total, _, wram_free, row_bytes = _naive_sum_geometry(config)
-    acb = _code_bytes(scheme.activation_bits)
-    ab = t.accumulator_bytes
+    n_dpus_total = config.total_dpus
     stats = ExecutionStats(kernel="naive_pim_gemm")
     if hi < lo:
         return stats
     stats.n_dpus_used = min(n_dpus_total, hi)
     if m == 0 or k == 0:
         return stats
+    t, wram_free, row_bytes = _naive_sum_geometry(config)
+    acb = _code_bytes(scheme.activation_bits)
+    ab = t.accumulator_bytes
 
     n_terms = hi - lo + 1
     sum_n = (lo + hi) * n_terms // 2
@@ -282,9 +291,8 @@ def _cached_naive_sum_n(
         nonlocal total_macs, total_dma, total_transfers, total_activations
         dma_bytes = k * cols + m * k * acb + ab * m * cols
         if dma_bytes > t.mram_bytes:
-            raise ValueError(
-                f"access of {dma_bytes} B exceeds bank capacity {t.mram_bytes}"
-            )
+            # Groups run in ascending cols: this is the first failing term.
+            _check_mram_layout(t.mram_bytes, k * cols, m * k * acb, ab * m * cols)
         total_macs += count * m * k * cols
         total_dma += count * dma_bytes
         total_transfers += count * -(-dma_bytes // wram_free)
@@ -316,16 +324,16 @@ def _cached_naive_sum_k(
     scheme: QuantScheme, m: int, n: int, lo: int, hi: int, config: UpmemConfig
 ) -> ExecutionStats:
     """Memoised ``sum(naive cost over k in [lo, hi])`` (see public wrapper)."""
-    t, n_dpus_total, _, wram_free, row_bytes = _naive_sum_geometry(config)
-    acb = _code_bytes(scheme.activation_bits)
-    ab = t.accumulator_bytes
     stats = ExecutionStats(kernel="naive_pim_gemm")
     if hi < lo or n == 0:
         return stats
-    n_dpus = min(n_dpus_total, n)
+    n_dpus = min(config.total_dpus, n)
     stats.n_dpus_used = n_dpus
     if m == 0:
         return stats
+    t, wram_free, row_bytes = _naive_sum_geometry(config)
+    acb = _code_bytes(scheme.activation_bits)
+    ab = t.accumulator_bytes
 
     cols = -(-n // n_dpus)
     n_terms = hi - lo + 1
@@ -334,10 +342,9 @@ def _cached_naive_sum_k(
     slope = cols + m * acb
     intercept = ab * m * cols
     if slope * hi + intercept > t.mram_bytes:
-        raise ValueError(
-            f"access of {slope * hi + intercept} B exceeds bank capacity "
-            f"{t.mram_bytes}"
-        )
+        # The first term past the bank raises, as the per-call loop would.
+        k = max(lo, (t.mram_bytes - intercept) // slope + 1)
+        _check_mram_layout(t.mram_bytes, k * cols, m * k * acb, intercept)
     return _finish_naive_sum(
         stats, config, n_terms,
         m * cols * sum_k,

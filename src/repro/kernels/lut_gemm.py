@@ -134,6 +134,19 @@ def _wram_alloc(capacity: int, used: int, name: str, nbytes: int) -> int:
     return used + size
 
 
+def _check_mram_layout(mram_bytes: int, *accesses: int) -> None:
+    """Raise as a :class:`~repro.pim.dram.DramBank` would on the first of
+    ``accesses`` (run back to back from offset 0) that overflows it."""
+    address = 0
+    for nbytes in accesses:
+        if address + nbytes > mram_bytes:
+            raise ValueError(
+                f"access [{address}, {address + nbytes}) exceeds bank capacity "
+                f"{mram_bytes}"
+            )
+        address += nbytes
+
+
 def _finish_stats(
     config: UpmemConfig,
     stats: ExecutionStats,
@@ -162,14 +175,7 @@ def _finish_stats(
     stats.dma_s = _stream_dma(t, stats.dma_bytes, wram_free)
 
     check_bank_geometry(t.mram_bytes)
-    address = 0
-    for nbytes in (weight_bytes, act_bytes, out_bytes):
-        if address + nbytes > t.mram_bytes:
-            raise ValueError(
-                f"access [{address}, {address + nbytes}) exceeds bank capacity "
-                f"{t.mram_bytes}"
-            )
-        address += nbytes
+    _check_mram_layout(t.mram_bytes, weight_bytes, act_bytes, out_bytes)
     stats.dram_activations = -(-stats.dma_bytes // DRAM_ROW_BYTES)
 
     out_total = m * n * t.accumulator_bytes

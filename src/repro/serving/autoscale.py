@@ -120,8 +120,8 @@ class Autoscaler:
             depth = deployment.queue_depth(t)
             replicas = len(deployment.active_engines())
             corpse = next(
-                (e for e in deployment.engines
-                 if e.dead and e.rank not in self._replaced), None,
+                (e for e in deployment.dead_engines()
+                 if e.rank not in self._replaced), None,
             )
             if corpse is not None and replicas < cfg.max_replicas:
                 self._replaced.add(corpse.rank)
@@ -188,7 +188,7 @@ class Autoscaler:
                 victim = deployment.idle_engine()
                 if victim is None:
                     continue
-                victim.retired = True
+                deployment.retire(victim)
                 deployment.scale_downs += 1
                 replicas -= 1
                 self.scale_events.append({

@@ -27,6 +27,17 @@ before a *later* arrival was routed may run past it (the engine never
 splits a committed segment); scheduling is still fully deterministic
 given the trace, router and plan.
 
+Each deployment keeps its replica roster (active and dead replicas) as
+state, changed only by :meth:`Deployment.add_replica`,
+:meth:`Deployment.reuse_replica`, :meth:`Deployment.retire` and a crash
+(observed through the replica's ``on_crash`` seam), so no event rescans
+the replicas.  Three readers build on it: the cluster's healthy-
+deployment list, cached until the next stall-window edge of an active
+replica or roster change; the crash agenda, the sorted crash times of
+live replicas, so an event before its head skips the due-crash step;
+and each deployment's idle-probe bound, below which
+:meth:`Deployment.advance` touches no engine.
+
 Each deployment's slice of the run is an ordinary
 :class:`~repro.serving.engine.records.ServingResult`, so the whole
 single-deployment metrics stack applies per deployment; the
@@ -38,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -49,7 +61,7 @@ from repro.serving.engine.driver import collect_result, make_engine, replica_bud
 from repro.serving.engine.rank_engine import _RankEngine
 from repro.serving.engine.records import RequestRecord, ServingResult
 from repro.serving.faults import FaultPlan, RetryPolicy
-from repro.serving.routing import RoutingPolicy, get_router, healthy_indices
+from repro.serving.routing import RoutingPolicy, get_router
 from repro.serving.trace import Request, Trace
 
 __all__ = [
@@ -107,6 +119,20 @@ class Deployment:
         self.cost_cache: Optional[_CostCache] = None
         self.sched_policy = config.make_policy()
         self.engines: List[_RankEngine] = []
+        # The replica roster, kept as state: active (not retired) and
+        # dead replicas, each in ``engines`` order.  Only add_replica,
+        # reuse_replica, retire and a crash change it.
+        self._active: List[_RankEngine] = []
+        self._dead: List[_RankEngine] = []
+        # Active replicas outside every stall window, valid for times
+        # in [_live_from, _live_until): up to the next stall edge of an
+        # active replica, or until the roster changes.
+        self._live: List[_RankEngine] = []
+        self._live_from = math.inf
+        self._live_until = -math.inf
+        # Lower bound on the next step or crash of any non-dead
+        # replica: advance() below it has nothing to run.
+        self._due_s = math.inf
         self.routed = 0
         self.scale_ups = 0
         self.scale_downs = 0
@@ -122,6 +148,7 @@ class Deployment:
         self._fault_plan: Optional[FaultPlan] = None
         self._on_crash = None
         self._on_failover = None
+        self._on_roster = None  # called after every roster change
 
     # -- replica lifecycle ---------------------------------------------------
 
@@ -140,9 +167,12 @@ class Deployment:
         )
         engine.clock = ready_s
         if self._fault_plan is not None:
-            engine.on_crash = self._on_crash
+            engine.on_crash = self._crashed
         self.engines.append(engine)
-        self.replicas_peak = max(self.replicas_peak, len(self.active_engines()))
+        self._active.append(engine)
+        self._due_s = min(self._due_s, engine.crash_s)
+        self._roster_changed()
+        self.replicas_peak = max(self.replicas_peak, len(self._active))
         return engine
 
     def reuse_replica(self) -> Optional[_RankEngine]:
@@ -157,19 +187,57 @@ class Deployment:
         for engine in self.engines:
             if engine.retired and not engine.dead:
                 engine.retired = False
-                self.replicas_peak = max(
-                    self.replicas_peak, len(self.active_engines())
-                )
+                self._active = [e for e in self.engines if not e.retired]
+                self._roster_changed()
+                self.replicas_peak = max(self.replicas_peak, len(self._active))
                 return engine
         return None
 
+    def retire(self, engine: _RankEngine) -> None:
+        """Stop placing new work on active replica ``engine``.
+
+        The replica keeps its queue, runs it to completion and stays
+        part of the result; :meth:`reuse_replica` may reactivate it.
+        """
+        if engine not in self._active:
+            raise ValueError(
+                f"replica {engine.rank} is not active in deployment "
+                f"{self.name!r}"
+            )
+        engine.retired = True
+        self._active.remove(engine)
+        self._roster_changed()
+
+    def _crashed(self, engine: _RankEngine, t_s: float, lost: list) -> None:
+        """Crash seam (every replica's ``on_crash`` in fault mode): move
+        ``engine`` from the active to the dead roster, then hand the
+        losses to the cluster's collector."""
+        if engine in self._active:
+            self._active.remove(engine)
+        self._dead = [e for e in self.engines if e.dead]
+        self._roster_changed()
+        if self._on_crash is not None:
+            self._on_crash(engine, t_s, lost)
+
+    def _roster_changed(self) -> None:
+        self._live_until = -math.inf
+        if self._on_roster is not None:
+            self._on_roster()
+
     def active_engines(self) -> List[_RankEngine]:
-        """Replicas currently accepting new work."""
-        return [e for e in self.engines if not e.retired]
+        """Replicas currently accepting new work, in provisioning order.
+
+        The maintained roster list itself (callers must not mutate it).
+        """
+        return self._active
+
+    def dead_engines(self) -> List[_RankEngine]:
+        """Crashed replicas, in provisioning order (maintained list)."""
+        return self._dead
 
     def idle_engine(self) -> Optional[_RankEngine]:
         """An active replica with nothing to do (scale-down candidate)."""
-        active = self.active_engines()
+        active = self._active
         if len(active) <= 1:
             return None
         for engine in active:
@@ -180,24 +248,52 @@ class Deployment:
     def is_healthy(self, t: float) -> bool:
         """True while at least one replica can accept work at ``t`` —
         active (not retired), alive (not dead) and not inside a stall
-        window.  Routers exclude unhealthy deployments in fault mode."""
+        window.  A full rescan of the replicas: the cluster routes on
+        the maintained equivalent (:meth:`_live_at`), and this stays the
+        reference predicate it is checked against."""
         return any(
             not e.retired and not e.dead and not e.is_stalled(t)
             for e in self.engines
         )
 
+    def _live_at(self, t: float) -> List[_RankEngine]:
+        """Active replicas outside every stall window at ``t``, rebuilt
+        only when ``t`` leaves the cached validity interval (fault mode:
+        object engines only)."""
+        if not self._live_from <= t < self._live_until:
+            live = []
+            until = math.inf
+            for engine in self._active:
+                if not engine.is_stalled(t):
+                    live.append(engine)
+                until = min(until, engine.stall_edge_after(t))
+            self._live = live
+            self._live_from = t
+            self._live_until = until
+        return self._live
+
     # -- lazy state views (router / autoscaler seam) -------------------------
 
     def advance(self, t: float) -> None:
-        """Run every replica up to simulation time ``t`` (lazy, cheap
-        when nothing is due)."""
+        """Run every replica up to simulation time ``t``.
+
+        Below ``_due_s`` no replica has a step or a crash due, so the
+        call returns without touching an engine; otherwise every
+        replica advances and the bound is recomputed.
+        """
+        if t < self._due_s:
+            return
+        due = math.inf
         for engine in self.engines:
             engine.advance(t)
+            if not engine.dead:
+                due = min(due, engine.next_event_s(), engine.crash_s)
+        self._due_s = due
 
     def queue_depth(self, t: float) -> int:
         """Waiting requests across active replicas, observed at ``t``."""
         self.advance(t)
-        return sum(e.queue_depth() for e in self.active_engines())
+        return sum(e.queue_depth() for e in self._active)
 
     def kv_occupancy(self, t: float) -> float:
         """KV demand over capacity across active replicas at ``t``.
@@ -213,7 +309,7 @@ class Deployment:
         ``least_kv`` than a backlogged healthy deployment.
         """
         self.advance(t)
-        active = self.active_engines()
+        active = self._active
         capacity = self.kv_capacity * len(active)
         if capacity <= 0:
             return math.inf
@@ -234,11 +330,9 @@ class Deployment:
         *died* triggers a failover notification before the fresh
         placement.  Returns the engine the request landed on.
         """
-        active = self.active_engines()
+        active = self._active
         if self._fault_plan is not None:
-            live = [
-                e for e in active if not e.is_stalled(request.arrival_s)
-            ]
+            live = self._live_at(request.arrival_s)
             if live:
                 active = live
         if not active:
@@ -262,6 +356,7 @@ class Deployment:
             if session >= 0:
                 self._session_engine[session] = engine
         engine.submit(request)
+        self._due_s = min(self._due_s, engine.next_event_s())
         self.routed += 1
         return engine
 
@@ -459,6 +554,19 @@ class Cluster:
         self._origin_arrival: Dict[int, float] = {}
         self._now = 0.0
         self._seq = 0
+        self._crashes = 0
+        # Roster-derived caches (fault mode): the healthy deployment
+        # indices (and their deployments), valid for times in
+        # [_healthy_from, _healthy_until); and the crash agenda, the
+        # sorted (crash_s, deployment index, engine index) of every
+        # live replica with a scheduled crash, headed by _next_crash_s.
+        # A roster change anywhere invalidates both.
+        self._healthy: List[int] = []
+        self._healthy_pool: List[Deployment] = []
+        self._healthy_from = math.inf
+        self._healthy_until = -math.inf
+        self._crash_agenda: List[tuple] = []
+        self._next_crash_s = -math.inf
         if self._fault_mode:
             for spec in faults.specs:
                 if spec.kind == "crash":
@@ -492,6 +600,7 @@ class Cluster:
                 deployment._fault_plan = faults
                 deployment._on_crash = self._crash_collector(deployment)
                 deployment._on_failover = self._failover_collector(deployment)
+                deployment._on_roster = self._roster_changed
             for _ in range(deployment.config.num_ranks):
                 deployment.add_replica(self.allocate_rank())
 
@@ -537,10 +646,8 @@ class Cluster:
                 )
                 if faulted:
                     t_peek = ordered[nxt].arrival_s if fresh else heap[0][0]
-                    for deployment in deployments:
-                        for engine in deployment.engines:
-                            if engine.crash_s <= t_peek and not engine.dead:
-                                engine.advance(t_peek)
+                    if t_peek >= self._next_crash_s:
+                        self._fire_due_crashes(t_peek)
                     if self._crash_box:
                         # Harvest first: a retry may precede the head event.
                         self._pump_crashes(heap)
@@ -567,7 +674,7 @@ class Cluster:
                                     deployment="cluster",
                                     priority=request.priority)
                     continue
-                healthy = healthy_indices(deployments, t) if faulted else None
+                healthy = self._healthy_at(t) if faulted else None
                 if healthy is not None and not healthy:
                     # Nowhere to place it: back off like a crash loss.
                     attempt = self._retry_counts.get(req_id, 0) + 1
@@ -614,7 +721,7 @@ class Cluster:
                 if target < 0:
                     pool = (
                         deployments if healthy is None
-                        else [deployments[i] for i in healthy]
+                        else self._healthy_pool
                     )
                     target = router.select(request, pool)
                     if not 0 <= target < len(pool):
@@ -670,6 +777,56 @@ class Cluster:
 
     # -- fault mode (crash recovery, retries, shedding) -----------------------
 
+    def _roster_changed(self) -> None:
+        """A deployment's roster changed: drop the health cache and the
+        crash agenda (rebuilt on next use)."""
+        self._healthy_until = -math.inf
+        self._next_crash_s = -math.inf
+
+    def _healthy_at(self, t: float) -> List[int]:
+        """Indices of the deployments with a live, unstalled replica at
+        ``t``; rebuilt only when ``t`` reaches the next stall edge of a
+        live replica or the roster has changed."""
+        if not self._healthy_from <= t < self._healthy_until:
+            healthy = []
+            until = math.inf
+            for index, deployment in enumerate(self.deployments):
+                if deployment._live_at(t):
+                    healthy.append(index)
+                until = min(until, deployment._live_until)
+            self._healthy = healthy
+            self._healthy_pool = [self.deployments[i] for i in healthy]
+            self._healthy_from = t
+            self._healthy_until = until
+        return self._healthy
+
+    def _fire_due_crashes(self, t: float) -> None:
+        """Advance every live replica whose scheduled crash is due by
+        ``t``, so those crashes fire; called only once ``t`` reaches the
+        agenda head.  Due replicas advance in (deployment, engine)
+        order, not crash-time order: the crash box, and so the retry
+        sequence numbers, follow that order."""
+        if self._next_crash_s == -math.inf:
+            self._crash_agenda = sorted(
+                (engine.crash_s, d, e)
+                for d, deployment in enumerate(self.deployments)
+                for e, engine in enumerate(deployment.engines)
+                if not engine.dead and engine.crash_s < math.inf
+            )
+            self._next_crash_s = (
+                self._crash_agenda[0][0] if self._crash_agenda else math.inf
+            )
+            if t < self._next_crash_s:
+                return
+        agenda = self._crash_agenda
+        due = sorted(
+            entry[1:] for entry in agenda[:bisect_right(agenda, (t, math.inf))]
+        )
+        for d, e in due:
+            engine = self.deployments[d].engines[e]
+            if not engine.dead:
+                engine.advance(t)
+
     def _crash_collector(self, deployment: Deployment):
         """Crash callback for ``deployment``'s engines: log the fault
         and park the losses in the crash box for the recovery loop."""
@@ -686,6 +843,7 @@ class Cluster:
                 "lost_requests": len(lost),
                 "detected_s": self._now,
             })
+            self._crashes += 1
             self._crash_box.append((t_s, deployment, engine, lost))
         return on_crash
 
@@ -764,7 +922,7 @@ class Cluster:
         """
         if self.shed_tier is None or request.priority < self.shed_tier:
             return False
-        if not any(e["kind"] == "crash" for e in self._fault_events):
+        if not self._crashes:
             return False
         scaler = self.autoscaler
         high = scaler.config.queue_high if scaler is not None else 8.0
@@ -772,9 +930,7 @@ class Cluster:
         live = 0
         for deployment in self.deployments:
             depth += deployment.queue_depth(t)
-            live += sum(
-                1 for e in deployment.active_engines() if not e.dead
-            )
+            live += len(deployment.active_engines())
         return depth > high * max(live, 1)
 
     def _collect_result(self) -> ClusterResult:

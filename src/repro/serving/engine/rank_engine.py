@@ -279,6 +279,16 @@ class _RankEngine:
         """True while ``t_s`` falls inside a scheduled stall window."""
         return any(start <= t_s < end for start, end in self._stalls)
 
+    def stall_edge_after(self, t_s: float) -> float:
+        """Earliest stall-window start or end strictly after ``t_s``
+        (``inf`` when none): :meth:`is_stalled` is constant from ``t_s``
+        up to that edge."""
+        return min(
+            (edge for window in self._stalls for edge in window
+             if edge > t_s),
+            default=math.inf,
+        )
+
     def _fault_factor(self) -> float:
         """Latency multiplier for a step starting at the current clock."""
         factor = 1.0

@@ -178,6 +178,8 @@ class _SoaEngine:
         #: Never set: the soa engine rejects fault plans, so a soa
         #: replica cannot die.
         self.dead = False
+        #: Same reason: no crash is ever scheduled.
+        self.crash_s = math.inf
         self._kv_per_token = cache.model.kv_cache_bytes(1, 1)
         self._tables = cache.segment_table()
         self._cap = 0

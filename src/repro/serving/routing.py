@@ -51,29 +51,7 @@ __all__ = [
     "P2cRouter",
     "SloAffinityRouter",
     "get_router",
-    "healthy_indices",
 ]
-
-
-def healthy_indices(targets: Sequence, t_s: float) -> list:
-    """Indices of ``targets`` that can accept work at time ``t_s``.
-
-    This is the cluster's health filter under fault injection: a target
-    exposing ``is_healthy(t_s)`` (a :class:`~repro.serving.cluster
-    .Deployment` — healthy while at least one replica is alive and not
-    stalled) is included only when it reports healthy; targets without
-    replica state (plain sequences, as the rank-sharding driver passes)
-    are always included.  Every routing policy becomes health-aware by
-    selecting over the filtered candidate list.  The cluster calls this
-    only under a non-empty fault plan; with no plan (or an empty one)
-    it routes over every deployment directly.
-    """
-    out = []
-    for index, target in enumerate(targets):
-        probe = getattr(target, "is_healthy", None)
-        if probe is None or probe(t_s):
-            out.append(index)
-    return out
 
 
 class RoutingPolicy:

@@ -291,6 +291,76 @@ def test_naive_range_sums_read_the_row_width_without_a_bank(monkeypatch):
         cost_module._cached_naive_sum_n(get_scheme("W8A8"), 1, 1, 1, 2, small)
 
 
+# Shapes for the range sums: (m, fixed dim, lo, hi) with empty ranges,
+# zero dimensions, ranges crossing the total DPU count on the small
+# deployments and ranges whose later terms overflow a small bank.
+NAIVE_SUM_SHAPES = [
+    (2, 8, 1, 1), (0, 8, 1, 5), (4, 0, 3, 9), (12, 64, 5, 4),
+    (12, 64, 1, 40), (1, 1000, 1, 40), (3, 2000, 1, 30), (12, 3, 300, 420),
+]
+
+
+def _naive_sum_configs():
+    """The fuzz deployments plus a one-DPU bank of two rows, where a
+    range's later terms overflow the bank."""
+    return _fuzz_configs() + [
+        UpmemConfig(num_ranks=1, dpus_per_rank=1,
+                    timings=UpmemTimings(mram_bytes=1 << 14)),
+    ]
+
+
+def _loop_outcome(scheme, m, fixed, lo, hi, axis, config):
+    """The per-call loop a naive range sum collapses, as an outcome."""
+    system = UpmemSystem(config)
+    total = ExecutionStats(kernel="naive_pim_gemm")
+    try:
+        for x in range(lo, hi + 1):
+            k, n = (fixed, x) if axis == "n" else (x, fixed)
+            total = total + gemm_cost(scheme, m, k, n, system=system,
+                                      kernel="naive_pim_gemm")
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+    return "ok", total
+
+
+@pytest.mark.parametrize("axis", ["n", "k"])
+def test_naive_range_sums_match_the_per_call_loop_on_degenerate_configs(axis):
+    summed = (cost_module.naive_gemm_cost_sum_n if axis == "n"
+              else cost_module.naive_gemm_cost_sum_k)
+    seen = set()
+    for config in _naive_sum_configs():
+        for m, fixed, lo, hi in NAIVE_SUM_SHAPES:
+            case = (config, m, fixed, lo, hi)
+            expected = _loop_outcome("W8A8", m, fixed, lo, hi, axis, config)
+            try:
+                got = ("ok", summed("W8A8", m, fixed, lo, hi,
+                                    system=UpmemSystem(config)))
+            except Exception as exc:  # noqa: BLE001
+                got = (type(exc), str(exc))
+            if expected[0] != "ok":
+                assert got == expected, case
+                seen.add(expected[1].split(" ")[0])
+                continue
+            assert got[0] == "ok", (case, got)
+            loop, closed = expected[1], got[1]
+            for name, value in vars(loop).items():
+                if isinstance(value, float):
+                    assert closed.allclose(loop), (case, name)
+                else:
+                    assert getattr(closed, name) == value, (case, name)
+            seen.add("ok")
+    # Empty WRAM, a sub-row bank and an overflowing later term were all hit.
+    assert seen >= {"ok", "capacity_bytes", "access"}, seen
+
+
+def test_naive_range_sum_on_empty_wram_raises_the_per_call_error():
+    system = UpmemSystem(UpmemConfig(timings=UpmemTimings(wram_bytes=0)))
+    for summed in (cost_module.naive_gemm_cost_sum_n,
+                   cost_module.naive_gemm_cost_sum_k):
+        with pytest.raises(ValueError, match="capacity_bytes must be positive"):
+            summed("W8A8", 2, 8, 1, 1, system=system)
+
+
 # -- structure: no modelling objects on the cost-only path ---------------------
 
 

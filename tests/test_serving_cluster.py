@@ -426,7 +426,7 @@ def test_fully_retired_deployment_never_wins_least_kv():
                                     dpus_per_rank=8), name="busy")
     Cluster([dead, busy], router="round_robin")
     for engine in dead.engines:
-        engine.retired = True
+        dead.retire(engine)
     # Backlog the healthy deployment far past capacity.
     for request in _trace(5, requests=160, rate=1000.0):
         busy.submit(request)
