@@ -33,9 +33,9 @@ state, changed only by :meth:`Deployment.add_replica`,
 (observed through the replica's ``on_crash`` seam), so no event rescans
 the replicas.  Three readers build on it: the cluster's healthy-
 deployment list, cached until the next stall-window edge of an active
-replica or roster change; the crash agenda, the sorted crash times of
-live replicas, so an event before its head skips the due-crash step;
-and each deployment's idle-probe bound, below which
+replica or roster change; the crash agenda, the live replicas with a
+scheduled crash, so an event before the earliest skips the due-crash
+step; and each deployment's idle-probe bound, below which
 :meth:`Deployment.advance` touches no engine.
 
 Each deployment's slice of the run is an ordinary
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -557,15 +556,15 @@ class Cluster:
         self._crashes = 0
         # Roster-derived caches (fault mode): the healthy deployment
         # indices (and their deployments), valid for times in
-        # [_healthy_from, _healthy_until); and the crash agenda, the
-        # sorted (crash_s, deployment index, engine index) of every
-        # live replica with a scheduled crash, headed by _next_crash_s.
-        # A roster change anywhere invalidates both.
+        # [_healthy_from, _healthy_until); and the crash agenda, every
+        # live replica with a scheduled crash in (deployment, engine)
+        # order, with _next_crash_s its earliest crash time.  A roster
+        # change anywhere invalidates both (_next_crash_s = -inf).
         self._healthy: List[int] = []
         self._healthy_pool: List[Deployment] = []
         self._healthy_from = math.inf
         self._healthy_until = -math.inf
-        self._crash_agenda: List[tuple] = []
+        self._crash_agenda: List[_RankEngine] = []
         self._next_crash_s = -math.inf
         if self._fault_mode:
             for spec in faults.specs:
@@ -803,28 +802,24 @@ class Cluster:
     def _fire_due_crashes(self, t: float) -> None:
         """Advance every live replica whose scheduled crash is due by
         ``t``, so those crashes fire; called only once ``t`` reaches the
-        agenda head.  Due replicas advance in (deployment, engine)
-        order, not crash-time order: the crash box, and so the retry
-        sequence numbers, follow that order."""
+        earliest crash on the agenda.  Due replicas advance in
+        (deployment, engine) order, not crash-time order: the crash box,
+        and so the retry sequence numbers, follow that order."""
         if self._next_crash_s == -math.inf:
-            self._crash_agenda = sorted(
-                (engine.crash_s, d, e)
-                for d, deployment in enumerate(self.deployments)
-                for e, engine in enumerate(deployment.engines)
+            self._crash_agenda = [
+                engine
+                for deployment in self.deployments
+                for engine in deployment.engines
                 if not engine.dead and engine.crash_s < math.inf
-            )
-            self._next_crash_s = (
-                self._crash_agenda[0][0] if self._crash_agenda else math.inf
+            ]
+            self._next_crash_s = min(
+                (engine.crash_s for engine in self._crash_agenda),
+                default=math.inf,
             )
             if t < self._next_crash_s:
                 return
-        agenda = self._crash_agenda
-        due = sorted(
-            entry[1:] for entry in agenda[:bisect_right(agenda, (t, math.inf))]
-        )
-        for d, e in due:
-            engine = self.deployments[d].engines[e]
-            if not engine.dead:
+        for engine in self._crash_agenda:
+            if engine.crash_s <= t and not engine.dead:
                 engine.advance(t)
 
     def _crash_collector(self, deployment: Deployment):
