@@ -1,6 +1,8 @@
 """Cluster layer: routing invariants across seeds, autoscaler accounting,
 session stickiness, observability and the cluster tables."""
 
+import dataclasses
+import itertools
 import math
 
 import pytest
@@ -110,19 +112,61 @@ def test_least_kv_no_worse_p95_ttft_on_starved_cluster(seed):
     assert lk["ttft_p95_s"] <= rr["ttft_p95_s"]
 
 
+def _submission_traffic(kind, requests=400):
+    """Bursty single-shot traffic, or conversations short enough for the
+    per-bank working set, on a one-DPU rank that KV pressure reaches."""
+    if kind == "bursty":
+        return generate_trace(TraceSpec(
+            num_requests=requests, seed=5, scenario="bursty",
+            arrival_rate_per_s=0.01, prompt_mean=96.0, prompt_sigma=0.8,
+            prompt_max=384, gen_mean=48.0, gen_max=256,
+            priority_weights=(1.0, 1.0), slo_ttft_s=(5.0, 50.0),
+        ))
+    return generate_trace(TraceSpec(
+        num_requests=requests, seed=5, scenario="conversational",
+        arrival_rate_per_s=0.05, prompt_mean=48.0, prompt_max=128,
+        gen_mean=24.0, gen_max=64, sessions=requests // 5, turns_mean=4.0,
+        turns_max=6, system_prompt_pool=3, system_prompt_tokens=32,
+        priority_weights=(0.5, 0.5),
+    ))
+
+
 def test_single_deployment_round_robin_matches_driver():
-    # One deployment under the stateless router is exactly the driver's
-    # legacy rank sharding (non-session trace), timestamps and all.
-    trace = _trace(5, requests=64)
-    config = ServingConfig(model="gpt-125m", num_ranks=3)
-    single = simulate_trace(trace, config)
-    clustered = simulate_cluster(
-        trace, [Deployment(config, name="only")], router="round_robin"
-    )
-    key = lambda r: (r.req_id, r.rank, r.status, r.admit_s,
-                     r.first_token_s, r.finish_s)
-    assert list(map(key, single.records)) == \
-        list(map(key, clustered.records))
+    # The two ways into an engine agree: the driver hands each rank its
+    # shard at once, the cluster submits request by request.  One
+    # deployment under the stateless router reproduces the driver's
+    # rank sharding (session turns included), so every record field and
+    # every rank's counters must match, under every policy.
+    preemptions = 0
+    for policy, kind, ranks in itertools.product(
+        ("fcfs", "sjf", "priority", "chunked_prefill"),
+        ("bursty", "conversational"), (1, 3),
+    ):
+        case = f"{policy}/{kind}/{ranks} rank(s)"
+        trace = _submission_traffic(kind)
+        config = ServingConfig(
+            model="gpt-125m", num_ranks=ranks, dpus_per_rank=1,
+            max_batch=16, policy=policy, prefill_chunk_tokens=16,
+            prefix_cache=kind == "conversational",
+        )
+        single = simulate_trace(trace, config)
+        clustered = simulate_cluster(
+            trace, [Deployment(config, name="only")], router="round_robin"
+        )
+        records = [dataclasses.astuple(r) for r in single.records]
+        assert len(records) == len(trace), case
+        assert [dataclasses.astuple(r) for r in clustered.records] == \
+            records, case
+        stats = [dataclasses.astuple(s) for s in single.rank_stats]
+        assert [dataclasses.astuple(s) for s in
+                clustered.deployments[0].serving.rank_stats] == stats, case
+        listed = simulate_trace(list(trace), config)
+        assert [dataclasses.astuple(r) for r in listed.records] == \
+            records, case
+        assert [dataclasses.astuple(s) for s in listed.rank_stats] == \
+            stats, case
+        preemptions += single.preemptions
+    assert preemptions > 0  # the priority policy preempts somewhere
 
 
 def test_session_turns_stick_to_one_replica():
