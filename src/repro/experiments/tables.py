@@ -208,14 +208,25 @@ def _row_columns(rows: Sequence[dict]) -> tuple:
             {field: column(done, field) for field in _DONE_FIELDS})
 
 
-def _attr_columns(items: Sequence) -> tuple:
-    """:func:`_scope_row`'s per-field lists gathered attribute by
-    attribute from objects carrying the fields (request records), with
-    no row dicts and no per-item tuples."""
-    done = [item for item in items if item.status == "completed"]
-    return ({field: list(map(attrgetter(field), items))
-             for field in _SCOPE_FIELDS},
-            {field: list(map(attrgetter(field), done))
+def _column_getter(records: Sequence):
+    """``column(field) -> list`` over request records: the records' own
+    :meth:`~repro.serving.engine.records.ColumnRecords.column` when they
+    are held as columns, else the attribute gathered record by record
+    (derived properties such as ``ttft_s`` included)."""
+    column = getattr(records, "column", None)
+    if column is not None:
+        return column
+    return lambda field: list(map(attrgetter(field), records))
+
+
+def _attr_columns(records: Sequence) -> tuple:
+    """:func:`_scope_row`'s per-field lists straight from request
+    records (columns or objects, see :func:`_column_getter`), with
+    no row dicts and no per-record tuples."""
+    column = _column_getter(records)
+    done = [status == "completed" for status in column("status")]
+    return ({field: column(field) for field in _SCOPE_FIELDS},
+            {field: list(compress(column(field), done))
              for field in _DONE_FIELDS})
 
 

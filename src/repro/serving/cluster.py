@@ -753,25 +753,6 @@ class Cluster:
                 self._pump_crashes(heap)
             if not heap and not self._crash_box:
                 break
-        # Surviving records of retried requests were created at their
-        # retry submission; restore the origin arrival so TTFT and
-        # latency include the crash and backoff delay, and stamp the
-        # per-request recovery counters.
-        if self._retry_counts or self._failover_counts:
-            for deployment in deployments:
-                for engine in deployment.engines:
-                    for record in engine.records:
-                        retries = self._retry_counts.get(record.req_id, 0)
-                        if retries:
-                            record.retries = retries
-                            record.arrival_s = self._origin_arrival.get(
-                                record.req_id, record.arrival_s
-                            )
-                        failovers = self._failover_counts.get(
-                            record.req_id, 0
-                        )
-                        if failovers:
-                            record.failovers = failovers
         return self._collect_result()
 
     # -- fault mode (crash recovery, retries, shedding) -----------------------
@@ -928,9 +909,29 @@ class Cluster:
             live += len(deployment.active_engines())
         return depth > high * max(live, 1)
 
+    def _stamp_recovery(self, records) -> None:
+        """Restore the origin arrival of retried requests' surviving
+        records (they were created at their retry submission), so TTFT
+        and latency include the crash and backoff delay, and stamp the
+        per-request recovery counters."""
+        for record in records:
+            retries = self._retry_counts.get(record.req_id, 0)
+            if retries:
+                record.retries = retries
+                record.arrival_s = self._origin_arrival.get(
+                    record.req_id, record.arrival_s
+                )
+            failovers = self._failover_counts.get(record.req_id, 0)
+            if failovers:
+                record.failovers = failovers
+
     def _collect_result(self) -> ClusterResult:
         """Package deployments, scale events and fault state."""
         scaler = self.autoscaler
+        servings = [d.result() for d in self.deployments]
+        if self._retry_counts or self._failover_counts:
+            for serving in servings:
+                self._stamp_recovery(serving.records)
         return ClusterResult(
             router=self.router.name,
             deployments=[
@@ -942,10 +943,10 @@ class Cluster:
                     replicas_peak=d.replicas_peak,
                     scale_ups=d.scale_ups,
                     scale_downs=d.scale_downs,
-                    serving=d.result(),
+                    serving=serving,
                     replacements=d.replacements,
                 )
-                for d in self.deployments
+                for d, serving in zip(self.deployments, servings)
             ],
             scale_events=(
                 list(scaler.scale_events) if scaler is not None else []

@@ -21,7 +21,6 @@ completion and collects the result.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -144,10 +143,9 @@ def collect_result(
 ) -> ServingResult:
     """One :class:`ServingResult` from drained ``engines`` of ``config``.
 
-    Object engines' records are gathered into one list sorted by
-    ``req_id``; soa engines' outcome columns are concatenated into one
-    :class:`~repro.serving.engine.records.ColumnRecords`, which sorts
-    only when its records are read.
+    Every engine's outcome columns are combined into one
+    :class:`~repro.serving.engine.records.ColumnRecords` sorted by
+    ``req_id``; no record object is built until one is read.
     """
     if config.engine == "soa":
         outputs = [engine.output_columns() for engine in engines]
@@ -156,8 +154,9 @@ def collect_result(
             for key in outputs[0]
         })
     else:
-        records = [record for engine in engines for record in engine.records]
-        records.sort(key=lambda rec: rec.req_id)
+        records = ColumnRecords.merge(
+            [engine.record_columns() for engine in engines]
+        )
     return ServingResult(
         config=config,
         records=records,
@@ -239,14 +238,13 @@ def simulate_trace(
     for rank in range(num_ranks):
         engine = make_engine(rank, cache, config, kv_capacity, sched_policy,
                              tracer=tracer, faults=faults)
-        mask = ranks == rank
-        if config.engine == "soa":
+        if num_ranks == 1:
+            engine.submit_columns(columns)
+        else:
+            mask = ranks == rank
             engine.submit_columns(
                 {key: array[mask] for key, array in columns.items()}
             )
-        else:
-            for request in compress(trace, mask.tolist()):
-                engine.submit(request)
         engine.run()
         engines.append(engine)
     return collect_result(config, engines, kv_capacity, weight_bytes)

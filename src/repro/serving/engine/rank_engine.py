@@ -7,13 +7,36 @@ at a time (:meth:`_RankEngine._step`) through one drive path,
 
 * **Run-to-drain** (:meth:`_RankEngine.run`, which is
   ``advance(math.inf)`` then :meth:`_RankEngine.finalize`) — the
-  single-deployment driver submits every request of its shard in
-  arrival order, then drains the engine in one call.
+  single-deployment driver hands each rank its whole shard in arrival
+  order, then drains the engine in one call.
 * **Incremental** (:meth:`_RankEngine.submit` /
   :meth:`_RankEngine.advance` / :meth:`_RankEngine.finalize`) — the
   cluster layer reveals arrivals one routing decision at a time and
   advances the engine lazily to a time horizon, so routers can observe
   live queue depth and KV occupancy between arrivals.
+
+**Request slots.**  A request is an integer *slot* into the engine's
+append-only columns (Python lists, which index faster than numpy
+scalars on the narrow path): the immutable :class:`Request` fields, the
+mutable scheduling state (tokens out, prefix target and progress,
+cached tokens, private and full KV bytes, cache entry) and the outcome
+(admission, first-token and finish stamps, status, preemptions, cache
+hit).  There is one representation with two ways in:
+:meth:`_RankEngine.submit` appends one slot from a request object (the
+cluster path) and :meth:`_RankEngine.submit_columns` extends every
+column from a trace shard's arrays at once (the
+:func:`~repro.serving.engine.driver.simulate_trace` path).  The pending
+queue is a cursor over submission order, the ready heap holds
+``(key, seq, slot)``, and the prefill stage and running batch are slot
+lists.  :meth:`_RankEngine.record_columns` hands the terminal outcomes
+to :class:`~repro.serving.engine.records.ColumnRecords` as columns; no
+per-request object is built on the way.
+
+**Policies.**  The built-in :class:`~repro.serving.policy.SchedulingPolicy`
+hooks are evaluated straight from the columns.  A hook a subclass
+overrides is called with a :class:`_RequestState` view of the slot
+(``.request``, ``.tokens_out``, ``.kv_private``), built only for that
+call.
 
 A :class:`~repro.serving.faults.FaultPlan` passed to the constructor
 registers its specs for the engine's rank through the fault hooks
@@ -33,19 +56,22 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
-from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.serving.engine.cache import CacheEntry, PrefixCache
 from repro.serving.engine.config import ServingConfig
 from repro.serving.engine.costs import SegmentCostTable, _CostCache
-from repro.serving.engine.records import RankStats, RequestRecord
-from repro.serving.policy import SchedulingPolicy
-from repro.serving.trace import Request
+from repro.serving.engine.records import (
+    ColumnRecords,
+    RankStats,
+    RequestRecord,
+)
+from repro.serving.policy import PriorityPolicy, SchedulingPolicy, SjfPolicy
+from repro.serving.trace import _REQUEST_FIELDS, Request, _unchecked_request
 
 __all__ = ["_RequestState", "_RankEngine", "PACKED_MIN_BATCH"]
 
@@ -54,6 +80,8 @@ __all__ = ["_RequestState", "_RankEngine", "PACKED_MIN_BATCH"]
 #: than numpy call overhead; the crossover is measured by the
 #: ``batch_width`` entry of ``tools/bench.py``.
 PACKED_MIN_BATCH = 64
+
+_request_values = attrgetter(*_REQUEST_FIELDS)
 
 
 def _seq_sum(start: float, terms: np.ndarray) -> float:
@@ -65,29 +93,37 @@ def _seq_sum(start: float, terms: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(((start,), terms)))[-1])
 
 
-@dataclass
 class _RequestState:
-    """Mutable per-request scheduling state inside a rank engine.
+    """A scheduling policy's view of one request slot of a rank engine.
 
-    ``prefix_target`` / ``prefix_done`` track the prefix (prompt plus
-    any previously generated tokens after a preemption) that must be
-    prefilled before the request may decode again; a prefix-cache hit
-    pre-credits ``prefix_done`` so only the uncached tail is prefilled.
-    ``kv_bytes`` is the request's full logical KV footprint;
-    ``kv_private`` the bytes it actually reserved this admission (the
-    footprint minus the cached prefix — equal to ``kv_bytes`` whenever
-    the cache is off or missed).
+    Built only where a policy hook a subclass overrides is called.
+    ``request`` is the immutable :class:`Request`, ``tokens_out`` the
+    tokens generated so far and ``kv_private`` the KV bytes the request
+    reserved this admission (its footprint minus any cached prefix);
+    all three read the engine's columns.  ``slot`` is the engine's
+    index of the request.
     """
 
-    request: Request
-    record: RequestRecord
-    kv_bytes: int
-    tokens_out: int = 0
-    prefix_target: int = 0
-    prefix_done: int = 0
-    cached_tokens: int = 0
-    kv_private: int = 0
-    cache_entry: Optional[CacheEntry] = None
+    __slots__ = ("_engine", "slot")
+
+    def __init__(self, engine: "_RankEngine", slot: int) -> None:
+        self._engine = engine
+        self.slot = slot
+
+    @property
+    def request(self) -> Request:
+        """The immutable request this slot serves."""
+        return self._engine._request(self.slot)
+
+    @property
+    def tokens_out(self) -> int:
+        """Tokens generated so far."""
+        return self._engine._tokens_out[self.slot]
+
+    @property
+    def kv_private(self) -> int:
+        """KV bytes reserved by this admission (0 while not admitted)."""
+        return self._engine._kv_private[self.slot]
 
 
 class _RankEngine:
@@ -117,8 +153,6 @@ class _RankEngine:
             self._trace is not None and self._trace.wants_engine_detail
         )
         self.stats = RankStats(rank=rank)
-        self.records: List[RequestRecord] = []
-        self.pending: deque = deque()
         self.kv_queued_bytes = 0
         #: Cluster-managed flag: a retired replica receives no new work
         #: from its deployment (the engine itself never reads it).
@@ -136,18 +170,57 @@ class _RankEngine:
         #: recovery loop can retry them.  When unset (standalone runs)
         #: the lost requests become terminal ``failed`` records.
         self.on_crash: Optional[Callable] = None
-        self.ready: List[Tuple[Tuple, int, _RequestState]] = []
-        self.prefilling: List[_RequestState] = []
-        self.running: List[_RequestState] = []
+        # -- request slots (see the module docstring) --
+        # Immutable request fields, one list per Request field.
+        self._fields: Tuple[list, ...] = tuple([] for _ in _REQUEST_FIELDS)
+        (self._req_id, self._arrival, self._prompt, self._gen,
+         self._priority, self._slo, self._session, self._turn,
+         self._prefix_id, self._prefix_tokens, _, self._final) = self._fields
+        # The request object of a slot, once one exists (submitted as
+        # one, or built for a policy view, a cache lookup or a crash).
+        self._req: List[Optional[Request]] = []
+        # Mutable scheduling state.  ``_target`` / ``_done`` track the
+        # prefix (prompt plus tokens generated before a preemption) to
+        # prefill before the slot may decode again; a cache hit
+        # pre-credits ``_done``.  ``_kv_bytes`` is the full logical KV
+        # footprint, ``_kv_private`` the bytes reserved this admission.
+        self._tokens_out: List[int] = []
+        self._target: List[int] = []
+        self._done: List[int] = []
+        self._cached: List[int] = []
+        self._kv_private: List[int] = []
+        self._kv_bytes: List[int] = []
+        self._entry: List[Optional[CacheEntry]] = []
+        # Outcome: first-admission stamp, first-token and finish stamps,
+        # status, preemptions, and the first admission's cache outcome.
+        self._admit_s: List[Optional[float]] = []
+        self._first_s: List[Optional[float]] = []
+        self._finish_s: List[Optional[float]] = []
+        self._status: List[str] = []
+        self._preemptions: List[int] = []
+        self._hit: List[bool] = []
+        self._hit_tokens: List[int] = []
+        # Slots with a terminal record, in the order they became one.
+        self._terminal: List[int] = []
+        self._kv_per_token = cache.model.kv_cache_bytes(1, 1)
+        self._next = 0  # pending queue: slots [_next, len(_arrival))
+        self.ready: List[Tuple[Tuple, int, int]] = []
+        self.prefilling: List[int] = []
+        self.running: List[int] = []
         self.clock = 0.0
         self.kv_used = 0
         self._seq = 0  # heap tie-break counter
         self._event_driven = config.engine == "event"
         self.prefix_cache = PrefixCache() if config.prefix_cache else None
+        self._key = self._key_function()
+        self._victims_hook = (
+            None if type(policy).select_victims is SchedulingPolicy.select_victims
+            else policy.select_victims
+        )
         # Packed running set (see the module docstring): while ``_kv``
         # is not None, ``_kv[i]`` / ``_left[i]`` are the KV depth and
         # tokens left of ``running[i]`` for every packed position, whose
-        # ``tokens_out`` is stale until :meth:`_unpack` writes it back.
+        # ``_tokens_out`` is stale until :meth:`_unpack` writes it back.
         # ``_fresh`` lists the packed positions yet to emit a token.
         self._kv: Optional[np.ndarray] = None
         self._left: Optional[np.ndarray] = None
@@ -156,16 +229,128 @@ class _RankEngine:
         if faults is not None:
             faults.apply(self)
 
+    def _key_function(self) -> Callable[[int], Tuple]:
+        """The policy's admission key as a function of a slot.
+
+        A built-in :meth:`~SchedulingPolicy.admission_key` is computed
+        from the columns (the same tuple the hook returns); an
+        overridden one is called with a :class:`_RequestState` view.
+        """
+        hook = type(self.policy).admission_key
+        arrival, req_id = self._arrival, self._req_id
+        if hook is SchedulingPolicy.admission_key:
+            return lambda slot: (arrival[slot], req_id[slot])
+        if hook is SjfPolicy.admission_key:
+            gen, tokens_out = self._gen, self._tokens_out
+            return lambda slot: (
+                gen[slot] - tokens_out[slot], arrival[slot], req_id[slot]
+            )
+        if (hook is PriorityPolicy.admission_key
+                and type(self.policy)._deadline is PriorityPolicy._deadline):
+            priority, slo = self._priority, self._slo
+
+            def priority_key(slot: int) -> Tuple:
+                arrival_s = arrival[slot]
+                deadline = (arrival_s + slo[slot] if slo[slot] > 0
+                            else math.inf)
+                return (priority[slot], deadline, arrival_s, req_id[slot])
+            return priority_key
+        admission_key = self.policy.admission_key
+        return lambda slot: admission_key(_RequestState(self, slot))
+
+    # -- request slots ---------------------------------------------------------
+
+    def _request(self, slot: int) -> Request:
+        """The :class:`Request` of ``slot``, built from its columns once."""
+        request = self._req[slot]
+        if request is None:
+            request = self._req[slot] = _unchecked_request(
+                *(column[slot] for column in self._fields)
+            )
+        return request
+
+    def _record(self, slot: int) -> RequestRecord:
+        """A :class:`RequestRecord` of ``slot``'s outcome so far."""
+        return RequestRecord(
+            self._req_id[slot], self.rank, self._arrival[slot],
+            self._prompt[slot], self._gen[slot], self._priority[slot],
+            self._slo[slot], self._status[slot], self._admit_s[slot],
+            self._first_s[slot], self._finish_s[slot],
+            self._preemptions[slot], self._session[slot], self._turn[slot],
+            self._hit[slot], self._hit_tokens[slot],
+        )
+
+    def _open_slots(self, count: int) -> None:
+        """Extend the state and outcome columns by ``count`` new slots."""
+        zeros = [0] * count
+        nones = [None] * count
+        for column in (self._tokens_out, self._target, self._done,
+                       self._cached, self._kv_private, self._preemptions,
+                       self._hit_tokens):
+            column.extend(zeros)
+        for column in (self._entry, self._admit_s, self._first_s,
+                       self._finish_s):
+            column.extend(nones)
+        self._status.extend(["completed"] * count)
+        self._hit.extend([False] * count)
+
+    def record_columns(self) -> Dict[str, list]:
+        """The engine's terminal records as columns, one list per
+        :class:`RequestRecord` field, rows sorted by ``req_id`` (ties in
+        the order the records became terminal).
+
+        Slots lost to a crash with an ``on_crash`` seam set are not
+        records of this engine (the cluster owns them); every other
+        submitted request is one once the engine has drained.
+        """
+        slots = sorted(self._terminal, key=self._req_id.__getitem__)
+        count = len(slots)
+
+        def take(column: list) -> list:
+            return list(map(column.__getitem__, slots))
+
+        return {
+            "req_id": take(self._req_id),
+            "rank": [self.rank] * count,
+            "arrival_s": take(self._arrival),
+            "prompt_tokens": take(self._prompt),
+            "gen_tokens": take(self._gen),
+            "priority": take(self._priority),
+            "slo_ttft_s": take(self._slo),
+            "status": take(self._status),
+            "admit_s": take(self._admit_s),
+            "first_token_s": take(self._first_s),
+            "finish_s": take(self._finish_s),
+            "preemptions": take(self._preemptions),
+            "session_id": take(self._session),
+            "turn": take(self._turn),
+            "cache_hit": take(self._hit),
+            "cached_tokens": take(self._hit_tokens),
+            "retries": [0] * count,
+            "failovers": [0] * count,
+            "shed": [False] * count,
+        }
+
+    @property
+    def records(self):
+        """This engine's terminal records
+        (:class:`~repro.serving.engine.records.ColumnRecords`, sorted by
+        ``req_id``)."""
+        return ColumnRecords.from_fields(self.record_columns())
+
     # -- incremental driving (cluster seam) -----------------------------------
 
     @property
     def has_work(self) -> bool:
         """True while any request is pending, queued, prefilling or running."""
-        return bool(self.pending or self.ready or self.prefilling or self.running)
+        return bool(
+            self._next < len(self._arrival) or self.ready
+            or self.prefilling or self.running
+        )
 
     def queue_depth(self) -> int:
         """Requests waiting to be served (uncollected + ready queue)."""
-        return len(self.pending) + len(self.ready)
+        return len(self._arrival) - self._next + len(self.ready)
 
     def next_event_s(self) -> float:
         """Simulation time of this engine's next scheduler step.
@@ -176,14 +361,14 @@ class _RankEngine:
         """
         if self.ready or self.prefilling or self.running:
             return self.clock
-        if self.pending:
-            return max(self.clock, self.pending[0].request.arrival_s)
+        if self._next < len(self._arrival):
+            return max(self.clock, self._arrival[self._next])
         return math.inf
 
     def submit(self, request: Request) -> None:
         """Append ``request`` to the pending queue (arrival order).
 
-        The pending deque is consumed head-first by
+        The pending queue is consumed head-first by
         :meth:`_collect_arrivals`, so submissions must arrive in
         non-decreasing arrival time — the cluster's global event loop
         guarantees this by processing arrivals in time order.
@@ -193,21 +378,51 @@ class _RankEngine:
                 f"replica {self.rank} is dead; route request "
                 f"{request.req_id} elsewhere"
             )
-        if self.pending and request.arrival_s < self.pending[-1].request.arrival_s:
+        arrival = self._arrival
+        if self._next < len(arrival) and request.arrival_s < arrival[-1]:
             raise ValueError(
                 f"request {request.req_id} submitted out of arrival order "
-                f"({request.arrival_s} < {self.pending[-1].request.arrival_s})"
+                f"({request.arrival_s} < {arrival[-1]})"
             )
-        self.pending.append(
-            _RequestState(
-                request=request,
-                record=RequestRecord.from_request(request, self.rank),
-                kv_bytes=self.cache.model.kv_cache_bytes(
-                    1, request.prompt_tokens + request.gen_tokens
-                ),
-            )
+        for column, value in zip(self._fields, _request_values(request)):
+            column.append(value)
+        self._req.append(request)
+        kv_bytes = self._kv_per_token * (
+            request.prompt_tokens + request.gen_tokens
         )
-        self.kv_queued_bytes += self.pending[-1].kv_bytes
+        self._kv_bytes.append(kv_bytes)
+        self._open_slots(1)
+        self.kv_queued_bytes += kv_bytes
+
+    def submit_columns(self, columns: Dict[str, np.ndarray]) -> None:
+        """Append a whole shard at once: ``columns`` maps every
+        :class:`Request` field to an array of already-validated values
+        (a :class:`~repro.serving.trace.Trace`'s columns, or a masked
+        slice of them) in non-decreasing arrival order.
+
+        Equivalent to :meth:`submit` of each row in turn.
+        """
+        arrival = columns["arrival_s"]
+        count = len(arrival)
+        if count == 0:
+            return
+        if self.dead:
+            raise ValueError(f"replica {self.rank} is dead")
+        if np.any(arrival[1:] < arrival[:-1]) or (
+            self._next < len(self._arrival)
+            and arrival[0] < self._arrival[-1]
+        ):
+            raise ValueError("shard submitted out of arrival order")
+        for column, name in zip(self._fields, _REQUEST_FIELDS):
+            column.extend(columns[name].tolist())
+        self._req.extend([None] * count)
+        kv_bytes = (
+            (columns["prompt_tokens"] + columns["gen_tokens"])
+            * self._kv_per_token
+        ).tolist()
+        self._kv_bytes.extend(kv_bytes)
+        self._open_slots(count)
+        self.kv_queued_bytes += sum(kv_bytes)
 
     def advance(self, horizon_s: float) -> None:
         """Run scheduler steps whose start time is at or before ``horizon_s``.
@@ -310,18 +525,18 @@ class _RankEngine:
         self.dead = True
         self.retired = True
         self._unpack()
-        lost_states = list(self.prefilling) + list(self.running)
+        lost = self.prefilling + self.running
         while self.ready:
-            _, _, state = heapq.heappop(self.ready)
-            lost_states.append(state)
+            lost.append(heapq.heappop(self.ready)[2])
         # Pending requests were never collected, so their arrive events
         # have not fired yet — emit them now so the replay oracle sees
         # an arrival before the crash that lost them.
-        for state in self.pending:
-            if self._trace is not None:
-                self._trace_arrive(state.request)
-            lost_states.append(state)
-        self.pending.clear()
+        pending = range(self._next, len(self._arrival))
+        if self._trace is not None:
+            for slot in pending:
+                self._trace_arrive(slot)
+        lost.extend(pending)
+        self._next = len(self._arrival)
         self.prefilling = []
         self.running = []
         kv_lost = self.kv_used
@@ -330,21 +545,22 @@ class _RankEngine:
         # The rank's memory died with it: drop every cache entry.
         if self.prefix_cache is not None:
             self.prefix_cache = PrefixCache()
-        lost_states.sort(key=lambda s: s.record.req_id)
-        lost = [(s.request, s.record) for s in lost_states]
+        lost.sort(key=self._req_id.__getitem__)
         if self._trace is not None:
             self._trace.emit(
                 "fault_crash", t, self.rank,
-                lost_req_ids=[r.req_id for _, r in lost],
+                lost_req_ids=[self._req_id[slot] for slot in lost],
                 kv_lost_bytes=kv_lost,
             )
         if self.on_crash is not None:
-            self.on_crash(self, t, lost)
+            self.on_crash(self, t, [
+                (self._request(slot), self._record(slot)) for slot in lost
+            ])
         else:
-            for _, record in lost:
-                record.status = "failed"
-                record.finish_s = t
-                self.records.append(record)
+            for slot in lost:
+                self._status[slot] = "failed"
+                self._finish_s[slot] = t
+            self._terminal.extend(lost)
 
     def _advance_faulted(self, horizon_s: float) -> None:
         """The :meth:`advance` loop with crash/stall/degrade applied.
@@ -383,54 +599,73 @@ class _RankEngine:
 
     # -- ready-queue helpers ------------------------------------------------
 
-    def _enqueue(self, state: _RequestState) -> None:
-        heapq.heappush(self.ready, (self.policy.admission_key(state), self._seq, state))
+    def _enqueue(self, slot: int) -> None:
+        heapq.heappush(self.ready, (self._key(slot), self._seq, slot))
         self._seq += 1
 
     def _collect_arrivals(self) -> None:
-        while self.pending and self.pending[0].request.arrival_s <= self.clock:
-            state = self.pending.popleft()
+        arrival = self._arrival
+        end = len(arrival)
+        slot = self._next
+        clock = self.clock
+        while slot < end and arrival[slot] <= clock:
             if self._trace is not None:
-                self._trace_arrive(state.request)
-            self._enqueue(state)
+                self._trace_arrive(slot)
+            self._enqueue(slot)
+            slot += 1
+        self._next = slot
 
-    def _trace_arrive(self, request: Request) -> None:
+    def _trace_arrive(self, slot: int) -> None:
         """Emit ``arrive``, stamped with the request's arrival time."""
         self._trace.emit(
-            "arrive", request.arrival_s, self.rank, request.req_id,
-            prompt_tokens=request.prompt_tokens,
-            gen_tokens=request.gen_tokens, priority=request.priority,
-            slo_ttft_s=request.slo_ttft_s, session_id=request.session_id,
-            turn=request.turn,
+            "arrive", self._arrival[slot], self.rank, self._req_id[slot],
+            prompt_tokens=self._prompt[slot],
+            gen_tokens=self._gen[slot], priority=self._priority[slot],
+            slo_ttft_s=self._slo[slot], session_id=self._session[slot],
+            turn=self._turn[slot],
         )
 
     # -- admission + preemption ---------------------------------------------
 
+    def _select_victims(self, slot: int, need_bytes: int) -> List[int]:
+        """Running slots the policy names for preemption (none when it
+        keeps the base class's decline-everything hook)."""
+        if self._victims_hook is None:
+            return []
+        victims = self._victims_hook(
+            _RequestState(self, slot),
+            [_RequestState(self, other) for other in self.running],
+            need_bytes,
+        )
+        return [victim.slot for victim in victims]
+
     def _preempt(
-        self, victims: Sequence[_RequestState], evictable_bytes: int = 0
+        self, victims: Sequence[int], evictable_bytes: int = 0
     ) -> None:
         pc = self.prefix_cache
-        for victim in victims:
-            self.running.remove(victim)
-            self.kv_used -= victim.kv_private
-            victim.record.preemptions += 1
+        for slot in victims:
+            self.running.remove(slot)
+            self.kv_used -= self._kv_private[slot]
+            self._preemptions[slot] += 1
             self.stats.preemptions += 1
-            victim.prefix_done = 0
+            self._done[slot] = 0
             if self._trace is not None:
-                req_id = victim.record.req_id
+                req_id = self._req_id[slot]
                 self._trace.emit(
                     "preempt", self.clock, self.rank, req_id,
-                    kv_bytes=victim.kv_private, tokens_out=victim.tokens_out,
+                    kv_bytes=self._kv_private[slot],
+                    tokens_out=self._tokens_out[slot],
                     cache_evictable_bytes=evictable_bytes,
                 )
                 self._trace.emit("requeue", self.clock, self.rank, req_id)
-            if pc is not None and victim.cache_entry is not None:
-                pc.release(victim.cache_entry)
-                victim.cache_entry = None
-            victim.cached_tokens = 0
-            victim.kv_private = 0
-            self.kv_queued_bytes += victim.kv_bytes
-            self._enqueue(victim)
+            entry = self._entry[slot]
+            if pc is not None and entry is not None:
+                pc.release(entry)
+                self._entry[slot] = None
+            self._cached[slot] = 0
+            self._kv_private[slot] = 0
+            self.kv_queued_bytes += self._kv_bytes[slot]
+            self._enqueue(slot)
 
     def _evict_entries(self, entries: Sequence[CacheEntry]) -> None:
         """Execute a planned eviction list (children precede parents)."""
@@ -450,26 +685,29 @@ class _RankEngine:
     def _admit(self) -> None:
         pc = self.prefix_cache
         model = self.cache.model
+        stats = self.stats
+        kv_bytes_of = self._kv_bytes
+        max_batch = self.config.max_batch
         while self.ready:
-            if len(self.running) + len(self.prefilling) >= self.config.max_batch:
+            if len(self.running) + len(self.prefilling) >= max_batch:
                 break
-            key, seq, state = heapq.heappop(self.ready)
+            key, seq, slot = heapq.heappop(self.ready)
+            kv_bytes = kv_bytes_of[slot]
             # Rejection ignores the cache on purpose: admission must
             # stay feasible even if the hit is later evicted after a
             # preemption, so the cache never changes *which* requests
             # are servable, only how cheaply.
-            if state.kv_bytes > self.kv_capacity:
-                state.record.status = "rejected"
-                self.kv_queued_bytes -= state.kv_bytes
-                self.records.append(state.record)
+            if kv_bytes > self.kv_capacity:
+                self._status[slot] = "rejected"
+                self.kv_queued_bytes -= kv_bytes
+                self._terminal.append(slot)
                 if self._trace is not None:
                     self._trace.emit("reject", self.clock, self.rank,
-                                     state.record.req_id,
-                                     kv_bytes=state.kv_bytes)
+                                     self._req_id[slot], kv_bytes=kv_bytes)
                 continue
-            hit = pc.lookup(state.request) if pc is not None else None
+            hit = pc.lookup(self._request(slot)) if pc is not None else None
             cached = hit.depth_tokens if hit is not None else 0
-            need = state.kv_bytes - (
+            need = kv_bytes - (
                 model.kv_cache_bytes(1, cached) if cached else 0
             )
             if self.kv_used + need > self.kv_capacity:
@@ -484,18 +722,16 @@ class _RankEngine:
                     # Eviction alone closes the gap: no preemption.
                     self._evict_entries(plan)
                 else:
-                    # Victim selection reads the running states'
+                    # Victim selection reads the running slots'
                     # ``tokens_out``, and preemption edits the batch.
                     self._unpack()
-                    victims = self.policy.select_victims(
-                        state, self.running, gap - freed
-                    )
+                    victims = self._select_victims(slot, gap - freed)
                     # Honor the policy contract: evict/preempt only if
                     # that actually closes the KV gap — and evictions
                     # always go first, leaving nothing reclaimable by
                     # the time a victim is preempted.
                     if victims and sum(
-                        v.kv_private for v in victims
+                        self._kv_private[v] for v in victims
                     ) >= gap - freed:
                         self._evict_entries(plan)
                         evictable = (
@@ -506,88 +742,91 @@ class _RankEngine:
                         self._preempt(victims, evictable)
                     if self.kv_used + need > self.kv_capacity:
                         # Same (key, seq): the candidate returns to its
-                        # slot (cache state may differ on the next try,
+                        # place (cache state may differ on the next try,
                         # so the hit is re-resolved then).
-                        heapq.heappush(self.ready, (key, seq, state))
+                        heapq.heappush(self.ready, (key, seq, slot))
                         break
             self.kv_used += need
-            self.kv_queued_bytes -= state.kv_bytes
-            self.stats.kv_peak_bytes = max(self.stats.kv_peak_bytes, self.kv_used)
-            readmit = state.record.admit_s is not None
+            self.kv_queued_bytes -= kv_bytes
+            if self.kv_used > stats.kv_peak_bytes:
+                stats.kv_peak_bytes = self.kv_used
+            readmit = self._admit_s[slot] is not None
+            tokens_out = self._tokens_out[slot]
+            target = self._prompt[slot] + tokens_out
             if not readmit:
-                state.record.admit_s = self.clock
+                self._admit_s[slot] = self.clock
             else:
-                self.stats.requeues += 1
-                self.stats.recompute_tokens += (
-                    state.request.prompt_tokens + state.tokens_out
-                )
-            state.prefix_target = state.request.prompt_tokens + state.tokens_out
-            state.prefix_done = cached
-            state.cached_tokens = cached
-            state.kv_private = need
+                stats.requeues += 1
+                stats.recompute_tokens += target
+            self._target[slot] = target
+            self._done[slot] = cached
+            self._cached[slot] = cached
+            self._kv_private[slot] = need
             if pc is not None:
                 if hit is not None:
                     pc.acquire(hit, self.clock)
-                    state.cache_entry = hit
+                    self._entry[slot] = hit
                 if cached > 0:
-                    self.stats.cache_hits += 1
-                    self.stats.cache_hit_tokens += cached
+                    stats.cache_hits += 1
+                    stats.cache_hit_tokens += cached
                 else:
-                    self.stats.cache_misses += 1
+                    stats.cache_misses += 1
                 if not readmit:
-                    state.record.cache_hit = cached > 0
-                    state.record.cached_tokens = cached
-            self.stats.kv_logical_bytes += state.kv_bytes
-            self.stats.kv_reserved_bytes += need
+                    self._hit[slot] = cached > 0
+                    self._hit_tokens[slot] = cached
+            stats.kv_logical_bytes += kv_bytes
+            stats.kv_reserved_bytes += need
             if self._trace is not None:
-                req_id = state.record.req_id
+                req_id = self._req_id[slot]
                 self._trace.emit(
                     "admit", self.clock, self.rank, req_id,
                     kv_bytes=need, kv_used_bytes=self.kv_used,
-                    readmit=readmit, prefix_tokens=state.prefix_target,
+                    readmit=readmit, prefix_tokens=target,
                     cached_tokens=cached if pc is not None else -1,
-                    kv_full_bytes=state.kv_bytes,
+                    kv_full_bytes=kv_bytes,
                 )
                 if cached > 0:
                     self._trace.emit(
                         "cache_hit", self.clock, self.rank, req_id,
                         cached_tokens=cached,
-                        kv_saved_bytes=state.kv_bytes - need,
+                        kv_saved_bytes=kv_bytes - need,
                     )
-            self.prefilling.append(state)
+            self.prefilling.append(slot)
 
     # -- work stages ---------------------------------------------------------
 
     def _prefill_stage(self) -> None:
-        still: List[_RequestState] = []
-        for state in self.prefilling:
-            remaining = state.prefix_target - state.prefix_done
+        still: List[int] = []
+        done_of, target_of = self._done, self._target
+        for slot in self.prefilling:
+            done = done_of[slot]
+            remaining = target_of[slot] - done
             chunk = min(self.policy.prefill_chunk(remaining), remaining)
-            latency, energy = self.cache.prefill_chunk(state.prefix_done, chunk)
+            latency, energy = self.cache.prefill_chunk(done, chunk)
             if self._has_faults:
                 latency *= self._fault_factor()
             if self._trace is not None:
                 self._trace.emit("prefill_chunk_start", self.clock,
-                                 self.rank, state.record.req_id,
-                                 done_tokens=state.prefix_done,
-                                 chunk_tokens=chunk)
+                                 self.rank, self._req_id[slot],
+                                 done_tokens=done, chunk_tokens=chunk)
             self.clock += latency
             self.stats.busy_s += latency
             self.stats.energy_j += energy
             self.stats.prefill_tokens += chunk
-            state.prefix_done += chunk
+            done += chunk
+            done_of[slot] = done
             if self._trace is not None:
                 self._trace.emit("prefill_chunk_end", self.clock, self.rank,
-                                 state.record.req_id, chunk_tokens=chunk,
+                                 self._req_id[slot], chunk_tokens=chunk,
                                  latency_s=latency, energy_j=energy)
-            if state.prefix_done >= state.prefix_target:
-                self._retain_shared_prefix(state)
-                self.running.append(state)
+            if done >= target_of[slot]:
+                self._retain_shared_prefix(slot)
+                self.running.append(slot)
             else:
-                still.append(state)
+                still.append(slot)
         self.prefilling = still
 
-    def _retain_shared_prefix(self, state: _RequestState) -> None:
+    def _retain_shared_prefix(self, slot: int) -> None:
         """Publish a freshly prefilled system prompt into the cache.
 
         Fires once per shared prefix per rank: the first request to
@@ -597,25 +836,22 @@ class _RankEngine:
         merely change owner — ``kv_used`` is untouched.
         """
         pc = self.prefix_cache
-        request = state.request
-        if (
-            pc is None
-            or request.shared_prefix_id < 0
-            or state.cached_tokens >= request.shared_prefix_tokens
-        ):
+        if pc is None:
             return
-        key = ("sys", request.shared_prefix_id)
+        prefix_id = self._prefix_id[slot]
+        prefix_tokens = self._prefix_tokens[slot]
+        if prefix_id < 0 or self._cached[slot] >= prefix_tokens:
+            return
+        key = ("sys", prefix_id)
         if pc.get(key) is not None:
             return
-        owned = self.cache.model.kv_cache_bytes(1, request.shared_prefix_tokens)
-        entry = pc.insert(
-            key, request.shared_prefix_tokens, owned, None, self.clock
-        )
-        state.kv_private -= owned
+        owned = self.cache.model.kv_cache_bytes(1, prefix_tokens)
+        entry = pc.insert(key, prefix_tokens, owned, None, self.clock)
+        self._kv_private[slot] -= owned
         pc.acquire(entry, self.clock)
-        state.cache_entry = entry
+        self._entry[slot] = entry
 
-    def _release_kv(self, state: _RequestState) -> None:
+    def _release_kv(self, slot: int) -> None:
         """Release a finished request's KV — or hand it to the cache.
 
         A finished non-final turn donates its private pages as the
@@ -625,58 +861,64 @@ class _RankEngine:
         its private reservation and drops its cache reference.
         """
         pc = self.prefix_cache
-        request = state.request
+        entry = self._entry[slot]
         if (
             pc is not None
-            and request.session_id >= 0
-            and not request.final_turn
+            and self._session[slot] >= 0
+            and not self._final[slot]
         ):
-            key = ("sess", request.session_id, request.turn + 1)
+            key = ("sess", self._session[slot], self._turn[slot] + 1)
             if pc.get(key) is None:
                 pc.insert(
-                    key, request.prompt_tokens + request.gen_tokens,
-                    state.kv_private, state.cache_entry, self.clock,
+                    key, self._prompt[slot] + self._gen[slot],
+                    self._kv_private[slot], entry, self.clock,
                 )
-                if state.cache_entry is not None:
-                    pc.release(state.cache_entry)
-                    state.cache_entry = None
-                state.kv_private = 0
+                if entry is not None:
+                    pc.release(entry)
+                    self._entry[slot] = None
+                self._kv_private[slot] = 0
                 return
-        self.kv_used -= state.kv_private
-        state.kv_private = 0
-        if pc is not None and state.cache_entry is not None:
-            pc.release(state.cache_entry)
-            state.cache_entry = None
+        self.kv_used -= self._kv_private[slot]
+        self._kv_private[slot] = 0
+        if pc is not None and entry is not None:
+            pc.release(entry)
+            self._entry[slot] = None
 
     # -- decode --------------------------------------------------------------
 
-    def _first_token(self, state: _RequestState, t_s: float) -> None:
+    def _first_token(self, slot: int, t_s: float) -> None:
         """Stamp (and trace) a request's first generated token at ``t_s``."""
-        state.record.first_token_s = t_s
+        self._first_s[slot] = t_s
         if self._trace is not None:
-            self._trace.emit("first_token", t_s, self.rank, state.record.req_id)
+            self._trace.emit("first_token", t_s, self.rank,
+                             self._req_id[slot])
 
-    def _finish(self, state: _RequestState) -> None:
+    def _finish(self, slot: int) -> None:
         """Retire a request whose last token lands at the current clock."""
-        state.record.finish_s = self.clock
-        self._release_kv(state)
-        self.records.append(state.record)
+        self._finish_s[slot] = self.clock
+        self._release_kv(slot)
+        self._terminal.append(slot)
         if self._trace is not None:
             self._trace.emit("finish", self.clock, self.rank,
-                             state.record.req_id, tokens_out=state.tokens_out)
+                             self._req_id[slot],
+                             tokens_out=self._tokens_out[slot])
 
     def _decode_iteration(self) -> None:
         packed = self._packed()
-        batch = len(self.running)
+        running = self.running
+        batch = len(running)
         latency, energy = self.cache.weight_step(batch)
+        prompt, tokens_out = self._prompt, self._tokens_out
         if packed:
             kv = self._kv + 1
             latency = _seq_sum(latency, self._table.step_lat[kv])
             energy = _seq_sum(energy, self._table.step_energy[kv])
         else:
-            for state in self.running:
-                kv_len = state.request.prompt_tokens + state.tokens_out + 1
-                attn_latency, attn_energy = self.cache.attn_step(kv_len)
+            attn_step = self.cache.attn_step
+            for slot in running:
+                attn_latency, attn_energy = attn_step(
+                    prompt[slot] + tokens_out[slot] + 1
+                )
                 latency += attn_latency
                 energy += attn_energy
         if self._has_faults:
@@ -685,26 +927,27 @@ class _RankEngine:
         self.stats.busy_s += latency
         self.stats.energy_j += energy
         self.stats.decode_iterations += 1
+        self.stats.output_tokens += batch
         if self._detail:
             self._trace.emit("decode_segment", self.clock, self.rank,
                              batch=batch, tokens=1, latency_s=latency,
                              energy_j=energy)
         if packed:
-            self.stats.output_tokens += batch
             self._kv = kv
             self._left -= 1
             self._retire_packed(self._fresh)
             return
-        still_running: List[_RequestState] = []
-        for state in self.running:
-            state.tokens_out += 1
-            self.stats.output_tokens += 1
-            if state.tokens_out == 1:
-                self._first_token(state, self.clock)
-            if state.tokens_out >= state.request.gen_tokens:
-                self._finish(state)
+        gen = self._gen
+        still_running: List[int] = []
+        for slot in running:
+            out = tokens_out[slot] + 1
+            tokens_out[slot] = out
+            if out == 1:
+                self._first_token(slot, self.clock)
+            if out >= gen[slot]:
+                self._finish(slot)
             else:
-                still_running.append(state)
+                still_running.append(slot)
         self.running = still_running
 
     # -- packed running set ----------------------------------------------------
@@ -715,8 +958,8 @@ class _RankEngine:
         Only the event engine packs, and only from
         :data:`PACKED_MIN_BATCH` requests up; below it the columns are
         written back and dropped.  Requests that joined the batch since
-        the last call are appended, so a steady wide batch touches
-        Python objects only when a request joins, starts or finishes.
+        the last call are appended, so a steady wide batch touches a
+        slot only when it joins, starts or finishes.
         """
         running = self.running
         if not self._event_driven or len(running) < PACKED_MIN_BATCH:
@@ -726,15 +969,17 @@ class _RankEngine:
         start = 0 if self._kv is None else self._kv.size
         if start == len(running):
             return True
-        kv, left = [], []
-        for i in range(start, len(running)):
-            state = running[i]
-            if state.tokens_out == 0:
-                self._fresh.append(i)
-            kv.append(state.request.prompt_tokens + state.tokens_out)
-            left.append(state.request.gen_tokens - state.tokens_out)
-        kv = np.array(kv, dtype=np.int64)
-        left = np.array(left, dtype=np.int64)
+        joined = running[start:]
+        prompt, gen = self._prompt, self._gen
+        out = list(map(self._tokens_out.__getitem__, joined))
+        self._fresh.extend(
+            start + i for i in compress(range(len(out)),
+                                        [n == 0 for n in out])
+        )
+        kv = np.array([prompt[slot] + n for slot, n in zip(joined, out)],
+                      dtype=np.int64)
+        left = np.array([gen[slot] - n for slot, n in zip(joined, out)],
+                        dtype=np.int64)
         self._table = self.cache.segment_table()
         self._table.ensure(int((kv + left).max()))
         if start:
@@ -747,8 +992,9 @@ class _RankEngine:
         """Write the packed ``tokens_out`` back and drop the columns."""
         if self._kv is None:
             return
-        for state, left in zip(self.running, self._left.tolist()):
-            state.tokens_out = state.request.gen_tokens - left
+        tokens_out, gen = self._tokens_out, self._gen
+        for slot, left in zip(self.running, self._left.tolist()):
+            tokens_out[slot] = gen[slot] - left
         self._kv = self._left = None
         self._fresh = []
 
@@ -756,28 +1002,45 @@ class _RankEngine:
         """Stamp first tokens at positions ``firsts``, then retire finishes.
 
         Both happen at the current clock, request by request in running
-        order — the per-request loop's event order.  Only the requests
-        touched here are visited; the finished leave the batch.  A
-        segment never runs past the shortest remaining request, so the
-        finished are exactly the positions with no tokens left, and
-        each has produced all of its ``gen_tokens``.
+        order — the per-request loop's event order — as column writes.
+        Only the requests touched here are visited; the finished leave
+        the batch.  A segment never runs past the shortest remaining
+        request, so the finished are exactly the positions with no
+        tokens left, and each has produced all of its ``gen_tokens``.
         """
         finished = self._left == 0
         done = finished.nonzero()[0].tolist()
         self._fresh = []
         running = self.running
-        first_set = set(firsts)
-        if firsts and done:
-            touched = sorted(first_set.union(done))
+        if self._trace is None and self.prefix_cache is None:
+            # Untraced, no cache: the stamps are plain column writes.
+            clock = self.clock
+            first_s = self._first_s
+            for i in firsts:
+                first_s[running[i]] = clock
+            if done:
+                slots = list(map(running.__getitem__, done))
+                finish_s, tokens_out = self._finish_s, self._tokens_out
+                kv_private, gen = self._kv_private, self._gen
+                for slot in slots:
+                    finish_s[slot] = clock
+                    tokens_out[slot] = gen[slot]
+                    self.kv_used -= kv_private[slot]
+                    kv_private[slot] = 0
+                self._terminal.extend(slots)
         else:
-            touched = firsts or done
-        for i in touched:
-            state = running[i]
-            if i in first_set:
-                self._first_token(state, self.clock)
-            if finished[i]:
-                state.tokens_out = state.request.gen_tokens
-                self._finish(state)
+            first_set = set(firsts)
+            if firsts and done:
+                touched = sorted(first_set.union(done))
+            else:
+                touched = firsts or done
+            for i in touched:
+                slot = running[i]
+                if i in first_set:
+                    self._first_token(slot, self.clock)
+                if finished[i]:
+                    self._tokens_out[slot] = self._gen[slot]
+                    self._finish(slot)
         if done:
             keep = ~finished
             self._kv = self._kv[keep]
@@ -793,8 +1056,9 @@ class _RankEngine:
             cum = self._table.cum_lat
             total = _seq_sum(total, cum[self._kv + tokens] - cum[self._kv])
         else:
-            for state in self.running:
-                kv = state.request.prompt_tokens + state.tokens_out
+            prompt, tokens_out = self._prompt, self._tokens_out
+            for slot in self.running:
+                kv = prompt[slot] + tokens_out[slot]
                 total += self.cache.attn_segment(kv + 1, kv + tokens)[0]
         if self._has_faults:
             total *= self._fault_factor()
@@ -808,7 +1072,7 @@ class _RankEngine:
         loop would first collect — and possibly admit — it), or
         ``tokens`` unchanged when the arrival lands beyond the segment.
         """
-        horizon = self.pending[0].request.arrival_s
+        horizon = self._arrival[self._next]
         if self.clock + self._segment_latency(tokens) < horizon:
             return tokens
         lo, hi = 1, tokens
@@ -832,23 +1096,22 @@ class _RankEngine:
         the way :meth:`_decode_iteration` would.
         """
         packed = self._packed()
+        running = self.running
+        prompt, gen, tokens_out = self._prompt, self._gen, self._tokens_out
         if packed:
             tokens = int(self._left.min())
         else:
-            tokens = min(
-                state.request.gen_tokens - state.tokens_out
-                for state in self.running
-            )
+            tokens = min(gen[slot] - tokens_out[slot] for slot in running)
         if (
             tokens > 1
-            and self.pending
-            and len(self.running) < self.config.max_batch
+            and self._next < len(self._arrival)
+            and len(running) < self.config.max_batch
         ):
             tokens = self._cap_to_arrival(tokens)
         if tokens <= 1:
             self._decode_iteration()
             return
-        batch = len(self.running)
+        batch = len(running)
         weight_latency, weight_energy = self.cache.weight_step(batch)
         latency = tokens * weight_latency
         energy = tokens * weight_energy
@@ -861,20 +1124,19 @@ class _RankEngine:
                 energy, table.cum_energy[kv + tokens] - table.cum_energy[kv]
             )
         else:
-            for state in self.running:
-                kv = state.request.prompt_tokens + state.tokens_out
-                attn_latency, attn_energy = self.cache.attn_segment(
-                    kv + 1, kv + tokens
-                )
+            attn_segment = self.cache.attn_segment
+            for slot in running:
+                kv = prompt[slot] + tokens_out[slot]
+                attn_latency, attn_energy = attn_segment(kv + 1, kv + tokens)
                 latency += attn_latency
                 energy += attn_energy
         if self._has_faults:
             latency *= self._fault_factor()
         if packed:
-            fresh = [self.running[i] for i in self._fresh]
+            fresh = list(map(running.__getitem__, self._fresh))
             self._fresh = []
         else:
-            fresh = [state for state in self.running if state.tokens_out == 0]
+            fresh = [slot for slot in running if tokens_out[slot] == 0]
         if fresh:
             # Clock after the segment's first iteration, accumulated in
             # the same order as the per-token loop.
@@ -884,14 +1146,16 @@ class _RankEngine:
                 )
             else:
                 first_latency = weight_latency
-                for state in self.running:
-                    kv = state.request.prompt_tokens + state.tokens_out + 1
-                    first_latency += self.cache.attn_step(kv)[0]
+                attn_step = self.cache.attn_step
+                for slot in running:
+                    first_latency += attn_step(
+                        prompt[slot] + tokens_out[slot] + 1
+                    )[0]
             if self._has_faults:
                 first_latency *= self._fault_factor()
             first_boundary = self.clock + first_latency
-            for state in fresh:
-                self._first_token(state, first_boundary)
+            for slot in fresh:
+                self._first_token(slot, first_boundary)
         self.clock += latency
         self.stats.busy_s += latency
         self.stats.energy_j += energy
@@ -906,13 +1170,14 @@ class _RankEngine:
             self._left -= tokens
             self._retire_packed([])
             return
-        still_running: List[_RequestState] = []
-        for state in self.running:
-            state.tokens_out += tokens
-            if state.tokens_out >= state.request.gen_tokens:
-                self._finish(state)
+        still_running: List[int] = []
+        for slot in running:
+            out = tokens_out[slot] + tokens
+            tokens_out[slot] = out
+            if out >= gen[slot]:
+                self._finish(slot)
             else:
-                still_running.append(state)
+                still_running.append(slot)
         self.running = still_running
 
     # -- main loop -----------------------------------------------------------
@@ -930,9 +1195,9 @@ class _RankEngine:
                 self._decode_segment()
             else:
                 self._decode_iteration()
-        elif not self.prefilling and self.pending:
+        elif not self.prefilling and self._next < len(self._arrival):
             # Idle: jump to the next arrival.
-            self.clock = max(self.clock, self.pending[0].request.arrival_s)
+            self.clock = max(self.clock, self._arrival[self._next])
 
     def run(self) -> RankStats:
         """Drain the engine: ``advance(math.inf)``, then :meth:`finalize`."""

@@ -10,9 +10,11 @@ cluster layer's per-deployment slices.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -100,52 +102,153 @@ class RequestRecord:
             return 0.0
         return (self.finish_s - self.first_token_s) / (self.gen_tokens - 1)
 
+#: Every :class:`RequestRecord` field name, in constructor order.
+_RECORD_FIELDS = tuple(f.name for f in fields(RequestRecord))
+
+
+def _derived(name: str, columns: Dict[str, list]) -> list:
+    """A :class:`RequestRecord` property as a column, computed with the
+    property's own float operations element by element (so it rounds
+    identically); missing stamps give the property's ``0.0``."""
+    arrival = columns["arrival_s"]
+    if name == "queue_s":
+        return [admit - t if admit is not None else 0.0
+                for admit, t in zip(columns["admit_s"], arrival)]
+    if name == "ttft_s":
+        return [first - t if first is not None else 0.0
+                for first, t in zip(columns["first_token_s"], arrival)]
+    if name == "latency_s":
+        return [finish - t if finish is not None else 0.0
+                for finish, t in zip(columns["finish_s"], arrival)]
+    if name == "tpot_s":
+        return [
+            0.0 if finish is None or first is None or gen < 2
+            else (finish - first) / (gen - 1)
+            for first, finish, gen in zip(
+                columns["first_token_s"], columns["finish_s"],
+                columns["gen_tokens"],
+            )
+        ]
+    raise KeyError(f"no record field {name!r}")
+
+
+def _array_lists(arrays: Dict[str, np.ndarray]) -> Dict[str, list]:
+    """Record columns from the structure-of-arrays engine's outcome
+    arrays (see :class:`ColumnRecords`), sorted by
+    ``req_id``."""
+    order = np.argsort(arrays["req_id"], kind="stable")
+
+    def column(name: str) -> list:
+        return arrays[name][order].tolist()
+
+    def stamp(name: str) -> list:
+        return [None if math.isnan(t) else t for t in column(name)]
+
+    count = int(order.size)
+    status = np.where(arrays["rejected"][order], "rejected", "completed")
+    return {
+        "req_id": column("req_id"), "rank": column("rank"),
+        "arrival_s": column("arrival_s"),
+        "prompt_tokens": column("prompt_tokens"),
+        "gen_tokens": column("gen_tokens"), "priority": column("priority"),
+        "slo_ttft_s": column("slo_ttft_s"), "status": status.tolist(),
+        "admit_s": stamp("admit_s"), "first_token_s": stamp("first_token_s"),
+        "finish_s": stamp("finish_s"), "preemptions": column("preemptions"),
+        "session_id": column("session_id"), "turn": column("turn"),
+        "cache_hit": [False] * count, "cached_tokens": [0] * count,
+        "retries": [0] * count, "failovers": [0] * count,
+        "shed": [False] * count,
+    }
+
+
 class ColumnRecords(Sequence):
-    """Request records materialised lazily from column arrays.
+    """Request records held as columns, rows sorted by ``req_id``.
 
-    The structure-of-arrays engine finishes a run holding its outcome as
-    numpy columns; building a million :class:`RequestRecord` objects up
-    front would cost seconds the caller may never need (the benches only
-    read aggregate counters).  This sequence keeps the columns and
-    builds the record list — sorted by ``req_id``, matching the driver's
-    contract — on first element access; ``len()`` stays O(1) and never
-    materialises.
+    Engines finish a run holding their outcomes as columns; building one
+    :class:`RequestRecord` per request up front would cost time the
+    caller may never need (metrics and exports read columns).  This
+    sequence keeps one list per :class:`RequestRecord` field and builds
+    the record objects only on element access; ``len()`` never
+    materialises.  :meth:`column` returns a field's values in row order
+    -- read from the columns, or, once the records exist (a caller may
+    have edited them), from the records -- and also serves the derived
+    properties (``queue_s``, ``ttft_s``, ``tpot_s``, ``latency_s``),
+    computed elementwise with the properties' own arithmetic.
 
-    ``columns`` maps field names to equal-length arrays: ``req_id``,
-    ``rank``, ``arrival_s``, ``prompt_tokens``, ``gen_tokens``,
-    ``priority``, ``slo_ttft_s``, ``session_id``, ``turn``,
-    ``rejected`` (bool), ``admit_s`` / ``first_token_s`` / ``finish_s``
-    (NaN = never happened) and ``preemptions``.
+    ``ColumnRecords(columns)`` wraps the structure-of-arrays engine's
+    numpy outcome columns, sorted and converted on first use:
+    ``columns`` maps ``req_id``, ``rank``, ``arrival_s``,
+    ``prompt_tokens``, ``gen_tokens``, ``priority``, ``slo_ttft_s``,
+    ``session_id``, ``turn``, ``rejected`` (bool), ``admit_s`` /
+    ``first_token_s`` / ``finish_s`` (NaN = never happened) and
+    ``preemptions`` to equal-length arrays in any row order.
+    :meth:`from_fields` takes one list per record field already in
+    ``req_id`` order, and :meth:`merge` combines several engines' field
+    lists.  Records compare equal to any sequence of equal records.
     """
 
-    def __init__(self, columns: dict) -> None:
-        self._columns = columns
+    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
+        self._columns: Optional[Dict[str, list]] = None
+        self._arrays: Optional[Dict[str, np.ndarray]] = columns
+        self._size = int(columns["req_id"].size)
         self._items: Optional[List[RequestRecord]] = None
 
+    @classmethod
+    def from_fields(cls, fields: Dict[str, list]) -> "ColumnRecords":
+        """Records over one list per :class:`RequestRecord` field, rows
+        already sorted by ``req_id``."""
+        records = cls.__new__(cls)
+        records._columns = dict(fields)
+        records._arrays = None
+        records._size = len(fields["req_id"])
+        records._items = None
+        return records
+
+    @classmethod
+    def merge(cls, parts: Sequence[Dict[str, list]]) -> "ColumnRecords":
+        """One sequence from per-engine field lists (each sorted by
+        ``req_id``), sorted by ``req_id`` with ties kept in part order."""
+        if len(parts) == 1:
+            return cls.from_fields(parts[0])
+        columns = {
+            name: [value for part in parts for value in part[name]]
+            for name in _RECORD_FIELDS
+        }
+        ids = columns["req_id"]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        if any(index != position for position, index in enumerate(order)):
+            columns = {
+                name: list(map(values.__getitem__, order))
+                for name, values in columns.items()
+            }
+        return cls.from_fields(columns)
+
     def __len__(self) -> int:
-        return int(self._columns["req_id"].size)
+        return self._size
+
+    def _lists(self) -> Dict[str, list]:
+        if self._columns is None:
+            self._columns = _array_lists(self._arrays)
+            self._arrays = None
+        return self._columns
+
+    def column(self, name: str) -> list:
+        """The ``name`` field (or derived property) of every record, in
+        row order.  The list is shared: callers must not modify it."""
+        if self._items is not None:
+            return list(map(attrgetter(name), self._items))
+        columns = self._lists()
+        values = columns.get(name)
+        if values is None:
+            values = columns[name] = _derived(name, columns)
+        return values
 
     def _materialize(self) -> List[RequestRecord]:
-        if self._items is not None:
-            return self._items
-        cols = self._columns
-        order = np.argsort(cols["req_id"], kind="stable")
-
-        def column(name: str) -> list:
-            return cols[name][order].tolist()
-
-        def stamp(name: str) -> list:
-            return [None if math.isnan(t) else t for t in column(name)]
-
-        status = np.where(cols["rejected"][order], "rejected", "completed")
-        self._items = list(map(
-            RequestRecord,
-            column("req_id"), column("rank"), column("arrival_s"),
-            column("prompt_tokens"), column("gen_tokens"),
-            column("priority"), column("slo_ttft_s"), status.tolist(),
-            stamp("admit_s"), stamp("first_token_s"), stamp("finish_s"),
-            column("preemptions"), column("session_id"), column("turn"),
-        ))
+        if self._items is None:
+            columns = self._lists()
+            self._items = list(map(
+                RequestRecord, *(columns[name] for name in _RECORD_FIELDS)
+            ))
         return self._items
 
     def __getitem__(self, index):
@@ -153,6 +256,14 @@ class ColumnRecords(Sequence):
 
     def __iter__(self):
         return iter(self._materialize())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"ColumnRecords({len(self)} records)"
 
 
 @dataclass
@@ -189,7 +300,10 @@ class ServingResult:
     """Everything a simulation produced, ready for metric aggregation."""
 
     config: ServingConfig
-    records: List[RequestRecord]
+    #: One record per request, sorted by ``req_id``: a
+    #: :class:`ColumnRecords` over the engines' outcome columns for a
+    #: simulated result (any sequence of records is accepted).
+    records: Sequence[RequestRecord]
     rank_stats: List[RankStats]
     kv_capacity_bytes: int
     weight_bytes: int

@@ -52,6 +52,7 @@ from typing import List
 
 from repro.experiments.tables import (
     _attr_columns,
+    _column_getter,
     _scope_row,
     _scope_table,
     percentile,
@@ -69,6 +70,16 @@ __all__ = [
 ]
 
 
+#: :func:`record_rows` keys, in row order.
+_ROW_FIELDS = (
+    "req_id", "rank", "status", "arrival_s", "prompt_tokens", "gen_tokens",
+    "priority", "slo_ttft_s", "preemptions", "session_id", "turn",
+    "cache_hit", "cached_tokens", "retries", "failovers", "shed",
+    "admit_s", "first_token_s", "finish_s", "queue_s", "ttft_s", "tpot_s",
+    "latency_s",
+)
+
+
 def record_rows(result: ServingResult) -> List[dict]:
     """One JSON/CSV-ready row per request in ``result``.
 
@@ -76,37 +87,11 @@ def record_rows(result: ServingResult) -> List[dict]:
     admission, a truncated run may have no finish) carry ``None`` for
     that timestamp — rendered as JSON ``null`` and an empty CSV cell —
     rather than a fake ``0.0`` that would read as "at trace start".
+    The rows are zipped from the records' field columns.
     """
-    rows = []
-    for rec in result.records:
-        rows.append(
-            {
-                "req_id": rec.req_id,
-                "rank": rec.rank,
-                "status": rec.status,
-                "arrival_s": rec.arrival_s,
-                "prompt_tokens": rec.prompt_tokens,
-                "gen_tokens": rec.gen_tokens,
-                "priority": rec.priority,
-                "slo_ttft_s": rec.slo_ttft_s,
-                "preemptions": rec.preemptions,
-                "session_id": rec.session_id,
-                "turn": rec.turn,
-                "cache_hit": rec.cache_hit,
-                "cached_tokens": rec.cached_tokens,
-                "retries": rec.retries,
-                "failovers": rec.failovers,
-                "shed": rec.shed,
-                "admit_s": rec.admit_s,
-                "first_token_s": rec.first_token_s,
-                "finish_s": rec.finish_s,
-                "queue_s": rec.queue_s,
-                "ttft_s": rec.ttft_s,
-                "tpot_s": rec.tpot_s,
-                "latency_s": rec.latency_s,
-            }
-        )
-    return rows
+    column = _column_getter(result.records)
+    return [dict(zip(_ROW_FIELDS, row))
+            for row in zip(*map(column, _ROW_FIELDS))]
 
 
 def _enrich_all(row: dict, result: ServingResult) -> dict:

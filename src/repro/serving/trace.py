@@ -172,6 +172,22 @@ _COLUMNS = tuple(
      f.default)
     for f in fields(Request)
 )
+#: Every :class:`Request` field name, in constructor order.
+_REQUEST_FIELDS = tuple(name for name, _, _ in _COLUMNS)
+
+
+def _unchecked_request(*row) -> Request:
+    """A :class:`Request` with field values ``row`` (constructor order),
+    built without :meth:`Request.__post_init__`.
+
+    Only for rows already validated -- by :class:`Trace`'s column check
+    or by an earlier ``Request`` -- so each row is checked exactly once.
+    The object equals ``Request(*row)`` under ``==``, ``hash`` and
+    ``repr``.
+    """
+    request = object.__new__(Request)
+    request.__dict__.update(zip(_REQUEST_FIELDS, row))
+    return request
 
 
 def _invalid_rows(columns: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -206,8 +222,9 @@ class Trace(Sequence):
     the columns directly, so a generated million-request trace is never
     boxed into objects.  The :class:`Request` items are built from the
     columns on first element access (one ``tolist()`` per column) and
-    kept; building them runs :meth:`Request.__post_init__`, so every
-    object an engine sees is validated.  Slicing returns a ``Trace``
+    kept; the columns were validated on the way in, so the objects are
+    built without re-running :meth:`Request.__post_init__`.  Slicing
+    returns a ``Trace``
     over the sliced columns that reuses any items already built, and
     ``==`` compares element-wise against any sequence.
 
@@ -245,19 +262,24 @@ class Trace(Sequence):
             # Building the first bad row raises its own Request error.
             row = int(bad[0])
             Request(*(array[row].item() for array in arrays.values()))
-        self._set(arrays, None)
+        self._set(arrays, None, False)
 
-    def _set(self, columns: dict, items: Optional[List[Request]]) -> None:
+    def _set(self, columns: dict, items: Optional[List[Request]],
+             given: bool) -> None:
         for array in columns.values():
             array.flags.writeable = False
         #: Field name -> read-only column array, in trace order.
         self.columns = columns
         self._items = items
+        # True when the items are caller objects (``of``), whose field
+        # values may differ in type from the columns' (an int arrival).
+        self._given = given
 
     @classmethod
-    def _wrap(cls, columns: dict, items: Optional[List[Request]]) -> "Trace":
+    def _wrap(cls, columns: dict, items: Optional[List[Request]],
+              given: bool) -> "Trace":
         trace = cls.__new__(cls)
-        trace._set(columns, items)
+        trace._set(columns, items, given and items is not None)
         return trace
 
     @classmethod
@@ -276,6 +298,7 @@ class Trace(Sequence):
                 for name, dtype, _ in _COLUMNS
             },
             items,
+            True,
         )
 
     def ordered(self) -> "Trace":
@@ -293,13 +316,15 @@ class Trace(Sequence):
         return self._wrap(
             {name: array[order] for name, array in self.columns.items()},
             None if items is None else [items[i] for i in order.tolist()],
+            self._given,
         )
 
     def _requests(self) -> List[Request]:
         if self._items is None:
-            self._items = list(
-                map(Request, *(array.tolist() for array in self.columns.values()))
-            )
+            self._items = list(map(
+                _unchecked_request,
+                *(array.tolist() for array in self.columns.values()),
+            ))
         return self._items
 
     def __len__(self) -> int:
@@ -311,6 +336,7 @@ class Trace(Sequence):
             return self._wrap(
                 {name: array[index] for name, array in self.columns.items()},
                 None if items is None else items[index],
+                self._given,
             )
         return self._requests()[index]
 
@@ -718,24 +744,19 @@ def generate_trace(spec: TraceSpec) -> Trace:
 
 
 def trace_rows(trace: Sequence[Request]) -> List[dict]:
-    """JSON/CSV-ready row dicts for a trace (see :mod:`repro.experiments.io`)."""
-    return [
-        {
-            "req_id": r.req_id,
-            "arrival_s": r.arrival_s,
-            "prompt_tokens": r.prompt_tokens,
-            "gen_tokens": r.gen_tokens,
-            "priority": r.priority,
-            "slo_ttft_s": r.slo_ttft_s,
-            "session_id": r.session_id,
-            "turn": r.turn,
-            "shared_prefix_id": r.shared_prefix_id,
-            "shared_prefix_tokens": r.shared_prefix_tokens,
-            "context_tokens": r.context_tokens,
-            "final_turn": r.final_turn,
-        }
-        for r in trace
-    ]
+    """JSON/CSV-ready row dicts for a trace (see :mod:`repro.experiments.io`).
+
+    One key per :class:`Request` field, in constructor order.  A
+    :class:`Trace` is read column by column (``tolist()`` gives the
+    values its request objects would hold), so no object is built;
+    caller-supplied request objects are read attribute by attribute.
+    """
+    if isinstance(trace, Trace) and not trace._given:
+        columns = [array.tolist() for array in trace.columns.values()]
+    else:
+        columns = [list(map(operator.attrgetter(name), trace))
+                   for name in _REQUEST_FIELDS]
+    return [dict(zip(_REQUEST_FIELDS, row)) for row in zip(*columns)]
 
 
 def rows_to_trace(rows: Sequence[dict]) -> Trace:
