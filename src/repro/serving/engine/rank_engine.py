@@ -57,7 +57,7 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import compress
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,34 +96,22 @@ def _seq_sum(start: float, terms: np.ndarray) -> float:
 class _RequestState:
     """A scheduling policy's view of one request slot of a rank engine.
 
-    Built only where a policy hook a subclass overrides is called.
-    ``request`` is the immutable :class:`Request`, ``tokens_out`` the
-    tokens generated so far and ``kv_private`` the KV bytes the request
-    reserved this admission (its footprint minus any cached prefix);
-    all three read the engine's columns.  ``slot`` is the engine's
-    index of the request.
+    Built for one call of a policy hook a subclass overrides: a snapshot
+    of the slot at the call.  ``request`` is the immutable
+    :class:`Request`, ``tokens_out`` the tokens generated so far and
+    ``kv_private`` the KV bytes the request reserved this admission (its
+    footprint minus any cached prefix; 0 while not admitted).  ``slot``
+    is the engine's index of the request.
     """
 
-    __slots__ = ("_engine", "slot")
+    __slots__ = ("slot", "request", "tokens_out", "kv_private")
 
-    def __init__(self, engine: "_RankEngine", slot: int) -> None:
-        self._engine = engine
+    def __init__(self, slot: int, request: Request, tokens_out: int,
+                 kv_private: int) -> None:
         self.slot = slot
-
-    @property
-    def request(self) -> Request:
-        """The immutable request this slot serves."""
-        return self._engine._request(self.slot)
-
-    @property
-    def tokens_out(self) -> int:
-        """Tokens generated so far."""
-        return self._engine._tokens_out[self.slot]
-
-    @property
-    def kv_private(self) -> int:
-        """KV bytes reserved by this admission (0 while not admitted)."""
-        return self._engine._kv_private[self.slot]
+        self.request = request
+        self.tokens_out = tokens_out
+        self.kv_private = kv_private
 
 
 class _RankEngine:
@@ -202,6 +190,12 @@ class _RankEngine:
         self._hit_tokens: List[int] = []
         # Slots with a terminal record, in the order they became one.
         self._terminal: List[int] = []
+        # The columns a new slot starts at 0 / None in.
+        self._zeroed = (self._tokens_out, self._target, self._done,
+                        self._cached, self._kv_private, self._preemptions,
+                        self._hit_tokens)
+        self._unset = (self._entry, self._admit_s, self._first_s,
+                       self._finish_s)
         self._kv_per_token = cache.model.kv_cache_bytes(1, 1)
         self._next = 0  # pending queue: slots [_next, len(_arrival))
         self.ready: List[Tuple[Tuple, int, int]] = []
@@ -256,7 +250,7 @@ class _RankEngine:
                 return (priority[slot], deadline, arrival_s, req_id[slot])
             return priority_key
         admission_key = self.policy.admission_key
-        return lambda slot: admission_key(_RequestState(self, slot))
+        return lambda slot: admission_key(self._view(slot))
 
     # -- request slots ---------------------------------------------------------
 
@@ -269,6 +263,11 @@ class _RankEngine:
             )
         return request
 
+    def _view(self, slot: int) -> _RequestState:
+        """A policy's view of ``slot`` as it stands."""
+        return _RequestState(slot, self._request(slot),
+                             self._tokens_out[slot], self._kv_private[slot])
+
     def _record(self, slot: int) -> RequestRecord:
         """A :class:`RequestRecord` of ``slot``'s outcome so far."""
         return RequestRecord(
@@ -279,20 +278,6 @@ class _RankEngine:
             self._preemptions[slot], self._session[slot], self._turn[slot],
             self._hit[slot], self._hit_tokens[slot],
         )
-
-    def _open_slots(self, count: int) -> None:
-        """Extend the state and outcome columns by ``count`` new slots."""
-        zeros = [0] * count
-        nones = [None] * count
-        for column in (self._tokens_out, self._target, self._done,
-                       self._cached, self._kv_private, self._preemptions,
-                       self._hit_tokens):
-            column.extend(zeros)
-        for column in (self._entry, self._admit_s, self._first_s,
-                       self._finish_s):
-            column.extend(nones)
-        self._status.extend(["completed"] * count)
-        self._hit.extend([False] * count)
 
     def record_columns(self) -> Dict[str, list]:
         """The engine's terminal records as columns, one list per
@@ -391,7 +376,12 @@ class _RankEngine:
             request.prompt_tokens + request.gen_tokens
         )
         self._kv_bytes.append(kv_bytes)
-        self._open_slots(1)
+        for column in self._zeroed:
+            column.append(0)
+        for column in self._unset:
+            column.append(None)
+        self._status.append("completed")
+        self._hit.append(False)
         self.kv_queued_bytes += kv_bytes
 
     def submit_columns(self, columns: Dict[str, np.ndarray]) -> None:
@@ -421,7 +411,14 @@ class _RankEngine:
             * self._kv_per_token
         ).tolist()
         self._kv_bytes.extend(kv_bytes)
-        self._open_slots(count)
+        zeros = [0] * count
+        for column in self._zeroed:
+            column.extend(zeros)
+        nones = [None] * count
+        for column in self._unset:
+            column.extend(nones)
+        self._status.extend(["completed"] * count)
+        self._hit.extend([False] * count)
         self.kv_queued_bytes += sum(kv_bytes)
 
     def advance(self, horizon_s: float) -> None:
@@ -633,9 +630,7 @@ class _RankEngine:
         if self._victims_hook is None:
             return []
         victims = self._victims_hook(
-            _RequestState(self, slot),
-            [_RequestState(self, other) for other in self.running],
-            need_bytes,
+            self._view(slot), list(map(self._view, self.running)), need_bytes
         )
         return [victim.slot for victim in victims]
 
@@ -1101,7 +1096,8 @@ class _RankEngine:
         if packed:
             tokens = int(self._left.min())
         else:
-            tokens = min(gen[slot] - tokens_out[slot] for slot in running)
+            tokens = min(map(sub, map(gen.__getitem__, running),
+                             map(tokens_out.__getitem__, running)))
         if (
             tokens > 1
             and self._next < len(self._arrival)
@@ -1124,19 +1120,26 @@ class _RankEngine:
                 energy, table.cum_energy[kv + tokens] - table.cum_energy[kv]
             )
         else:
-            attn_segment = self.cache.attn_segment
+            # One scan costs the segment and finds the fresh requests;
+            # each request's attention is attn_segment(kv + 1, kv +
+            # tokens), read from the cumulative memo where it is filled.
+            fresh = []
+            cum = self.cache._attn_cum
+            attn_cum = self.cache.attn_cum
             for slot in running:
-                kv = prompt[slot] + tokens_out[slot]
-                attn_latency, attn_energy = attn_segment(kv + 1, kv + tokens)
-                latency += attn_latency
-                energy += attn_energy
+                out = tokens_out[slot]
+                if out == 0:
+                    fresh.append(slot)
+                kv = prompt[slot] + out
+                lo = cum.get(kv) or attn_cum(kv)
+                hi = cum.get(kv + tokens) or attn_cum(kv + tokens)
+                latency += hi[0] - lo[0]
+                energy += hi[1] - lo[1]
         if self._has_faults:
             latency *= self._fault_factor()
         if packed:
             fresh = list(map(running.__getitem__, self._fresh))
             self._fresh = []
-        else:
-            fresh = [slot for slot in running if tokens_out[slot] == 0]
         if fresh:
             # Clock after the segment's first iteration, accumulated in
             # the same order as the per-token loop.

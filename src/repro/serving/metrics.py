@@ -52,7 +52,6 @@ from typing import List
 
 from repro.experiments.tables import (
     _attr_columns,
-    _column_getter,
     _scope_row,
     _scope_table,
     percentile,
@@ -60,6 +59,7 @@ from repro.experiments.tables import (
     safe_ratio,
 )
 from repro.serving.engine import ServingResult
+from repro.serving.engine.records import ColumnRecords
 
 __all__ = [
     "record_rows",
@@ -70,7 +70,8 @@ __all__ = [
 ]
 
 
-#: :func:`record_rows` keys, in row order.
+#: The record fields (and derived properties) of a :func:`record_rows`
+#: row, in row order.
 _ROW_FIELDS = (
     "req_id", "rank", "status", "arrival_s", "prompt_tokens", "gen_tokens",
     "priority", "slo_ttft_s", "preemptions", "session_id", "turn",
@@ -80,6 +81,25 @@ _ROW_FIELDS = (
 )
 
 
+def _record_row(req_id, rank, status, arrival_s, prompt_tokens, gen_tokens,
+                priority, slo_ttft_s, preemptions, session_id, turn,
+                cache_hit, cached_tokens, retries, failovers, shed, admit_s,
+                first_token_s, finish_s, queue_s, ttft_s, tpot_s, latency_s):
+    """One :func:`record_rows` row (a dict display builds it fastest)."""
+    return {
+        "req_id": req_id, "rank": rank, "status": status,
+        "arrival_s": arrival_s, "prompt_tokens": prompt_tokens,
+        "gen_tokens": gen_tokens, "priority": priority,
+        "slo_ttft_s": slo_ttft_s, "preemptions": preemptions,
+        "session_id": session_id, "turn": turn, "cache_hit": cache_hit,
+        "cached_tokens": cached_tokens, "retries": retries,
+        "failovers": failovers, "shed": shed, "admit_s": admit_s,
+        "first_token_s": first_token_s, "finish_s": finish_s,
+        "queue_s": queue_s, "ttft_s": ttft_s, "tpot_s": tpot_s,
+        "latency_s": latency_s,
+    }
+
+
 def record_rows(result: ServingResult) -> List[dict]:
     """One JSON/CSV-ready row per request in ``result``.
 
@@ -87,11 +107,22 @@ def record_rows(result: ServingResult) -> List[dict]:
     admission, a truncated run may have no finish) carry ``None`` for
     that timestamp — rendered as JSON ``null`` and an empty CSV cell —
     rather than a fake ``0.0`` that would read as "at trace start".
-    The rows are zipped from the records' field columns.
+    Records held as columns are read column by column, record objects
+    attribute by attribute.
     """
-    column = _column_getter(result.records)
-    return [dict(zip(_ROW_FIELDS, row))
-            for row in zip(*map(column, _ROW_FIELDS))]
+    records = result.records
+    if isinstance(records, ColumnRecords):
+        return list(map(_record_row, *map(records.column, _ROW_FIELDS)))
+    return [
+        _record_row(
+            r.req_id, r.rank, r.status, r.arrival_s, r.prompt_tokens,
+            r.gen_tokens, r.priority, r.slo_ttft_s, r.preemptions,
+            r.session_id, r.turn, r.cache_hit, r.cached_tokens, r.retries,
+            r.failovers, r.shed, r.admit_s, r.first_token_s, r.finish_s,
+            r.queue_s, r.ttft_s, r.tpot_s, r.latency_s,
+        )
+        for r in records
+    ]
 
 
 def _enrich_all(row: dict, result: ServingResult) -> dict:

@@ -262,24 +262,19 @@ class Trace(Sequence):
             # Building the first bad row raises its own Request error.
             row = int(bad[0])
             Request(*(array[row].item() for array in arrays.values()))
-        self._set(arrays, None, False)
+        self._set(arrays, None)
 
-    def _set(self, columns: dict, items: Optional[List[Request]],
-             given: bool) -> None:
+    def _set(self, columns: dict, items: Optional[List[Request]]) -> None:
         for array in columns.values():
             array.flags.writeable = False
         #: Field name -> read-only column array, in trace order.
         self.columns = columns
         self._items = items
-        # True when the items are caller objects (``of``), whose field
-        # values may differ in type from the columns' (an int arrival).
-        self._given = given
 
     @classmethod
-    def _wrap(cls, columns: dict, items: Optional[List[Request]],
-              given: bool) -> "Trace":
+    def _wrap(cls, columns: dict, items: Optional[List[Request]]) -> "Trace":
         trace = cls.__new__(cls)
-        trace._set(columns, items, given and items is not None)
+        trace._set(columns, items)
         return trace
 
     @classmethod
@@ -298,7 +293,6 @@ class Trace(Sequence):
                 for name, dtype, _ in _COLUMNS
             },
             items,
-            True,
         )
 
     def ordered(self) -> "Trace":
@@ -316,7 +310,6 @@ class Trace(Sequence):
         return self._wrap(
             {name: array[order] for name, array in self.columns.items()},
             None if items is None else [items[i] for i in order.tolist()],
-            self._given,
         )
 
     def _requests(self) -> List[Request]:
@@ -336,7 +329,6 @@ class Trace(Sequence):
             return self._wrap(
                 {name: array[index] for name, array in self.columns.items()},
                 None if items is None else items[index],
-                self._given,
             )
         return self._requests()[index]
 
@@ -743,20 +735,42 @@ def generate_trace(spec: TraceSpec) -> Trace:
     })
 
 
+def _trace_row(req_id, arrival_s, prompt_tokens, gen_tokens, priority,
+               slo_ttft_s, session_id, turn, shared_prefix_id,
+               shared_prefix_tokens, context_tokens, final_turn) -> dict:
+    """One :func:`trace_rows` row (a dict display builds it fastest)."""
+    return {
+        "req_id": req_id, "arrival_s": arrival_s,
+        "prompt_tokens": prompt_tokens, "gen_tokens": gen_tokens,
+        "priority": priority, "slo_ttft_s": slo_ttft_s,
+        "session_id": session_id, "turn": turn,
+        "shared_prefix_id": shared_prefix_id,
+        "shared_prefix_tokens": shared_prefix_tokens,
+        "context_tokens": context_tokens, "final_turn": final_turn,
+    }
+
+
 def trace_rows(trace: Sequence[Request]) -> List[dict]:
     """JSON/CSV-ready row dicts for a trace (see :mod:`repro.experiments.io`).
 
     One key per :class:`Request` field, in constructor order.  A
-    :class:`Trace` is read column by column (``tolist()`` gives the
-    values its request objects would hold), so no object is built;
-    caller-supplied request objects are read attribute by attribute.
+    :class:`Trace` whose request objects were never built is read column
+    by column (``tolist()`` gives the values those objects would hold);
+    otherwise the request objects are read attribute by attribute.
     """
-    if isinstance(trace, Trace) and not trace._given:
-        columns = [array.tolist() for array in trace.columns.values()]
-    else:
-        columns = [list(map(operator.attrgetter(name), trace))
-                   for name in _REQUEST_FIELDS]
-    return [dict(zip(_REQUEST_FIELDS, row)) for row in zip(*columns)]
+    if isinstance(trace, Trace) and trace._items is None:
+        return list(map(_trace_row, *(
+            array.tolist() for array in trace.columns.values()
+        )))
+    return [
+        _trace_row(
+            r.req_id, r.arrival_s, r.prompt_tokens, r.gen_tokens,
+            r.priority, r.slo_ttft_s, r.session_id, r.turn,
+            r.shared_prefix_id, r.shared_prefix_tokens, r.context_tokens,
+            r.final_turn,
+        )
+        for r in trace
+    ]
 
 
 def rows_to_trace(rows: Sequence[dict]) -> Trace:
