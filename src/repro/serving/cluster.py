@@ -552,6 +552,10 @@ class Cluster:
         self._failover_counts: Dict[int, int] = {}
         self._origin_arrival: Dict[int, float] = {}
         self._now = 0.0
+        # Time of the event whose processing may surface a crash (the
+        # crash log's detected_s); None during the final drain, where a
+        # crash surfaces at its own boundary.
+        self._detect_s: Optional[float] = None
         self._seq = 0
         self._crashes = 0
         # Roster-derived caches (fault mode): the healthy deployment
@@ -645,6 +649,9 @@ class Cluster:
                 )
                 if faulted:
                     t_peek = ordered[nxt].arrival_s if fresh else heap[0][0]
+                    # Due crashes, autoscaler and routing probes of this
+                    # event all surface crashes at its time.
+                    self._detect_s = t_peek
                     if t_peek >= self._next_crash_s:
                         self._fire_due_crashes(t_peek)
                     if self._crash_box:
@@ -747,6 +754,7 @@ class Cluster:
                 if tracer is not None:
                     tracer.emit("route", t, -1, req_id,
                                 deployment=deployment.name, router=router.name)
+            self._detect_s = None
             for deployment in deployments:
                 deployment.drain()
             if self._crash_box:
@@ -809,15 +817,18 @@ class Cluster:
         def on_crash(engine, t_s: float, lost: List[tuple]) -> None:
             # t_s is the committed-segment boundary the replica died at
             # (it may run past the scheduled fault under lazy advance);
-            # detected_s is the recovery loop's wall front when the
-            # death surfaced — the clock MTTR is measured from.
+            # detected_s is the time of the event that surfaced the
+            # death (the boundary itself in the final drain) — the clock
+            # MTTR is measured from.
             self._fault_events.append({
                 "t_s": t_s,
                 "kind": "crash",
                 "rank": engine.rank,
                 "deployment": deployment.name,
                 "lost_requests": len(lost),
-                "detected_s": self._now,
+                "detected_s": (
+                    t_s if self._detect_s is None else self._detect_s
+                ),
             })
             self._crashes += 1
             self._crash_box.append((t_s, deployment, engine, lost))

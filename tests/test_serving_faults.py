@@ -18,6 +18,7 @@ from repro.serving import (
     Deployment,
     FaultPlan,
     FaultSpec,
+    Request,
     RetryPolicy,
     ServingConfig,
     TraceSpec,
@@ -379,6 +380,65 @@ def test_chaos_fuzzer_conserves_every_request(seed, router):
         assert rec.status in ("completed", "rejected", "failed")
         if rec.finish_s is not None:
             assert rec.finish_s >= rec.arrival_s
+
+
+def _planned_crash_s(plan):
+    planned = {}
+    for spec in plan.specs:
+        if spec.kind == "crash":
+            planned[spec.rank] = min(planned.get(spec.rank, math.inf),
+                                     spec.t_s)
+    return planned
+
+
+def test_crash_detected_at_the_event_that_surfaces_it():
+    """``detected_s`` is the time of the event that surfaced a crash.
+    Two crashes planned at 1 s and 2 s, between arrivals at 0-0.05 s and
+    10 s, surface at the 10 s arrival; with no later arrival a crash
+    surfaces in the final drain, at its own boundary."""
+    early = [
+        Request(req_id=i, arrival_s=0.01 * i, prompt_tokens=64,
+                gen_tokens=400)
+        for i in range(6)
+    ]
+    plan = FaultPlan((FaultSpec("crash", 0, 1.0), FaultSpec("crash", 1, 2.0)))
+
+    def crashes(trace):
+        dep = Deployment(ServingConfig(model="gpt-125m", num_ranks=3),
+                         name="only")
+        result = Cluster([dep], faults=plan).run(trace)
+        return [e for e in result.fault_events if e["kind"] == "crash"]
+
+    late = Request(req_id=6, arrival_s=10.0, prompt_tokens=8, gen_tokens=4)
+    surfaced = crashes(early + [late])
+    assert [e["detected_s"] for e in surfaced] == [10.0, 10.0]
+    drained = crashes(early)
+    assert len(drained) == 2
+    assert all(e["detected_s"] == e["t_s"] for e in drained)
+    planned = _planned_crash_s(plan)
+    for event in surfaced + drained:
+        assert event["detected_s"] >= planned[event["rank"]]
+
+
+@pytest.mark.parametrize("seed", (3, 11))
+@pytest.mark.parametrize("router", ROUTER_NAMES)
+def test_crash_is_never_detected_before_it_happens(seed, router):
+    trace = _trace(seed, requests=96, rate=30.0)
+    plan = FaultPlan.sample(
+        seed=seed, ranks=range(4), horizon_s=max(r.arrival_s for r in trace),
+        crash_rate=0.5, stall_s=1.0,
+    )
+    result = simulate_cluster(
+        trace, _deployments(), router=router,
+        autoscaler=Autoscaler(AutoscalerConfig(max_replicas=3,
+                                               interval_s=5.0)),
+        faults=plan, retry_policy=RetryPolicy(max_retries=3), shed_tier=1,
+    )
+    planned = _planned_crash_s(plan)
+    crashes = [e for e in result.fault_events if e["kind"] == "crash"]
+    assert crashes
+    for event in crashes:
+        assert event["detected_s"] >= planned[event["rank"]]
 
 
 def test_load_shedding_drops_low_tier_arrivals_under_pressure():
