@@ -64,6 +64,7 @@ class CanonicalLut:
 
     @property
     def num_entries(self) -> int:
+        """Table entries: weight levels × activation levels."""
         return self.table.size
 
     def nbytes(self, entry_bytes: int = 4) -> int:
@@ -88,6 +89,7 @@ class ReorderingLut:
 
     @classmethod
     def build(cls, bits: int) -> "ReorderingLut":
+        """The table for ``bits``-wide weights packed into bytes."""
         epb = elems_per_byte(bits)
         byte_values = np.arange(256, dtype=np.int64)
         table = np.stack(
@@ -98,13 +100,16 @@ class ReorderingLut:
 
     @property
     def slots(self) -> int:
+        """Weight elements per packed byte (``8 / bits``)."""
         return self.table.shape[1]
 
     @property
     def num_entries(self) -> int:
+        """Table entries: 256 byte values × :attr:`slots`."""
         return self.table.size
 
     def nbytes(self, entry_bytes: int = 1) -> int:
+        """WRAM footprint at ``entry_bytes`` per entry."""
         return self.num_entries * entry_bytes
 
     def decode(self, packed: np.ndarray, count: int) -> np.ndarray:

@@ -48,6 +48,7 @@ class DramTimings:
 
     @property
     def cycle_time_s(self) -> float:
+        """Seconds per DRAM clock cycle."""
         return 1.0 / self.clock_hz
 
     def stream_time_s(self, nbytes: int) -> float:
@@ -92,6 +93,7 @@ class BankPimResult:
 
     @property
     def total_s(self) -> float:
+        """LUT staging plus operand streaming time."""
         return self.lut_stage_s + self.stream_s
 
 

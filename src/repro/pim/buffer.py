@@ -56,13 +56,16 @@ class LocalBuffer:
 
     @property
     def bytes_used(self) -> int:
+        """Aligned bytes currently allocated."""
         return self._bytes_used
 
     @property
     def bytes_free(self) -> int:
+        """Bytes still available for allocation."""
         return self.capacity_bytes - self._bytes_used
 
     def can_fit(self, nbytes: int) -> bool:
+        """True when ``nbytes`` (after alignment) fits in the free space."""
         return self._aligned(nbytes) <= self.bytes_free
 
     def alloc(self, name: str, nbytes: int) -> int:
@@ -91,6 +94,7 @@ class LocalBuffer:
         return size
 
     def free(self, name: str) -> None:
+        """Release the region allocated under ``name``."""
         _, size = self._allocations.pop(name)
         self._bytes_used -= size
 

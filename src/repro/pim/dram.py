@@ -46,6 +46,7 @@ class DramBankStats:
 
     @property
     def row_hit_rate(self) -> float:
+        """Share of row-buffer accesses that hit the open row (0 if none)."""
         total = self.row_hits + self.row_misses
         return self.row_hits / total if total else 0.0
 
@@ -75,6 +76,7 @@ class DramBank:
 
     @property
     def num_rows(self) -> int:
+        """Rows in the bank (capacity over row width)."""
         return self.capacity_bytes // self.row_bytes
 
     def _check_range(self, address: int, nbytes: int) -> None:
@@ -129,5 +131,6 @@ class DramBank:
         self.open_row = None
 
     def reset_stats(self) -> None:
+        """Zero the access counters and close the open row."""
         self.stats = DramBankStats()
         self.open_row = None

@@ -61,13 +61,16 @@ class EnergyBreakdown:
 
     @property
     def total_pj(self) -> float:
+        """Sum of every component, in picojoules."""
         return self.dram_pj + self.wram_pj + self.compute_pj + self.host_pj + self.static_pj
 
     @property
     def total_j(self) -> float:
+        """Sum of every component, in joules."""
         return self.total_pj * 1e-12
 
     def as_dict(self) -> dict:
+        """Per-component picojoules keyed by component name."""
         return {
             "dram": self.dram_pj,
             "wram": self.wram_pj,

@@ -45,6 +45,7 @@ class InstructionCosts:
 
     @classmethod
     def from_timings(cls, timings: UpmemTimings) -> "InstructionCosts":
+        """The instruction counts embedded in ``timings``."""
         return cls(
             lookup=timings.lookup_instructions,
             mac_int8=timings.mac_instructions_int8,
@@ -107,4 +108,5 @@ class DpuProcessor:
         return self.execute(n * self.costs.reorder)
 
     def reset(self) -> None:
+        """Zero the retired-instruction counter."""
         self.instructions_retired = 0

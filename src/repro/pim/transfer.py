@@ -95,4 +95,5 @@ class TransferModel:
     gather_s = scatter_s
 
     def reset(self) -> None:
+        """Zero the moved-bytes counter."""
         self.bytes_moved = 0

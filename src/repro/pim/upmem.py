@@ -208,6 +208,7 @@ class UpmemConfig:
 
     @property
     def total_dpus(self) -> int:
+        """DPUs across every rank."""
         return self.num_ranks * self.dpus_per_rank
 
     def partition(self, n_items: int) -> tuple[int, int]:
@@ -258,10 +259,12 @@ class UpmemSystem:
 
     @property
     def timings(self) -> UpmemTimings:
+        """The platform timing constants of :attr:`config`."""
         return self.config.timings
 
     @property
     def total_dpus(self) -> int:
+        """DPUs across every rank of :attr:`config`."""
         return self.config.total_dpus
 
     def partition(self, n_items: int) -> tuple[int, int]:
@@ -269,12 +272,15 @@ class UpmemSystem:
         return self.config.partition(n_items)
 
     def new_dram_bank(self) -> DramBank:
+        """A fresh MRAM bank of one DPU."""
         return DramBank(capacity_bytes=self.timings.mram_bytes)
 
     def new_local_buffer(self) -> LocalBuffer:
+        """A fresh WRAM buffer of one DPU."""
         return LocalBuffer(capacity_bytes=self.timings.wram_bytes)
 
     def new_processor(self, costs: InstructionCosts | None = None) -> DpuProcessor:
+        """A fresh DPU core; ``costs`` defaults to the timings' counts."""
         return DpuProcessor(
             timings=self.timings, costs=costs, tasklets=self.config.tasklets_per_dpu
         )

@@ -51,6 +51,7 @@ class MinifloatCodec:
 
     @property
     def is_floating(self) -> bool:
+        """Always True: minifloat codes are floating-point values."""
         return True
 
     @property
@@ -86,6 +87,7 @@ class MinifloatCodec:
         return np.asarray(codes, dtype=np.int64)
 
     def from_indices(self, indices: np.ndarray) -> np.ndarray:
+        """LUT indices are already minifloat codes."""
         return np.asarray(indices, dtype=np.int64)
 
 

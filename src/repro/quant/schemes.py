@@ -45,10 +45,12 @@ class QuantScheme:
 
     @property
     def weight_bits(self) -> int:
+        """Bit width of the weight codec."""
         return self.weight_codec.bits
 
     @property
     def activation_bits(self) -> int:
+        """Bit width of the activation codec."""
         return self.activation_codec.bits
 
     @property

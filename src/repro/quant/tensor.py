@@ -46,10 +46,12 @@ class QuantizedTensor:
 
     @property
     def shape(self) -> tuple:
+        """Shape of the code array."""
         return self.codes.shape
 
     @property
     def bits(self) -> int:
+        """Bit width of the codec."""
         return self.codec.bits
 
     @property
