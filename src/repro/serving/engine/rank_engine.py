@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from itertools import compress
 from operator import attrgetter, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -601,16 +602,20 @@ class _RankEngine:
         self._seq += 1
 
     def _collect_arrivals(self) -> None:
-        arrival = self._arrival
-        end = len(arrival)
-        slot = self._next
-        clock = self.clock
-        while slot < end and arrival[slot] <= clock:
+        # Submission order is arrival order, so the arrived slots are
+        # the pending prefix up to the clock.
+        start = self._next
+        end = bisect_right(self._arrival, self.clock, start)
+        if start == end:
+            return
+        ready, key, seq = self.ready, self._key, self._seq
+        for slot in range(start, end):
             if self._trace is not None:
                 self._trace_arrive(slot)
-            self._enqueue(slot)
-            slot += 1
-        self._next = slot
+            heapq.heappush(ready, (key(slot), seq, slot))
+            seq += 1
+        self._seq = seq
+        self._next = end
 
     def _trace_arrive(self, slot: int) -> None:
         """Emit ``arrive``, stamped with the request's arrival time."""
@@ -793,11 +798,13 @@ class _RankEngine:
     def _prefill_stage(self) -> None:
         still: List[int] = []
         done_of, target_of = self._done, self._target
+        chunk_of = self.policy.prefill_chunk
+        cost_of = self.cache.prefill_chunk
         for slot in self.prefilling:
             done = done_of[slot]
             remaining = target_of[slot] - done
-            chunk = min(self.policy.prefill_chunk(remaining), remaining)
-            latency, energy = self.cache.prefill_chunk(done, chunk)
+            chunk = min(chunk_of(remaining), remaining)
+            latency, energy = cost_of(done, chunk)
             if self._has_faults:
                 latency *= self._fault_factor()
             if self._trace is not None:
@@ -815,7 +822,8 @@ class _RankEngine:
                                  self._req_id[slot], chunk_tokens=chunk,
                                  latency_s=latency, energy_j=energy)
             if done >= target_of[slot]:
-                self._retain_shared_prefix(slot)
+                if self.prefix_cache is not None:
+                    self._retain_shared_prefix(slot)
                 self.running.append(slot)
             else:
                 still.append(slot)
@@ -831,8 +839,6 @@ class _RankEngine:
         merely change owner — ``kv_used`` is untouched.
         """
         pc = self.prefix_cache
-        if pc is None:
-            return
         prefix_id = self._prefix_id[slot]
         prefix_tokens = self._prefix_tokens[slot]
         if prefix_id < 0 or self._cached[slot] >= prefix_tokens:

@@ -73,12 +73,17 @@ __all__ = [
 class SchedulingPolicy:
     """Base scheduling policy: FCFS order, no preemption, whole prefills.
 
-    Subclasses override any of the three hooks.  The ``state`` objects
-    passed in are the engine's per-request scheduling states
-    (:class:`repro.serving.engine.rank_engine._RequestState`):
-    ``state.request`` is the immutable
-    :class:`~repro.serving.trace.Request` and ``state.tokens_out`` the
-    tokens generated so far.
+    Subclasses override any of the hooks.  The ``state`` objects passed
+    to :meth:`admission_key` and :meth:`select_victims` are views of the
+    engine's request slots
+    (:class:`repro.serving.engine.rank_engine._RequestState`), built for
+    the call and valid during it: ``state.request`` is the immutable
+    :class:`~repro.serving.trace.Request`, ``state.tokens_out`` the
+    tokens generated so far and ``state.kv_private`` the KV bytes the
+    request reserved at its current admission (0 while waiting).  A
+    victim list is a sub-list of the ``running`` views.  The engine
+    evaluates the built-in hooks straight from its columns, so a view
+    is built only where a subclass's own hook is called.
     """
 
     #: Registry name; set by every concrete subclass.
