@@ -208,25 +208,26 @@ def _row_columns(rows: Sequence[dict]) -> tuple:
             {field: column(done, field) for field in _DONE_FIELDS})
 
 
-def _column_getter(records: Sequence):
-    """``column(field) -> list`` over request records: the records' own
-    :meth:`~repro.serving.engine.records.ColumnRecords.column` when they
-    are held as columns, else the attribute gathered record by record
-    (derived properties such as ``ttft_s`` included)."""
-    column = getattr(records, "column", None)
-    if column is not None:
-        return column
-    return lambda field: list(map(attrgetter(field), records))
+def _record_columns(records: Sequence, fields: Sequence[str]) -> List[list]:
+    """One list per name in ``fields`` over request records: the
+    records' own :meth:`~repro.serving.engine.records.ColumnRecords.columns`
+    when they are held as columns, else the attribute gathered record by
+    record (derived properties such as ``ttft_s`` included)."""
+    columns = getattr(records, "columns", None)
+    if columns is not None:
+        return columns(fields)
+    return [list(map(attrgetter(field), records)) for field in fields]
 
 
 def _attr_columns(records: Sequence) -> tuple:
     """:func:`_scope_row`'s per-field lists straight from request
-    records (columns or objects, see :func:`_column_getter`), with
+    records (columns or objects, see :func:`_record_columns`), with
     no row dicts and no per-record tuples."""
-    column = _column_getter(records)
-    done = [status == "completed" for status in column("status")]
-    return ({field: column(field) for field in _SCOPE_FIELDS},
-            {field: list(compress(column(field), done))
+    names = tuple(dict.fromkeys(("status",) + _SCOPE_FIELDS + _DONE_FIELDS))
+    column = dict(zip(names, _record_columns(records, names)))
+    done = [status == "completed" for status in column["status"]]
+    return ({field: column[field] for field in _SCOPE_FIELDS},
+            {field: list(compress(column[field], done))
              for field in _DONE_FIELDS})
 
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import compress
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -58,7 +59,11 @@ from repro.serving.engine.config import ServingConfig
 from repro.serving.engine.costs import _CostCache, cost_identity
 from repro.serving.engine.driver import collect_result, make_engine, replica_budget
 from repro.serving.engine.rank_engine import _RankEngine
-from repro.serving.engine.records import RequestRecord, ServingResult
+from repro.serving.engine.records import (
+    ColumnRecords,
+    RequestRecord,
+    ServingResult,
+)
 from repro.serving.faults import FaultPlan, RetryPolicy
 from repro.serving.routing import RoutingPolicy, get_router
 from repro.serving.trace import Request, Trace
@@ -413,15 +418,13 @@ class ClusterResult:
     fault_events: List[dict] = field(default_factory=list)
 
     @property
-    def records(self) -> List[RequestRecord]:
+    def records(self) -> ColumnRecords:
         """Every request record — deployment slices plus cluster-level
-        failures — by request id."""
-        out: List[RequestRecord] = []
-        for dep in self.deployments:
-            out.extend(dep.serving.records)
-        out.extend(self.failed_records)
-        out.sort(key=lambda rec: rec.req_id)
-        return out
+        failures — by request id, as columns."""
+        return ColumnRecords.merge(
+            [dep.serving.records for dep in self.deployments]
+            + [self.failed_records]
+        )
 
     @property
     def requests(self) -> int:
@@ -433,10 +436,7 @@ class ClusterResult:
     @property
     def completed(self) -> int:
         """Requests that produced all their tokens."""
-        return sum(
-            sum(1 for rec in dep.serving.records if rec.status == "completed")
-            for dep in self.deployments
-        )
+        return self.records.column("status").count("completed")
 
     @property
     def rejected(self) -> int:
@@ -446,39 +446,35 @@ class ClusterResult:
         so a future terminal status (truncated, cancelled) cannot
         silently inflate the rejection count.
         """
-        return sum(
-            sum(1 for rec in dep.serving.records if rec.status == "rejected")
-            for dep in self.deployments
-        )
+        return self.records.column("status").count("rejected")
 
     @property
     def failed(self) -> int:
         """Requests that ended in the terminal ``failed`` status."""
-        return sum(1 for rec in self.records if rec.status == "failed")
+        return self.records.column("status").count("failed")
 
     @property
     def retries(self) -> int:
         """Crash-driven re-submissions across every request."""
-        return sum(rec.retries for rec in self.records)
+        return sum(self.records.column("retries"))
 
     @property
     def failovers(self) -> int:
         """Re-routes away from dead replicas across every request."""
-        return sum(rec.failovers for rec in self.records)
+        return sum(self.records.column("failovers"))
 
     @property
     def shed_requests(self) -> int:
         """Requests dropped by the load-shedder."""
-        return sum(1 for rec in self.records if rec.shed)
+        return sum(map(bool, self.records.column("shed")))
 
     @property
     def goodput_tokens(self) -> int:
         """Tokens delivered by *completed* requests — unlike
         :attr:`output_tokens`, work lost to crashes does not count."""
-        return sum(
-            rec.gen_tokens for rec in self.records
-            if rec.status == "completed"
-        )
+        records = self.records
+        done = [status == "completed" for status in records.column("status")]
+        return sum(compress(records.column("gen_tokens"), done))
 
     @property
     def makespan_s(self) -> float:
@@ -920,21 +916,25 @@ class Cluster:
             live += len(deployment.active_engines())
         return depth > high * max(live, 1)
 
-    def _stamp_recovery(self, records) -> None:
-        """Restore the origin arrival of retried requests' surviving
-        records (they were created at their retry submission), so TTFT
-        and latency include the crash and backoff delay, and stamp the
-        per-request recovery counters."""
-        for record in records:
-            retries = self._retry_counts.get(record.req_id, 0)
-            if retries:
-                record.retries = retries
-                record.arrival_s = self._origin_arrival.get(
-                    record.req_id, record.arrival_s
+    def _stamp_recovery(self, records: ColumnRecords) -> ColumnRecords:
+        """``records`` with the origin arrival of retried requests
+        restored (their surviving records were created at the retry
+        submission), so TTFT and latency include the crash and backoff
+        delay, and with the per-request recovery counters stamped."""
+        ids = records.column("req_id")
+        retries = [self._retry_counts.get(req_id, 0) for req_id in ids]
+        return records.replace(
+            retries=retries,
+            arrival_s=[
+                self._origin_arrival.get(req_id, arrival) if count
+                else arrival
+                for req_id, arrival, count in zip(
+                    ids, records.column("arrival_s"), retries
                 )
-            failovers = self._failover_counts.get(record.req_id, 0)
-            if failovers:
-                record.failovers = failovers
+            ],
+            failovers=[self._failover_counts.get(req_id, 0)
+                       for req_id in ids],
+        )
 
     def _collect_result(self) -> ClusterResult:
         """Package deployments, scale events and fault state."""
@@ -942,7 +942,7 @@ class Cluster:
         servings = [d.result() for d in self.deployments]
         if self._retry_counts or self._failover_counts:
             for serving in servings:
-                self._stamp_recovery(serving.records)
+                serving.records = self._stamp_recovery(serving.records)
         return ClusterResult(
             router=self.router.name,
             deployments=[

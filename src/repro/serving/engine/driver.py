@@ -154,9 +154,7 @@ def collect_result(
             for key in outputs[0]
         })
     else:
-        records = ColumnRecords.merge(
-            [engine.record_columns() for engine in engines]
-        )
+        records = ColumnRecords.merge([engine.records for engine in engines])
     return ServingResult(
         config=config,
         records=records,
@@ -238,13 +236,10 @@ def simulate_trace(
     for rank in range(num_ranks):
         engine = make_engine(rank, cache, config, kv_capacity, sched_policy,
                              tracer=tracer, faults=faults)
-        if num_ranks == 1:
-            engine.submit_columns(columns)
-        else:
-            mask = ranks == rank
-            engine.submit_columns(
-                {key: array[mask] for key, array in columns.items()}
-            )
+        mask = ranks == rank
+        engine.submit_columns(
+            {key: array[mask] for key, array in columns.items()}
+        )
         engine.run()
         engines.append(engine)
     return collect_result(config, engines, kv_capacity, weight_bytes)

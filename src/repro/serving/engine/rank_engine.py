@@ -58,7 +58,7 @@ import heapq
 import math
 from bisect import bisect_right
 from itertools import compress
-from operator import attrgetter, sub
+from operator import attrgetter, eq, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -168,17 +168,17 @@ class _RankEngine:
         # The request object of a slot, once one exists (submitted as
         # one, or built for a policy view, a cache lookup or a crash).
         self._req: List[Optional[Request]] = []
-        # Mutable scheduling state.  ``_target`` / ``_done`` track the
-        # prefix (prompt plus tokens generated before a preemption) to
-        # prefill before the slot may decode again; a cache hit
-        # pre-credits ``_done``.  ``_kv_bytes`` is the full logical KV
-        # footprint, ``_kv_private`` the bytes reserved this admission.
+        # Mutable scheduling state.  ``_done`` counts the prefilled part
+        # of the prefix an admitted slot must prefill before it may
+        # decode (prompt plus the tokens generated before a preemption;
+        # ``_tokens_out`` is constant while a slot prefills), and a
+        # cache hit pre-credits it.  ``_kv_private`` is the KV reserved
+        # this admission; the full footprint is ``_kv_per_token`` times
+        # prompt plus generated tokens.
         self._tokens_out: List[int] = []
-        self._target: List[int] = []
         self._done: List[int] = []
         self._cached: List[int] = []
         self._kv_private: List[int] = []
-        self._kv_bytes: List[int] = []
         self._entry: List[Optional[CacheEntry]] = []
         # Outcome: first-admission stamp, first-token and finish stamps,
         # status, preemptions, and the first admission's cache outcome.
@@ -192,8 +192,8 @@ class _RankEngine:
         # Slots with a terminal record, in the order they became one.
         self._terminal: List[int] = []
         # The columns a new slot starts at 0 / None in.
-        self._zeroed = (self._tokens_out, self._target, self._done,
-                        self._cached, self._kv_private, self._preemptions,
+        self._zeroed = (self._tokens_out, self._done, self._cached,
+                        self._kv_private, self._preemptions,
                         self._hit_tokens)
         self._unset = (self._entry, self._admit_s, self._first_s,
                        self._finish_s)
@@ -208,10 +208,7 @@ class _RankEngine:
         self._event_driven = config.engine == "event"
         self.prefix_cache = PrefixCache() if config.prefix_cache else None
         self._key = self._key_function()
-        self._victims_hook = (
-            None if type(policy).select_victims is SchedulingPolicy.select_victims
-            else policy.select_victims
-        )
+        self._victims = self._victims_function()
         # Packed running set (see the module docstring): while ``_kv``
         # is not None, ``_kv[i]`` / ``_left[i]`` are the KV depth and
         # tokens left of ``running[i]`` for every packed position, whose
@@ -253,6 +250,47 @@ class _RankEngine:
         admission_key = self.policy.admission_key
         return lambda slot: admission_key(self._view(slot))
 
+    def _victims_function(self) -> Callable[..., List[int]]:
+        """The policy's victim choice as a function of the candidate
+        slot, the running slots and the KV bytes missing, returning
+        running slots.
+
+        The base class declines without a call, the priority policy's
+        choice is computed from the columns (the same victims its hook
+        returns), and an overridden hook is called with
+        :class:`_RequestState` views.
+        """
+        hook = type(self.policy).select_victims
+        if hook is SchedulingPolicy.select_victims:
+            return lambda slot, running, need_bytes: []
+        if hook is PriorityPolicy.select_victims:
+            priority, tokens_out = self._priority, self._tokens_out
+            kv_private = self._kv_private
+
+            def priority_victims(slot: int, running: List[int],
+                                 need_bytes: int) -> List[int]:
+                tier = priority[slot]
+                lower = [s for s in running if priority[s] > tier]
+                lower.sort(key=lambda s: (-priority[s], tokens_out[s]))
+                victims: List[int] = []
+                freed = 0
+                for victim in lower:
+                    if freed >= need_bytes:
+                        break
+                    victims.append(victim)
+                    freed += kv_private[victim]
+                return victims if freed >= need_bytes else []
+            return priority_victims
+        select_victims = self.policy.select_victims
+
+        def hook_victims(slot: int, running: List[int],
+                         need_bytes: int) -> List[int]:
+            victims = select_victims(
+                self._view(slot), list(map(self._view, running)), need_bytes
+            )
+            return [victim.slot for victim in victims]
+        return hook_victims
+
     # -- request slots ---------------------------------------------------------
 
     def _request(self, slot: int) -> Request:
@@ -263,6 +301,11 @@ class _RankEngine:
                 *(column[slot] for column in self._fields)
             )
         return request
+
+    def _kv_bytes(self, slot: int) -> int:
+        """The full logical KV footprint of ``slot`` (prompt plus every
+        generated token); the model's KV size is linear in tokens."""
+        return self._kv_per_token * (self._prompt[slot] + self._gen[slot])
 
     def _view(self, slot: int) -> _RequestState:
         """A policy's view of ``slot`` as it stands."""
@@ -280,10 +323,10 @@ class _RankEngine:
             self._hit[slot], self._hit_tokens[slot],
         )
 
-    def record_columns(self) -> Dict[str, list]:
-        """The engine's terminal records as columns, one list per
-        :class:`RequestRecord` field, rows sorted by ``req_id`` (ties in
-        the order the records became terminal).
+    @property
+    def records(self) -> ColumnRecords:
+        """This engine's terminal records, sorted by ``req_id`` (ties in
+        the order they became terminal), read from its columns.
 
         Slots lost to a crash with an ``on_crash`` seam set are not
         records of this engine (the cluster owns them); every other
@@ -291,38 +334,30 @@ class _RankEngine:
         """
         slots = sorted(self._terminal, key=self._req_id.__getitem__)
         count = len(slots)
-
-        def take(column: list) -> list:
-            return list(map(column.__getitem__, slots))
-
-        return {
-            "req_id": take(self._req_id),
-            "rank": [self.rank] * count,
-            "arrival_s": take(self._arrival),
-            "prompt_tokens": take(self._prompt),
-            "gen_tokens": take(self._gen),
-            "priority": take(self._priority),
-            "slo_ttft_s": take(self._slo),
-            "status": take(self._status),
-            "admit_s": take(self._admit_s),
-            "first_token_s": take(self._first_s),
-            "finish_s": take(self._finish_s),
-            "preemptions": take(self._preemptions),
-            "session_id": take(self._session),
-            "turn": take(self._turn),
-            "cache_hit": take(self._hit),
-            "cached_tokens": take(self._hit_tokens),
-            "retries": [0] * count,
-            "failovers": [0] * count,
-            "shed": [False] * count,
-        }
-
-    @property
-    def records(self):
-        """This engine's terminal records
-        (:class:`~repro.serving.engine.records.ColumnRecords`, sorted by
-        ``req_id``)."""
-        return ColumnRecords.from_fields(self.record_columns())
+        if count == len(self._req_id) and all(map(eq, slots, range(count))):
+            slots = None  # every slot, in slot order
+        zeros = [0] * len(self._req_id)
+        return ColumnRecords.from_fields({
+            "req_id": self._req_id,
+            "rank": [self.rank] * len(self._req_id),
+            "arrival_s": self._arrival,
+            "prompt_tokens": self._prompt,
+            "gen_tokens": self._gen,
+            "priority": self._priority,
+            "slo_ttft_s": self._slo,
+            "status": self._status,
+            "admit_s": self._admit_s,
+            "first_token_s": self._first_s,
+            "finish_s": self._finish_s,
+            "preemptions": self._preemptions,
+            "session_id": self._session,
+            "turn": self._turn,
+            "cache_hit": self._hit,
+            "cached_tokens": self._hit_tokens,
+            "retries": zeros,
+            "failovers": zeros,
+            "shed": [False] * len(self._req_id),
+        }, slots)
 
     # -- incremental driving (cluster seam) -----------------------------------
 
@@ -373,17 +408,13 @@ class _RankEngine:
         for column, value in zip(self._fields, _request_values(request)):
             column.append(value)
         self._req.append(request)
-        kv_bytes = self._kv_per_token * (
-            request.prompt_tokens + request.gen_tokens
-        )
-        self._kv_bytes.append(kv_bytes)
         for column in self._zeroed:
             column.append(0)
         for column in self._unset:
             column.append(None)
         self._status.append("completed")
         self._hit.append(False)
-        self.kv_queued_bytes += kv_bytes
+        self.kv_queued_bytes += self._kv_bytes(len(arrival) - 1)
 
     def submit_columns(self, columns: Dict[str, np.ndarray]) -> None:
         """Append a whole shard at once: ``columns`` maps every
@@ -407,11 +438,6 @@ class _RankEngine:
         for column, name in zip(self._fields, _REQUEST_FIELDS):
             column.extend(columns[name].tolist())
         self._req.extend([None] * count)
-        kv_bytes = (
-            (columns["prompt_tokens"] + columns["gen_tokens"])
-            * self._kv_per_token
-        ).tolist()
-        self._kv_bytes.extend(kv_bytes)
         zeros = [0] * count
         for column in self._zeroed:
             column.extend(zeros)
@@ -420,7 +446,9 @@ class _RankEngine:
             column.extend(nones)
         self._status.extend(["completed"] * count)
         self._hit.extend([False] * count)
-        self.kv_queued_bytes += sum(kv_bytes)
+        self.kv_queued_bytes += self._kv_per_token * int(
+            (columns["prompt_tokens"] + columns["gen_tokens"]).sum()
+        )
 
     def advance(self, horizon_s: float) -> None:
         """Run scheduler steps whose start time is at or before ``horizon_s``.
@@ -629,16 +657,6 @@ class _RankEngine:
 
     # -- admission + preemption ---------------------------------------------
 
-    def _select_victims(self, slot: int, need_bytes: int) -> List[int]:
-        """Running slots the policy names for preemption (none when it
-        keeps the base class's decline-everything hook)."""
-        if self._victims_hook is None:
-            return []
-        victims = self._victims_hook(
-            self._view(slot), list(map(self._view, self.running)), need_bytes
-        )
-        return [victim.slot for victim in victims]
-
     def _preempt(
         self, victims: Sequence[int], evictable_bytes: int = 0
     ) -> None:
@@ -664,7 +682,7 @@ class _RankEngine:
                 self._entry[slot] = None
             self._cached[slot] = 0
             self._kv_private[slot] = 0
-            self.kv_queued_bytes += self._kv_bytes[slot]
+            self.kv_queued_bytes += self._kv_bytes(slot)
             self._enqueue(slot)
 
     def _evict_entries(self, entries: Sequence[CacheEntry]) -> None:
@@ -686,13 +704,13 @@ class _RankEngine:
         pc = self.prefix_cache
         model = self.cache.model
         stats = self.stats
-        kv_bytes_of = self._kv_bytes
         max_batch = self.config.max_batch
+        prompt, gen, kv_per_token = self._prompt, self._gen, self._kv_per_token
         while self.ready:
             if len(self.running) + len(self.prefilling) >= max_batch:
                 break
             key, seq, slot = heapq.heappop(self.ready)
-            kv_bytes = kv_bytes_of[slot]
+            kv_bytes = kv_per_token * (prompt[slot] + gen[slot])
             # Rejection ignores the cache on purpose: admission must
             # stay feasible even if the hit is later evicted after a
             # preemption, so the cache never changes *which* requests
@@ -725,7 +743,7 @@ class _RankEngine:
                     # Victim selection reads the running slots'
                     # ``tokens_out``, and preemption edits the batch.
                     self._unpack()
-                    victims = self._select_victims(slot, gap - freed)
+                    victims = self._victims(slot, self.running, gap - freed)
                     # Honor the policy contract: evict/preempt only if
                     # that actually closes the KV gap — and evictions
                     # always go first, leaving nothing reclaimable by
@@ -752,13 +770,12 @@ class _RankEngine:
                 stats.kv_peak_bytes = self.kv_used
             readmit = self._admit_s[slot] is not None
             tokens_out = self._tokens_out[slot]
-            target = self._prompt[slot] + tokens_out
+            target = prompt[slot] + tokens_out
             if not readmit:
                 self._admit_s[slot] = self.clock
             else:
                 stats.requeues += 1
                 stats.recompute_tokens += target
-            self._target[slot] = target
             self._done[slot] = cached
             self._cached[slot] = cached
             self._kv_private[slot] = need
@@ -797,12 +814,13 @@ class _RankEngine:
 
     def _prefill_stage(self) -> None:
         still: List[int] = []
-        done_of, target_of = self._done, self._target
+        done_of, prompt, tokens_out = self._done, self._prompt, self._tokens_out
         chunk_of = self.policy.prefill_chunk
         cost_of = self.cache.prefill_chunk
         for slot in self.prefilling:
             done = done_of[slot]
-            remaining = target_of[slot] - done
+            target = prompt[slot] + tokens_out[slot]
+            remaining = target - done
             chunk = min(chunk_of(remaining), remaining)
             latency, energy = cost_of(done, chunk)
             if self._has_faults:
@@ -821,7 +839,7 @@ class _RankEngine:
                 self._trace.emit("prefill_chunk_end", self.clock, self.rank,
                                  self._req_id[slot], chunk_tokens=chunk,
                                  latency_s=latency, energy_j=energy)
-            if done >= target_of[slot]:
+            if done >= target:
                 if self.prefix_cache is not None:
                     self._retain_shared_prefix(slot)
                 self.running.append(slot)

@@ -10,10 +10,10 @@ cluster layer's per-deployment slices.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, eq, ne
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -106,36 +106,31 @@ class RequestRecord:
 _RECORD_FIELDS = tuple(f.name for f in fields(RequestRecord))
 
 
-def _derived(name: str, columns: Dict[str, list]) -> list:
-    """A :class:`RequestRecord` property as a column, computed with the
-    property's own float operations element by element (so it rounds
-    identically); missing stamps give the property's ``0.0``."""
-    arrival = columns["arrival_s"]
-    if name == "queue_s":
-        return [admit - t if admit is not None else 0.0
-                for admit, t in zip(columns["admit_s"], arrival)]
-    if name == "ttft_s":
-        return [first - t if first is not None else 0.0
-                for first, t in zip(columns["first_token_s"], arrival)]
-    if name == "latency_s":
-        return [finish - t if finish is not None else 0.0
-                for finish, t in zip(columns["finish_s"], arrival)]
+def _derived(name: str, column) -> list:
+    """A :class:`RequestRecord` property as a column, from the field
+    columns ``column(field)``, computed with the property's own float
+    operations element by element (so it rounds identically); missing
+    stamps give the property's ``0.0``."""
     if name == "tpot_s":
         return [
             0.0 if finish is None or first is None or gen < 2
             else (finish - first) / (gen - 1)
             for first, finish, gen in zip(
-                columns["first_token_s"], columns["finish_s"],
-                columns["gen_tokens"],
+                column("first_token_s"), column("finish_s"),
+                column("gen_tokens"),
             )
         ]
-    raise KeyError(f"no record field {name!r}")
+    stamp = {"queue_s": "admit_s", "ttft_s": "first_token_s",
+             "latency_s": "finish_s"}.get(name)
+    if stamp is None:
+        raise KeyError(f"no record field {name!r}")
+    return [t - arrival if t is not None else 0.0
+            for t, arrival in zip(column(stamp), column("arrival_s"))]
 
 
 def _array_lists(arrays: Dict[str, np.ndarray]) -> Dict[str, list]:
     """Record columns from the structure-of-arrays engine's outcome
-    arrays (see :class:`ColumnRecords`), sorted by
-    ``req_id``."""
+    arrays (see :class:`ColumnRecords`), sorted by ``req_id``."""
     order = np.argsort(arrays["req_id"], kind="stable")
 
     def column(name: str) -> list:
@@ -161,19 +156,31 @@ def _array_lists(arrays: Dict[str, np.ndarray]) -> Dict[str, list]:
     }
 
 
+#: The derived :class:`RequestRecord` properties a column can be read as.
+_DERIVED = ("queue_s", "ttft_s", "tpot_s", "latency_s")
+
+
+def _part_column(part: Sequence, name: str) -> list:
+    column = getattr(part, "column", None)
+    if column is None:
+        return list(map(attrgetter(name), part))
+    return column(name)
+
+
 class ColumnRecords(Sequence):
-    """Request records held as columns, rows sorted by ``req_id``.
+    """Request records held as columns.
 
     Engines finish a run holding their outcomes as columns; building one
-    :class:`RequestRecord` per request up front would cost time the
-    caller may never need (metrics and exports read columns).  This
-    sequence keeps one list per :class:`RequestRecord` field and builds
-    the record objects only on element access; ``len()`` never
-    materialises.  :meth:`column` returns a field's values in row order
-    -- read from the columns, or, once the records exist (a caller may
-    have edited them), from the records -- and also serves the derived
-    properties (``queue_s``, ``ttft_s``, ``tpot_s``, ``latency_s``),
-    computed elementwise with the properties' own arithmetic.
+    :class:`RequestRecord` per request up front would cost time and
+    memory the caller may never need (metrics and exports read
+    columns).  This sequence builds the record objects only on element
+    access; ``len()`` never materialises.  :meth:`column` returns a
+    field's values in row order -- read from the columns, or, once the
+    records exist (a caller may have edited them), from the records --
+    and also the derived properties (``queue_s``, ``ttft_s``,
+    ``tpot_s``, ``latency_s``), computed elementwise with the
+    properties' own arithmetic.  Nothing is copied or cached up front:
+    a column of a row selection or of a merge is gathered when read.
 
     ``ColumnRecords(columns)`` wraps the structure-of-arrays engine's
     numpy outcome columns, sorted and converted on first use:
@@ -182,73 +189,126 @@ class ColumnRecords(Sequence):
     ``session_id``, ``turn``, ``rejected`` (bool), ``admit_s`` /
     ``first_token_s`` / ``finish_s`` (NaN = never happened) and
     ``preemptions`` to equal-length arrays in any row order.
-    :meth:`from_fields` takes one list per record field already in
-    ``req_id`` order, and :meth:`merge` combines several engines' field
-    lists.  Records compare equal to any sequence of equal records.
+    :meth:`from_fields` selects rows of one list per record field,
+    :meth:`merge` combines record sequences sorted by ``req_id`` (how
+    every result holds its records), and :meth:`replace` swaps whole
+    field columns.  Records compare equal to any sequence of equal
+    records.
     """
 
     def __init__(self, columns: Dict[str, np.ndarray]) -> None:
-        self._columns: Optional[Dict[str, list]] = None
         self._arrays: Optional[Dict[str, np.ndarray]] = columns
+        self._fields: Optional[Dict[str, list]] = None
+        self._rows: Optional[Sequence[int]] = None
+        self._parts: Optional[List[Sequence]] = None
+        self._order: Optional[List[int]] = None
         self._size = int(columns["req_id"].size)
         self._items: Optional[List[RequestRecord]] = None
 
     @classmethod
-    def from_fields(cls, fields: Dict[str, list]) -> "ColumnRecords":
-        """Records over one list per :class:`RequestRecord` field, rows
-        already sorted by ``req_id``."""
+    def from_fields(cls, fields: Dict[str, list],
+                    rows: Optional[Sequence[int]] = None) -> "ColumnRecords":
+        """Records over one list per :class:`RequestRecord` field: the
+        entries at ``rows``, in that order, or with ``rows=None`` the
+        lists' current entries.  The lists are read, not copied."""
         records = cls.__new__(cls)
-        records._columns = dict(fields)
         records._arrays = None
-        records._size = len(fields["req_id"])
+        records._fields = fields
+        records._rows = rows
+        records._parts = None
+        records._order = None
+        records._size = len(fields["req_id"]) if rows is None else len(rows)
         records._items = None
         return records
 
     @classmethod
-    def merge(cls, parts: Sequence[Dict[str, list]]) -> "ColumnRecords":
-        """One sequence from per-engine field lists (each sorted by
-        ``req_id``), sorted by ``req_id`` with ties kept in part order."""
-        if len(parts) == 1:
-            return cls.from_fields(parts[0])
-        columns = {
-            name: [value for part in parts for value in part[name]]
-            for name in _RECORD_FIELDS
-        }
-        ids = columns["req_id"]
+    def merge(cls, parts: Sequence[Sequence[RequestRecord]]) -> "ColumnRecords":
+        """The records of ``parts`` (record sequences: column records or
+        record objects) sorted by ``req_id``; ties keep part order, then
+        row order within a part.  A single column part is returned as
+        it is, so it must already be sorted."""
+        if len(parts) == 1 and isinstance(parts[0], ColumnRecords):
+            return parts[0]
+        # A merged part contributes its own parts: sorting all of their
+        # rows at once orders ties exactly as merging twice would.
+        leaves = []
+        for part in parts:
+            inner = getattr(part, "_parts", None)
+            leaves.extend(inner if inner is not None else (part,))
+        records = cls.__new__(cls)
+        records._arrays = None
+        records._fields = None
+        records._rows = None
+        records._parts = leaves
+        records._order = None
+        records._size = sum(map(len, parts))
+        records._items = None
+        ids = records.column("req_id")
         order = sorted(range(len(ids)), key=ids.__getitem__)
-        if any(index != position for position, index in enumerate(order)):
-            columns = {
-                name: list(map(values.__getitem__, order))
-                for name, values in columns.items()
-            }
-        return cls.from_fields(columns)
+        if any(map(ne, order, range(len(order)))):
+            records._order = order
+        return records
+
+    def replace(self, **fields: list) -> "ColumnRecords":
+        """A copy with the named field columns replaced by ``fields``
+        (lists in row order)."""
+        return ColumnRecords.from_fields({
+            name: fields[name] if name in fields else self.column(name)
+            for name in _RECORD_FIELDS
+        })
 
     def __len__(self) -> int:
         return self._size
 
-    def _lists(self) -> Dict[str, list]:
-        if self._columns is None:
-            self._columns = _array_lists(self._arrays)
-            self._arrays = None
-        return self._columns
-
     def column(self, name: str) -> list:
         """The ``name`` field (or derived property) of every record, in
-        row order.  The list is shared: callers must not modify it."""
+        row order.  The list may be shared: callers must not modify
+        it."""
+        return self.columns((name,))[0]
+
+    def columns(self, names: Sequence[str]) -> List[list]:
+        """:meth:`column` of each of ``names``, reading every field the
+        columns need once."""
         if self._items is not None:
-            return list(map(attrgetter(name), self._items))
-        columns = self._lists()
-        values = columns.get(name)
-        if values is None:
-            values = columns[name] = _derived(name, columns)
-        return values
+            return [list(map(attrgetter(name), self._items))
+                    for name in names]
+        read: Dict[str, list] = {}
+
+        def field(name: str) -> list:
+            values = read.get(name)
+            if values is None:
+                values = read[name] = self._field(name)
+            return values
+
+        return [_derived(name, field) if name in _DERIVED else field(name)
+                for name in names]
+
+    def _field(self, name: str) -> list:
+        if self._parts is not None:
+            values = list(chain.from_iterable(
+                _part_column(part, name) for part in self._parts
+            ))
+            if self._order is None:
+                return values
+            return list(map(values.__getitem__, self._order))
+        if self._fields is None:
+            self._fields = _array_lists(self._arrays)
+            self._arrays = None
+        values = self._fields[name]
+        if self._rows is not None:
+            return list(map(values.__getitem__, self._rows))
+        # An engine's column may have grown since; the rows are its
+        # prefix.
+        return values if len(values) == self._size else values[:self._size]
 
     def _materialize(self) -> List[RequestRecord]:
         if self._items is None:
-            columns = self._lists()
             self._items = list(map(
-                RequestRecord, *(columns[name] for name in _RECORD_FIELDS)
+                RequestRecord, *self.columns(_RECORD_FIELDS)
             ))
+            # From here on the objects are the records (a caller may
+            # edit them).
+            self._fields = self._parts = self._arrays = None
         return self._items
 
     def __getitem__(self, index):
@@ -260,7 +320,7 @@ class ColumnRecords(Sequence):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+        return len(self) == len(other) and all(map(eq, self, other))
 
     def __repr__(self) -> str:
         return f"ColumnRecords({len(self)} records)"

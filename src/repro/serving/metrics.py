@@ -48,10 +48,12 @@ bit.  A one-rank run aggregates its records once and reuses the
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import List
 
 from repro.experiments.tables import (
     _attr_columns,
+    _record_columns,
     _scope_row,
     _scope_table,
     percentile,
@@ -59,7 +61,6 @@ from repro.experiments.tables import (
     safe_ratio,
 )
 from repro.serving.engine import ServingResult
-from repro.serving.engine.records import ColumnRecords
 
 __all__ = [
     "record_rows",
@@ -111,8 +112,9 @@ def record_rows(result: ServingResult) -> List[dict]:
     attribute by attribute.
     """
     records = result.records
-    if isinstance(records, ColumnRecords):
-        return list(map(_record_row, *map(records.column, _ROW_FIELDS)))
+    columns = getattr(records, "columns", None)
+    if columns is not None:
+        return list(map(_record_row, *columns(_ROW_FIELDS)))
     return [
         _record_row(
             r.req_id, r.rank, r.status, r.arrival_s, r.prompt_tokens,
@@ -267,42 +269,32 @@ def cluster_summary(result) -> dict:
     deployment (unlike the aggregate row of
     :func:`~repro.experiments.tables.cluster_table`, which cannot
     re-derive them from per-deployment rows).  Built directly from the
-    records rather than via :func:`serving_table` so million-request
-    cluster benches skip the per-rank row machinery.
+    records' field columns rather than via :func:`serving_table` so
+    million-request cluster benches skip the per-rank row machinery.
     """
-    ttfts: List[float] = []
-    latencies: List[float] = []
-    requests = 0
-    rejected = 0
-    failed = 0
-    retries = 0
-    failovers = 0
-    shed = 0
-    goodput_tokens = 0
-    slo_requests = 0
-    slo_met = 0
-    for rec in result.records:
-        requests += 1
-        retries += rec.retries
-        failovers += rec.failovers
-        shed += rec.shed
-        if rec.status == "completed":
-            goodput_tokens += rec.gen_tokens
-            ttfts.append(rec.ttft_s)
-            latencies.append(rec.latency_s)
-            if rec.slo_ttft_s > 0:
-                slo_requests += 1
-                slo_met += rec.ttft_s <= rec.slo_ttft_s
-        else:
-            # Count rejections by actual status: any future non-completed
-            # terminal state (truncated, cancelled) still misses its SLO
-            # below but must not masquerade as a KV rejection.
-            if rec.status == "rejected":
-                rejected += 1
-            elif rec.status == "failed":
-                failed += 1
-            if rec.slo_ttft_s > 0:
-                slo_requests += 1
+    (status, ttfts, latencies, slos, gens, retries, failovers,
+     shed) = _record_columns(result.records, (
+         "status", "ttft_s", "latency_s", "slo_ttft_s", "gen_tokens",
+         "retries", "failovers", "shed",
+     ))
+    done = [s == "completed" for s in status]
+    ttfts = list(compress(ttfts, done))
+    latencies = list(compress(latencies, done))
+    # Every SLO-carrying request counts; only completed ones can meet it.
+    # Rejections are counted by actual status: a future non-completed
+    # terminal state (truncated, cancelled) must not masquerade as one.
+    slo_requests = sum(slo > 0 for slo in slos)
+    slo_met = sum(
+        slo > 0 and ttft <= slo
+        for ttft, slo in zip(ttfts, compress(slos, done))
+    )
+    requests = len(status)
+    rejected = status.count("rejected")
+    failed = status.count("failed")
+    retries = sum(retries)
+    failovers = sum(failovers)
+    shed = sum(map(bool, shed))
+    goodput_tokens = sum(compress(gens, done))
     makespan = result.makespan_s
     output_tokens = result.output_tokens
     energy = result.total_energy_j

@@ -176,17 +176,37 @@ _COLUMNS = tuple(
 _REQUEST_FIELDS = tuple(name for name, _, _ in _COLUMNS)
 
 
-def _unchecked_request(*row) -> Request:
-    """A :class:`Request` with field values ``row`` (constructor order),
-    built without :meth:`Request.__post_init__`.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _unchecked_request(req_id, arrival_s, prompt_tokens, gen_tokens,
+                       priority, slo_ttft_s, session_id, turn,
+                       shared_prefix_id, shared_prefix_tokens,
+                       context_tokens, final_turn) -> Request:
+    """A :class:`Request` with these field values, built without
+    :meth:`Request.__post_init__`.
 
     Only for rows already validated -- by :class:`Trace`'s column check
     or by an earlier ``Request`` -- so each row is checked exactly once.
-    The object equals ``Request(*row)`` under ``==``, ``hash`` and
-    ``repr``.
+    The fields are set one by one, as the dataclass constructor sets
+    them (a bulk ``__dict__`` update would give every object its own
+    dict, a third larger), so the object equals ``Request(*row)`` under
+    ``==``, ``hash`` and ``repr`` and has the same size.
     """
-    request = object.__new__(Request)
-    request.__dict__.update(zip(_REQUEST_FIELDS, row))
+    request = _new(Request)
+    _set(request, "req_id", req_id)
+    _set(request, "arrival_s", arrival_s)
+    _set(request, "prompt_tokens", prompt_tokens)
+    _set(request, "gen_tokens", gen_tokens)
+    _set(request, "priority", priority)
+    _set(request, "slo_ttft_s", slo_ttft_s)
+    _set(request, "session_id", session_id)
+    _set(request, "turn", turn)
+    _set(request, "shared_prefix_id", shared_prefix_id)
+    _set(request, "shared_prefix_tokens", shared_prefix_tokens)
+    _set(request, "context_tokens", context_tokens)
+    _set(request, "final_turn", final_turn)
     return request
 
 
@@ -224,9 +244,9 @@ class Trace(Sequence):
     columns on first element access (one ``tolist()`` per column) and
     kept; the columns were validated on the way in, so the objects are
     built without re-running :meth:`Request.__post_init__`.  Slicing
-    returns a ``Trace``
-    over the sliced columns that reuses any items already built, and
-    ``==`` compares element-wise against any sequence.
+    returns a ``Trace`` over the sliced columns that reuses any items
+    already built, and ``==`` compares element-wise against any
+    sequence.
 
     ``Trace(columns)`` takes a mapping of array-likes; fields with a
     :class:`Request` default may be omitted and are filled with it.

@@ -86,7 +86,8 @@ def test_rows_and_metrics_from_columns_equal_rows_from_objects():
     assert repr(rows) == repr(record_rows(listed))
     assert [[type(v) for v in row.values()] for row in rows] == \
         [[type(v) for v in row.values()] for row in record_rows(listed)]
-    assert repr(metrics_table(_starved_result())) == repr(metrics_table(listed))
+    assert repr(metrics_table(_starved_result())) == \
+        repr(metrics_table(listed))
     assert repr(summary(_starved_result())) == repr(summary(listed))
 
 
@@ -102,14 +103,17 @@ def test_records_compare_equal_to_lists():
 
 def test_merge_sorts_by_req_id_keeping_part_order_on_ties():
     names = [field.name for field in dataclasses.fields(RequestRecord)]
-
-    def part(rank, ids):
-        records = [RequestRecord(i, rank, 0.0, 1, 1) for i in ids]
-        return {name: [getattr(r, name) for r in records] for name in names}
-
-    merged = ColumnRecords.merge([part(0, [1, 3, 3]), part(1, [0, 3])])
+    objects = [RequestRecord(i, 0, 0.0, 1, 1) for i in (3, 1, 3, 9)]
+    columns = ColumnRecords.from_fields(
+        {name: [getattr(r, name) for r in objects] for name in names},
+        rows=[1, 0, 2],
+    )
+    listed = [RequestRecord(i, 1, 0.0, 1, 1) for i in (3, 0)]
+    merged = ColumnRecords.merge([columns, listed])
     assert [(r.req_id, r.rank) for r in merged] == \
         [(0, 1), (1, 0), (3, 0), (3, 0), (3, 1)]
+    assert merged.column("req_id") == [0, 1, 3, 3, 3]
+    assert ColumnRecords.merge([columns]) is columns
 
 
 def _trace(n=60, seed=3, scenario="conversational"):
@@ -190,8 +194,7 @@ def test_shard_submit_refuses_out_of_order_arrivals():
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_builtin_policies_build_no_view(policy, monkeypatch):
     """Built-in hooks are evaluated from the columns: a run under any
-    shipped policy (preemptions included) never builds a policy view
-    except for the victim choice the priority policy makes."""
+    shipped policy (preemptions included) never builds a policy view."""
     built = []
     original = rank_engine._RequestState.__init__
 
@@ -203,8 +206,7 @@ def test_builtin_policies_build_no_view(policy, monkeypatch):
     result = _starved_result(policy)
     if policy == "priority":
         assert result.preemptions > 0
-    else:
-        assert not built
+    assert not built
 
 
 def test_simulate_trace_builds_no_request_object(monkeypatch):

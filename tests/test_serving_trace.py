@@ -281,6 +281,7 @@ def test_trace_columns_are_validated_like_requests(bad, monkeypatch):
         raise AssertionError("an engine received the bad row")
 
     monkeypatch.setattr(_RankEngine, "submit", unreachable)
+    monkeypatch.setattr(_RankEngine, "submit_columns", unreachable)
     monkeypatch.setattr(_SoaEngine, "submit_columns", unreachable)
     for engine in ("event", "soa"):
         config = ServingConfig(model="gpt-125m", num_ranks=1, engine=engine)
