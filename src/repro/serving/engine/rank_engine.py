@@ -18,22 +18,22 @@ at a time (:meth:`_RankEngine._step`) through one drive path,
 **Request slots.**  A request is an integer *slot* into the engine's
 append-only columns (Python lists, which index faster than numpy
 scalars on the narrow path): the immutable :class:`Request` fields, the
-mutable scheduling state (tokens out, prefix target and progress,
-cached tokens, private and full KV bytes, cache entry) and the outcome
-(admission, first-token and finish stamps, status, preemptions, cache
-hit).  There is one representation with two ways in:
+mutable scheduling state (tokens out, prefill progress, cached tokens,
+private KV bytes, cache entry) and the outcome (admission, first-token
+and finish stamps, status, preemptions, cache hit).  There is one representation with two ways in:
 :meth:`_RankEngine.submit` appends one slot from a request object (the
 cluster path) and :meth:`_RankEngine.submit_columns` extends every
 column from a trace shard's arrays at once (the
 :func:`~repro.serving.engine.driver.simulate_trace` path).  The pending
 queue is a cursor over submission order, the ready heap holds
 ``(key, seq, slot)``, and the prefill stage and running batch are slot
-lists.  :meth:`_RankEngine.record_columns` hands the terminal outcomes
-to :class:`~repro.serving.engine.records.ColumnRecords` as columns; no
-per-request object is built on the way.
+lists.  :attr:`_RankEngine.records` is a
+:class:`~repro.serving.engine.records.ColumnRecords` over the terminal
+slots of those columns; no per-request object is built on the way.
 
 **Policies.**  The built-in :class:`~repro.serving.policy.SchedulingPolicy`
-hooks are evaluated straight from the columns.  A hook a subclass
+hooks (the ``fcfs`` / ``sjf`` / ``priority`` admission keys, the
+``priority`` victim choice) are evaluated straight from the columns.  A hook a subclass
 overrides is called with a :class:`_RequestState` view of the slot
 (``.request``, ``.tokens_out``, ``.kv_private``), built only for that
 call.
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import bisect_right
 from itertools import compress
 from operator import attrgetter, eq, sub
@@ -189,8 +190,9 @@ class _RankEngine:
         self._preemptions: List[int] = []
         self._hit: List[bool] = []
         self._hit_tokens: List[int] = []
-        # Slots with a terminal record, in the order they became one.
-        self._terminal: List[int] = []
+        # Slots with a terminal record, in the order they became one
+        # (machine integers: a slot number outlives its request).
+        self._terminal = array("q")
         # The columns a new slot starts at 0 / None in.
         self._zeroed = (self._tokens_out, self._done, self._cached,
                         self._kv_private, self._preemptions,
@@ -332,7 +334,8 @@ class _RankEngine:
         records of this engine (the cluster owns them); every other
         submitted request is one once the engine has drained.
         """
-        slots = sorted(self._terminal, key=self._req_id.__getitem__)
+        slots = array("q", sorted(self._terminal,
+                                  key=self._req_id.__getitem__))
         count = len(slots)
         if count == len(self._req_id) and all(map(eq, slots, range(count))):
             slots = None  # every slot, in slot order

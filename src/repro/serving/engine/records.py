@@ -10,11 +10,12 @@ cluster layer's per-deployment slices.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from array import array
+from collections.abc import MutableSequence, Sequence
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, starmap
 from operator import attrgetter, eq, ne
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -102,6 +103,7 @@ class RequestRecord:
             return 0.0
         return (self.finish_s - self.first_token_s) / (self.gen_tokens - 1)
 
+
 #: Every :class:`RequestRecord` field name, in constructor order.
 _RECORD_FIELDS = tuple(f.name for f in fields(RequestRecord))
 
@@ -161,13 +163,14 @@ _DERIVED = ("queue_s", "ttft_s", "tpot_s", "latency_s")
 
 
 def _part_column(part: Sequence, name: str) -> list:
+    """Field ``name`` of a merge part: column records or record objects."""
     column = getattr(part, "column", None)
     if column is None:
         return list(map(attrgetter(name), part))
     return column(name)
 
 
-class ColumnRecords(Sequence):
+class ColumnRecords(MutableSequence):
     """Request records held as columns.
 
     Engines finish a run holding their outcomes as columns; building one
@@ -193,16 +196,26 @@ class ColumnRecords(Sequence):
     :meth:`merge` combines record sequences sorted by ``req_id`` (how
     every result holds its records), and :meth:`replace` swaps whole
     field columns.  Records compare equal to any sequence of equal
-    records.
+    records, and edit like a list (which builds the objects first).
     """
 
     def __init__(self, columns: Dict[str, np.ndarray]) -> None:
-        self._arrays: Optional[Dict[str, np.ndarray]] = columns
+        self._source(int(columns["req_id"].size))
+        self._arrays = columns
+
+    def _source(self, size: int) -> None:
+        """Reset to ``size`` records with no source; the constructors
+        then set exactly one of: the structure-of-arrays ``_arrays``,
+        a row selection of ``_fields``, the merged ``_parts``, or a
+        ``_base`` with ``_overrides``."""
+        self._size = size
+        self._arrays: Optional[Dict[str, np.ndarray]] = None
         self._fields: Optional[Dict[str, list]] = None
         self._rows: Optional[Sequence[int]] = None
         self._parts: Optional[List[Sequence]] = None
-        self._order: Optional[List[int]] = None
-        self._size = int(columns["req_id"].size)
+        self._order: Optional[Sequence[int]] = None
+        self._base: Optional[ColumnRecords] = None
+        self._overrides: Dict[str, list] = {}
         self._items: Optional[List[RequestRecord]] = None
 
     @classmethod
@@ -212,13 +225,9 @@ class ColumnRecords(Sequence):
         entries at ``rows``, in that order, or with ``rows=None`` the
         lists' current entries.  The lists are read, not copied."""
         records = cls.__new__(cls)
-        records._arrays = None
+        records._source(len(fields["req_id"]) if rows is None else len(rows))
         records._fields = fields
         records._rows = rows
-        records._parts = None
-        records._order = None
-        records._size = len(fields["req_id"]) if rows is None else len(rows)
-        records._items = None
         return records
 
     @classmethod
@@ -236,29 +245,26 @@ class ColumnRecords(Sequence):
             inner = getattr(part, "_parts", None)
             leaves.extend(inner if inner is not None else (part,))
         records = cls.__new__(cls)
-        records._arrays = None
-        records._fields = None
-        records._rows = None
+        records._source(sum(map(len, parts)))
         records._parts = leaves
-        records._order = None
-        records._size = sum(map(len, parts))
-        records._items = None
         ids = records.column("req_id")
         order = sorted(range(len(ids)), key=ids.__getitem__)
         if any(map(ne, order, range(len(order)))):
-            records._order = order
+            records._order = array("q", order)
         return records
 
     def replace(self, **fields: list) -> "ColumnRecords":
-        """A copy with the named field columns replaced by ``fields``
-        (lists in row order)."""
-        return ColumnRecords.from_fields({
-            name: fields[name] if name in fields else self.column(name)
-            for name in _RECORD_FIELDS
-        })
+        """These records with the named field columns replaced by
+        ``fields`` (lists in row order); the other fields are read from
+        ``self``."""
+        records = ColumnRecords.__new__(ColumnRecords)
+        records._source(len(self))
+        records._base = self
+        records._overrides = fields
+        return records
 
     def __len__(self) -> int:
-        return self._size
+        return self._size if self._items is None else len(self._items)
 
     def column(self, name: str) -> list:
         """The ``name`` field (or derived property) of every record, in
@@ -283,7 +289,27 @@ class ColumnRecords(Sequence):
         return [_derived(name, field) if name in _DERIVED else field(name)
                 for name in names]
 
+    def rows(self, build: Callable[..., Any], names: Sequence[str]) -> list:
+        """``build(*values)`` for every record, in row order, where
+        ``values`` are the record's ``names`` fields (or derived
+        properties).  A merge builds part by part, so only one part's
+        columns exist at a time."""
+        if self._parts is None or self._items is not None:
+            return list(map(build, *self.columns(names)))
+        built = list(chain.from_iterable(
+            part.rows(build, names) if isinstance(part, ColumnRecords)
+            else starmap(build, map(attrgetter(*names), part))
+            for part in self._parts
+        ))
+        if self._order is None:
+            return built
+        return list(map(built.__getitem__, self._order))
+
     def _field(self, name: str) -> list:
+        if self._base is not None:
+            if name in self._overrides:
+                return self._overrides[name]
+            return self._base.columns((name,))[0]
         if self._parts is not None:
             values = list(chain.from_iterable(
                 _part_column(part, name) for part in self._parts
@@ -303,16 +329,25 @@ class ColumnRecords(Sequence):
 
     def _materialize(self) -> List[RequestRecord]:
         if self._items is None:
-            self._items = list(map(
-                RequestRecord, *self.columns(_RECORD_FIELDS)
-            ))
+            items = list(map(RequestRecord, *self.columns(_RECORD_FIELDS)))
             # From here on the objects are the records (a caller may
             # edit them).
-            self._fields = self._parts = self._arrays = None
+            self._source(self._size)
+            self._items = items
         return self._items
 
     def __getitem__(self, index):
         return self._materialize()[index]
+
+    def __setitem__(self, index, value) -> None:
+        self._materialize()[index] = value
+
+    def __delitem__(self, index) -> None:
+        del self._materialize()[index]
+
+    def insert(self, index: int, value: RequestRecord) -> None:
+        """Insert ``value`` before ``index``, as ``list.insert`` does."""
+        self._materialize().insert(index, value)
 
     def __iter__(self):
         return iter(self._materialize())

@@ -61,6 +61,7 @@ from repro.experiments.tables import (
     safe_ratio,
 )
 from repro.serving.engine import ServingResult
+from repro.serving.engine.records import ColumnRecords
 
 __all__ = [
     "record_rows",
@@ -112,9 +113,8 @@ def record_rows(result: ServingResult) -> List[dict]:
     attribute by attribute.
     """
     records = result.records
-    columns = getattr(records, "columns", None)
-    if columns is not None:
-        return list(map(_record_row, *columns(_ROW_FIELDS)))
+    if isinstance(records, ColumnRecords):
+        return records.rows(_record_row, _ROW_FIELDS)
     return [
         _record_row(
             r.req_id, r.rank, r.status, r.arrival_s, r.prompt_tokens,
@@ -263,7 +263,8 @@ def cluster_rows(result) -> List[dict]:
 
 
 def cluster_summary(result) -> dict:
-    """Flat cluster-wide summary in one pass over all request records.
+    """Flat cluster-wide summary in one pass over every deployment's
+    records and the cluster's failed records.
 
     Percentiles are computed over *completed* requests across every
     deployment (unlike the aggregate row of
@@ -272,29 +273,39 @@ def cluster_summary(result) -> dict:
     records' field columns rather than via :func:`serving_table` so
     million-request cluster benches skip the per-rank row machinery.
     """
-    (status, ttfts, latencies, slos, gens, retries, failovers,
-     shed) = _record_columns(result.records, (
-         "status", "ttft_s", "latency_s", "slo_ttft_s", "gen_tokens",
-         "retries", "failovers", "shed",
-     ))
-    done = [s == "completed" for s in status]
-    ttfts = list(compress(ttfts, done))
-    latencies = list(compress(latencies, done))
-    # Every SLO-carrying request counts; only completed ones can meet it.
-    # Rejections are counted by actual status: a future non-completed
-    # terminal state (truncated, cancelled) must not masquerade as one.
-    slo_requests = sum(slo > 0 for slo in slos)
-    slo_met = sum(
-        slo > 0 and ttft <= slo
-        for ttft, slo in zip(ttfts, compress(slos, done))
-    )
-    requests = len(status)
-    rejected = status.count("rejected")
-    failed = status.count("failed")
-    retries = sum(retries)
-    failovers = sum(failovers)
-    shed = sum(map(bool, shed))
-    goodput_tokens = sum(compress(gens, done))
+    ttfts: List[float] = []
+    latencies: List[float] = []
+    requests = rejected = failed = retries = failovers = shed = 0
+    goodput_tokens = slo_requests = slo_met = 0
+    # Part by part (percentiles sort, so record order does not matter).
+    for records in [dep.serving.records for dep in result.deployments] + [
+        result.failed_records
+    ]:
+        (status, ttft, latency, slos, gens, retry, failover,
+         shedded) = _record_columns(records, (
+             "status", "ttft_s", "latency_s", "slo_ttft_s", "gen_tokens",
+             "retries", "failovers", "shed",
+         ))
+        done = [s == "completed" for s in status]
+        done_ttfts = list(compress(ttft, done))
+        ttfts.extend(done_ttfts)
+        latencies.extend(compress(latency, done))
+        # Every SLO-carrying request counts; only completed ones can
+        # meet it.  Rejections are counted by actual status: a future
+        # non-completed terminal state (truncated, cancelled) must not
+        # masquerade as one.
+        slo_requests += sum(slo > 0 for slo in slos)
+        slo_met += sum(
+            slo > 0 and t <= slo
+            for t, slo in zip(done_ttfts, compress(slos, done))
+        )
+        requests += len(status)
+        rejected += status.count("rejected")
+        failed += status.count("failed")
+        retries += sum(retry)
+        failovers += sum(failover)
+        shed += sum(map(bool, shedded))
+        goodput_tokens += sum(compress(gens, done))
     makespan = result.makespan_s
     output_tokens = result.output_tokens
     energy = result.total_energy_j

@@ -101,6 +101,17 @@ def test_records_compare_equal_to_lists():
     ) == []
 
 
+def test_records_edit_like_a_list():
+    records = _starved_result().records
+    listed = list(_starved_result().records)
+    last = records.pop()
+    assert last == listed.pop() and records == listed
+    records.append(last)
+    listed.append(last)
+    assert len(records) == len(listed) and records == listed
+    assert records.column("req_id") == [r.req_id for r in listed]
+
+
 def test_merge_sorts_by_req_id_keeping_part_order_on_ties():
     names = [field.name for field in dataclasses.fields(RequestRecord)]
     objects = [RequestRecord(i, 0, 0.0, 1, 1) for i in (3, 1, 3, 9)]
