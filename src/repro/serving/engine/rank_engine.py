@@ -59,7 +59,7 @@ import math
 from array import array
 from bisect import bisect_right
 from itertools import compress
-from operator import attrgetter, eq, sub
+from operator import eq, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,8 +83,9 @@ __all__ = ["_RequestState", "_RankEngine", "PACKED_MIN_BATCH"]
 #: ``batch_width`` entry of ``tools/bench.py``.
 PACKED_MIN_BATCH = 64
 
-_request_values = attrgetter(*_REQUEST_FIELDS)
-
+#: Slots by which :meth:`_RankEngine.submit` grows the state and outcome
+#: columns at a time, so a single submission appends only its request.
+_SLOT_CHUNK = 64
 
 def _seq_sum(start: float, terms: np.ndarray) -> float:
     """``start + terms[0] + terms[1] + ...`` accumulated left to right.
@@ -165,7 +166,8 @@ class _RankEngine:
         self._fields: Tuple[list, ...] = tuple([] for _ in _REQUEST_FIELDS)
         (self._req_id, self._arrival, self._prompt, self._gen,
          self._priority, self._slo, self._session, self._turn,
-         self._prefix_id, self._prefix_tokens, _, self._final) = self._fields
+         self._prefix_id, self._prefix_tokens, self._context,
+         self._final) = self._fields
         # The request object of a slot, once one exists (submitted as
         # one, or built for a policy view, a cache lookup or a crash).
         self._req: List[Optional[Request]] = []
@@ -193,7 +195,8 @@ class _RankEngine:
         # Slots with a terminal record, in the order they became one
         # (machine integers: a slot number outlives its request).
         self._terminal = array("q")
-        # The columns a new slot starts at 0 / None in.
+        # The state and outcome columns a new slot starts at 0 / None
+        # in.  They may run ahead of the submitted slots (see _reserve).
         self._zeroed = (self._tokens_out, self._done, self._cached,
                         self._kv_private, self._preemptions,
                         self._hit_tokens)
@@ -408,16 +411,38 @@ class _RankEngine:
                 f"request {request.req_id} submitted out of arrival order "
                 f"({request.arrival_s} < {arrival[-1]})"
             )
-        for column, value in zip(self._fields, _request_values(request)):
-            column.append(value)
+        self._req_id.append(request.req_id)
+        arrival.append(request.arrival_s)
+        self._prompt.append(request.prompt_tokens)
+        self._gen.append(request.gen_tokens)
+        self._priority.append(request.priority)
+        self._slo.append(request.slo_ttft_s)
+        self._session.append(request.session_id)
+        self._turn.append(request.turn)
+        self._prefix_id.append(request.shared_prefix_id)
+        self._prefix_tokens.append(request.shared_prefix_tokens)
+        self._context.append(request.context_tokens)
+        self._final.append(request.final_turn)
         self._req.append(request)
+        slot = len(arrival) - 1
+        if slot == len(self._status):
+            self._reserve(slot + _SLOT_CHUNK)
+        self.kv_queued_bytes += self._kv_bytes(slot)
+
+    def _reserve(self, slots: int) -> None:
+        """Extend the state and outcome columns to at least ``slots``
+        slots (a new slot's state is 0 / None, its status completed)."""
+        count = slots - len(self._status)
+        if count <= 0:
+            return
+        zeros = [0] * count
         for column in self._zeroed:
-            column.append(0)
+            column.extend(zeros)
+        nones = [None] * count
         for column in self._unset:
-            column.append(None)
-        self._status.append("completed")
-        self._hit.append(False)
-        self.kv_queued_bytes += self._kv_bytes(len(arrival) - 1)
+            column.extend(nones)
+        self._status.extend(["completed"] * count)
+        self._hit.extend([False] * count)
 
     def submit_columns(self, columns: Dict[str, np.ndarray]) -> None:
         """Append a whole shard at once: ``columns`` maps every
@@ -441,14 +466,7 @@ class _RankEngine:
         for column, name in zip(self._fields, _REQUEST_FIELDS):
             column.extend(columns[name].tolist())
         self._req.extend([None] * count)
-        zeros = [0] * count
-        for column in self._zeroed:
-            column.extend(zeros)
-        nones = [None] * count
-        for column in self._unset:
-            column.extend(nones)
-        self._status.extend(["completed"] * count)
-        self._hit.extend([False] * count)
+        self._reserve(len(self._req))
         self.kv_queued_bytes += self._kv_per_token * int(
             (columns["prompt_tokens"] + columns["gen_tokens"]).sum()
         )
