@@ -31,12 +31,13 @@ lists.  :attr:`_RankEngine.records` is a
 :class:`~repro.serving.engine.records.ColumnRecords` over the terminal
 slots of those columns; no per-request object is built on the way.
 
-**Policies.**  The built-in :class:`~repro.serving.policy.SchedulingPolicy`
-hooks (the ``fcfs`` / ``sjf`` / ``priority`` admission keys, the
-``priority`` victim choice) are evaluated straight from the columns.  A hook a subclass
-overrides is called with a :class:`_RequestState` view of the slot
-(``.request``, ``.tokens_out``, ``.kv_private``), built only for that
-call.
+**Policies.**  Each built-in :class:`~repro.serving.policy.SchedulingPolicy`
+hook has a slot form in :mod:`repro.serving.policy`, written next to it
+(the ``fcfs`` / ``sjf`` / ``priority`` admission keys, the ``priority``
+victim choice), which the engine evaluates straight from its columns.
+A hook a subclass overrides is called with a :class:`_RequestState`
+view of the slot (``.request``, ``.tokens_out``, ``.kv_private``),
+built only for that call.
 
 A :class:`~repro.serving.faults.FaultPlan` passed to the constructor
 registers its specs for the engine's rank through the fault hooks
@@ -72,7 +73,7 @@ from repro.serving.engine.records import (
     RankStats,
     RequestRecord,
 )
-from repro.serving.policy import PriorityPolicy, SchedulingPolicy, SjfPolicy
+from repro.serving.policy import SchedulingPolicy
 from repro.serving.trace import _REQUEST_FIELDS, Request, _unchecked_request
 
 __all__ = ["_RequestState", "_RankEngine", "PACKED_MIN_BATCH"]
@@ -212,6 +213,10 @@ class _RankEngine:
         self._seq = 0  # heap tie-break counter
         self._event_driven = config.engine == "event"
         self.prefix_cache = PrefixCache() if config.prefix_cache else None
+        # The columns a policy's slot forms read (see policy.py).
+        self._columns = dict(zip(_REQUEST_FIELDS, self._fields),
+                             tokens_out=self._tokens_out,
+                             kv_private=self._kv_private)
         self._key = self._key_function()
         self._victims = self._victims_function()
         # Packed running set (see the module docstring): while ``_kv``
@@ -227,65 +232,22 @@ class _RankEngine:
             faults.apply(self)
 
     def _key_function(self) -> Callable[[int], Tuple]:
-        """The policy's admission key as a function of a slot.
-
-        A built-in :meth:`~SchedulingPolicy.admission_key` is computed
-        from the columns (the same tuple the hook returns); an
-        overridden one is called with a :class:`_RequestState` view.
-        """
-        hook = type(self.policy).admission_key
-        arrival, req_id = self._arrival, self._req_id
-        if hook is SchedulingPolicy.admission_key:
-            return lambda slot: (arrival[slot], req_id[slot])
-        if hook is SjfPolicy.admission_key:
-            gen, tokens_out = self._gen, self._tokens_out
-            return lambda slot: (
-                gen[slot] - tokens_out[slot], arrival[slot], req_id[slot]
-            )
-        if (hook is PriorityPolicy.admission_key
-                and type(self.policy)._deadline is PriorityPolicy._deadline):
-            priority, slo = self._priority, self._slo
-
-            def priority_key(slot: int) -> Tuple:
-                arrival_s = arrival[slot]
-                deadline = (arrival_s + slo[slot] if slo[slot] > 0
-                            else math.inf)
-                return (priority[slot], deadline, arrival_s, req_id[slot])
-            return priority_key
+        """The policy's admission key as a function of a slot: the
+        policy's slot form, else its hook called on a view."""
+        key = self.policy._slot_admission_key(self._columns)
+        if key is not None:
+            return key
         admission_key = self.policy.admission_key
         return lambda slot: admission_key(self._view(slot))
 
     def _victims_function(self) -> Callable[..., List[int]]:
         """The policy's victim choice as a function of the candidate
         slot, the running slots and the KV bytes missing, returning
-        running slots.
-
-        The base class declines without a call, the priority policy's
-        choice is computed from the columns (the same victims its hook
-        returns), and an overridden hook is called with
-        :class:`_RequestState` views.
-        """
-        hook = type(self.policy).select_victims
-        if hook is SchedulingPolicy.select_victims:
-            return lambda slot, running, need_bytes: []
-        if hook is PriorityPolicy.select_victims:
-            priority, tokens_out = self._priority, self._tokens_out
-            kv_private = self._kv_private
-
-            def priority_victims(slot: int, running: List[int],
-                                 need_bytes: int) -> List[int]:
-                tier = priority[slot]
-                lower = [s for s in running if priority[s] > tier]
-                lower.sort(key=lambda s: (-priority[s], tokens_out[s]))
-                victims: List[int] = []
-                freed = 0
-                for victim in lower:
-                    if freed >= need_bytes:
-                        break
-                    victims.append(victim)
-                    freed += kv_private[victim]
-                return victims if freed >= need_bytes else []
-            return priority_victims
+        running slots: the policy's slot form, else its hook called on
+        views."""
+        victims = self.policy._slot_victims(self._columns)
+        if victims is not None:
+            return victims
         select_victims = self.policy.select_victims
 
         def hook_victims(slot: int, running: List[int],
@@ -1052,35 +1014,18 @@ class _RankEngine:
         done = finished.nonzero()[0].tolist()
         self._fresh = []
         running = self.running
-        if self._trace is None and self.prefix_cache is None:
-            # Untraced, no cache: the stamps are plain column writes.
-            clock = self.clock
-            first_s = self._first_s
-            for i in firsts:
-                first_s[running[i]] = clock
-            if done:
-                slots = list(map(running.__getitem__, done))
-                finish_s, tokens_out = self._finish_s, self._tokens_out
-                kv_private, gen = self._kv_private, self._gen
-                for slot in slots:
-                    finish_s[slot] = clock
-                    tokens_out[slot] = gen[slot]
-                    self.kv_used -= kv_private[slot]
-                    kv_private[slot] = 0
-                self._terminal.extend(slots)
+        first_set = set(firsts)
+        if firsts and done:
+            touched = sorted(first_set.union(done))
         else:
-            first_set = set(firsts)
-            if firsts and done:
-                touched = sorted(first_set.union(done))
-            else:
-                touched = firsts or done
-            for i in touched:
-                slot = running[i]
-                if i in first_set:
-                    self._first_token(slot, self.clock)
-                if finished[i]:
-                    self._tokens_out[slot] = self._gen[slot]
-                    self._finish(slot)
+            touched = firsts or done
+        for i in touched:
+            slot = running[i]
+            if i in first_set:
+                self._first_token(slot, self.clock)
+            if finished[i]:
+                self._tokens_out[slot] = self._gen[slot]
+                self._finish(slot)
         if done:
             keep = ~finished
             self._kv = self._kv[keep]
@@ -1165,21 +1110,17 @@ class _RankEngine:
                 energy, table.cum_energy[kv + tokens] - table.cum_energy[kv]
             )
         else:
-            # One scan costs the segment and finds the fresh requests;
-            # each request's attention is attn_segment(kv + 1, kv +
-            # tokens), read from the cumulative memo where it is filled.
+            # One scan costs the segment and finds the fresh requests.
             fresh = []
-            cum = self.cache._attn_cum
-            attn_cum = self.cache.attn_cum
+            attn_segment = self.cache.attn_segment
             for slot in running:
                 out = tokens_out[slot]
                 if out == 0:
                     fresh.append(slot)
                 kv = prompt[slot] + out
-                lo = cum.get(kv) or attn_cum(kv)
-                hi = cum.get(kv + tokens) or attn_cum(kv + tokens)
-                latency += hi[0] - lo[0]
-                energy += hi[1] - lo[1]
+                attn_latency, attn_energy = attn_segment(kv + 1, kv + tokens)
+                latency += attn_latency
+                energy += attn_energy
         if self._has_faults:
             latency *= self._fault_factor()
         if packed:

@@ -57,7 +57,9 @@ The four shipped policies:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple, Type
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type,
+)
 
 __all__ = [
     "SchedulingPolicy",
@@ -81,9 +83,14 @@ class SchedulingPolicy:
     :class:`~repro.serving.trace.Request`, ``state.tokens_out`` the
     tokens generated so far and ``state.kv_private`` the KV bytes the
     request reserved at its current admission (0 while waiting).  A
-    victim list is a sub-list of the ``running`` views.  The engine
-    evaluates the built-in hooks straight from its columns, so a view
-    is built only where a subclass's own hook is called.
+    victim list is a sub-list of the ``running`` views.
+
+    Each built-in hook also has a *slot form* written next to it
+    (:meth:`_slot_admission_key`, :meth:`_slot_victims`): the same rule
+    over the engine's per-slot columns, which the event engine uses
+    instead of building a view per call.  A slot form returns ``None``
+    once a subclass overrides the hook it mirrors, so the engine then
+    calls the subclass's hook on views.
     """
 
     #: Registry name; set by every concrete subclass.
@@ -92,6 +99,22 @@ class SchedulingPolicy:
     def admission_key(self, state) -> Tuple:
         """Sort key for the ready queue (smaller = admitted earlier)."""
         return (state.request.arrival_s, state.request.req_id)
+
+    def _slot_admission_key(
+        self, columns: Mapping[str, list]
+    ) -> Optional[Callable[[int], Tuple]]:
+        """:meth:`admission_key` as a function of a request slot, or
+        ``None`` when a subclass overrides the hook.
+
+        ``columns`` maps every :class:`~repro.serving.trace.Request`
+        field name, ``tokens_out`` and ``kv_private`` to the engine's
+        list indexed by slot; the function returns the tuple the hook
+        returns for that slot's view.
+        """
+        if not _inherited(self, SchedulingPolicy, "admission_key"):
+            return None
+        arrival, req_id = columns["arrival_s"], columns["req_id"]
+        return lambda slot: (arrival[slot], req_id[slot])
 
     def select_victims(self, candidate, running: Sequence, need_bytes: int) -> List:
         """Running requests to preempt so ``candidate`` can be admitted.
@@ -102,6 +125,17 @@ class SchedulingPolicy:
         free enough space, so a partial list is safe.
         """
         return []
+
+    def _slot_victims(
+        self, columns: Mapping[str, list]
+    ) -> Optional[Callable[[int, List[int], int], List[int]]]:
+        """:meth:`select_victims` as a function of the candidate slot,
+        the running slots and ``need_bytes``, returning victim slots,
+        or ``None`` when a subclass overrides the hook (``columns`` as
+        in :meth:`_slot_admission_key`)."""
+        if not _inherited(self, SchedulingPolicy, "select_victims"):
+            return None
+        return lambda slot, running, need_bytes: []
 
     def select_cache_evictions(
         self, evictable: Sequence, need_bytes: int
@@ -151,6 +185,15 @@ class SjfPolicy(SchedulingPolicy):
         remaining = state.request.gen_tokens - state.tokens_out
         return (remaining, state.request.arrival_s, state.request.req_id)
 
+    def _slot_admission_key(self, columns):
+        if not _inherited(self, SjfPolicy, "admission_key"):
+            return None
+        gen, tokens_out = columns["gen_tokens"], columns["tokens_out"]
+        arrival, req_id = columns["arrival_s"], columns["req_id"]
+        return lambda slot: (
+            gen[slot] - tokens_out[slot], arrival[slot], req_id[slot]
+        )
+
 
 class PriorityPolicy(SchedulingPolicy):
     """Priority tiers with SLO deadlines and KV-pressure preemption.
@@ -184,6 +227,18 @@ class PriorityPolicy(SchedulingPolicy):
             request.req_id,
         )
 
+    def _slot_admission_key(self, columns):
+        if not _inherited(self, PriorityPolicy, "admission_key", "_deadline"):
+            return None
+        priority, slo = columns["priority"], columns["slo_ttft_s"]
+        arrival, req_id = columns["arrival_s"], columns["req_id"]
+
+        def key(slot: int) -> Tuple:
+            arrival_s = arrival[slot]
+            deadline = arrival_s + slo[slot] if slo[slot] > 0 else math.inf
+            return (priority[slot], deadline, arrival_s, req_id[slot])
+        return key
+
     def select_victims(self, candidate, running: Sequence, need_bytes: int) -> List:
         """Evict strictly-lower-priority requests until the KV gap closes."""
         lower = [
@@ -202,6 +257,27 @@ class PriorityPolicy(SchedulingPolicy):
             victims.append(state)
             freed += state.kv_private
         return victims if freed >= need_bytes else []
+
+    def _slot_victims(self, columns):
+        if not _inherited(self, PriorityPolicy, "select_victims"):
+            return None
+        priority, tokens_out = columns["priority"], columns["tokens_out"]
+        kv_private = columns["kv_private"]
+
+        def victims_of(slot: int, running: List[int],
+                       need_bytes: int) -> List[int]:
+            tier = priority[slot]
+            lower = [s for s in running if priority[s] > tier]
+            lower.sort(key=lambda s: (-priority[s], tokens_out[s]))
+            victims: List[int] = []
+            freed = 0
+            for victim in lower:
+                if freed >= need_bytes:
+                    break
+                victims.append(victim)
+                freed += kv_private[victim]
+            return victims if freed >= need_bytes else []
+        return victims_of
 
 
 class ChunkedPrefillPolicy(SchedulingPolicy):
@@ -225,6 +301,14 @@ class ChunkedPrefillPolicy(SchedulingPolicy):
     def prefill_chunk(self, remaining_tokens: int) -> int:
         """Cap each iteration's prefill at the configured token budget."""
         return min(remaining_tokens, self.chunk_tokens)
+
+
+def _inherited(policy: SchedulingPolicy, owner: type, *hooks: str) -> bool:
+    """True when ``policy``'s class takes each of ``hooks`` from
+    ``owner`` unchanged, so ``owner``'s slot form computes the same
+    values as the hook."""
+    kind = type(policy)
+    return all(getattr(kind, hook) is getattr(owner, hook) for hook in hooks)
 
 
 #: Registry of scheduling policies by CLI/config name.

@@ -30,12 +30,13 @@ from repro.serving.engine.costs import _CostCache
 from repro.serving.engine.driver import make_engine, replica_budget
 from repro.serving.engine.records import ColumnRecords, RequestRecord
 from repro.serving.metrics import metrics_table, summary
-from repro.serving.trace import Trace
+from repro.serving.policy import PriorityPolicy, SjfPolicy
+from repro.serving.trace import _REQUEST_FIELDS, Trace
 
 DERIVED = ("queue_s", "ttft_s", "tpot_s", "latency_s")
 
 
-def _starved_result(policy="priority"):
+def _starved_result(policy="priority", sched_policy=None):
     """Rejections (no stamps), preemptions and one-token requests."""
     trace = [Request(req_id=0, arrival_s=0.0, prompt_tokens=4096,
                      gen_tokens=4096)] + list(generate_trace(TraceSpec(
@@ -50,7 +51,7 @@ def _starved_result(policy="priority"):
     return simulate_trace(trace, ServingConfig(
         model="gpt-125m", num_ranks=2, dpus_per_rank=1, max_batch=16,
         policy=policy,
-    ))
+    ), sched_policy=sched_policy)
 
 
 def test_derived_columns_equal_record_properties():
@@ -218,6 +219,45 @@ def test_builtin_policies_build_no_view(policy, monkeypatch):
     if policy == "priority":
         assert result.preemptions > 0
     assert not built
+
+
+def test_slot_forms_yield_to_overridden_hooks(monkeypatch):
+    """A built-in's slot form stands in only for the hook its class
+    wrote: once a subclass overrides that hook (or the priority
+    deadline rule), the engine calls the subclass's hook on views."""
+    class Deadline(PriorityPolicy):
+        @staticmethod
+        def _deadline(request):
+            return request.arrival_s
+
+    class Victims(PriorityPolicy):
+        def select_victims(self, candidate, running, need_bytes):
+            return super().select_victims(candidate, running, need_bytes)
+
+    class Key(SjfPolicy):
+        def admission_key(self, state):
+            return super().admission_key(state)
+
+    columns = {name: [] for name in
+               _REQUEST_FIELDS + ("tokens_out", "kv_private")}
+    assert Deadline()._slot_admission_key(columns) is None
+    assert Deadline()._slot_victims(columns) is not None
+    assert Victims()._slot_admission_key(columns) is not None
+    assert Victims()._slot_victims(columns) is None
+    assert Key()._slot_admission_key(columns) is None
+    assert Key()._slot_victims(columns) is not None
+
+    built = []
+    original = rank_engine._RequestState.__init__
+
+    def spy(self, *args):
+        built.append(args[0])
+        original(self, *args)
+
+    monkeypatch.setattr(rank_engine._RequestState, "__init__", spy)
+    result = _starved_result(sched_policy=Victims())
+    assert built and result.preemptions > 0
+    assert result.records == _starved_result().records
 
 
 def test_simulate_trace_builds_no_request_object(monkeypatch):
