@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import compress
+from itertools import chain, compress
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -63,6 +63,7 @@ from repro.serving.engine.records import (
     ColumnRecords,
     RequestRecord,
     ServingResult,
+    _part_column,
 )
 from repro.serving.faults import FaultPlan, RetryPolicy
 from repro.serving.routing import RoutingPolicy, get_router
@@ -433,10 +434,24 @@ class ClusterResult:
             len(dep.serving.records) for dep in self.deployments
         ) + len(self.failed_records)
 
+    def _parts(self, name: str) -> List[list]:
+        """Field ``name`` of every record as one list per part: each
+        deployment's records, then the cluster-level failures.  Not in
+        ``req_id`` order: for counts, which need no merge."""
+        return [
+            _part_column(records, name)
+            for records in [dep.serving.records for dep in self.deployments]
+            + [self.failed_records]
+        ]
+
+    def _count(self, status: str) -> int:
+        """Records whose status is ``status``."""
+        return sum(part.count(status) for part in self._parts("status"))
+
     @property
     def completed(self) -> int:
         """Requests that produced all their tokens."""
-        return self.records.column("status").count("completed")
+        return self._count("completed")
 
     @property
     def rejected(self) -> int:
@@ -446,35 +461,36 @@ class ClusterResult:
         so a future terminal status (truncated, cancelled) cannot
         silently inflate the rejection count.
         """
-        return self.records.column("status").count("rejected")
+        return self._count("rejected")
 
     @property
     def failed(self) -> int:
         """Requests that ended in the terminal ``failed`` status."""
-        return self.records.column("status").count("failed")
+        return self._count("failed")
 
     @property
     def retries(self) -> int:
         """Crash-driven re-submissions across every request."""
-        return sum(self.records.column("retries"))
+        return sum(map(sum, self._parts("retries")))
 
     @property
     def failovers(self) -> int:
         """Re-routes away from dead replicas across every request."""
-        return sum(self.records.column("failovers"))
+        return sum(map(sum, self._parts("failovers")))
 
     @property
     def shed_requests(self) -> int:
         """Requests dropped by the load-shedder."""
-        return sum(map(bool, self.records.column("shed")))
+        return sum(map(bool, chain.from_iterable(self._parts("shed"))))
 
     @property
     def goodput_tokens(self) -> int:
         """Tokens delivered by *completed* requests — unlike
         :attr:`output_tokens`, work lost to crashes does not count."""
-        records = self.records
-        done = [status == "completed" for status in records.column("status")]
-        return sum(compress(records.column("gen_tokens"), done))
+        done = [s == "completed"
+                for s in chain.from_iterable(self._parts("status"))]
+        return sum(compress(chain.from_iterable(self._parts("gen_tokens")),
+                            done))
 
     @property
     def makespan_s(self) -> float:
