@@ -9,6 +9,16 @@ conversational fixture with the prefix cache on (evictions and
 preemptions fire), each must produce records and rank stats
 bit-identical to its built-in twin on the event and loop engines, both
 standalone and behind the cluster's per-request submission path.
+
+``DocumentedFcfs`` re-implements the default admission key, which
+makes the event engine keep its ready queue as a heap on that key: the
+oracle for whatever the engine does with the built-in ``fcfs`` order.
+It must match ``fcfs`` bit for bit (records, rank stats and the full
+event stream) standalone at narrow and wide batches on a KV-starved
+rank with oversized requests, under a sampled crash plan whose
+retries fire, and on a crafted trace where a retry lands at exactly a
+fresh arrival's time with the smaller ``req_id`` (so it is submitted
+after a request that sorts behind it).
 """
 
 import dataclasses
@@ -16,10 +26,16 @@ import math
 
 import pytest
 
+from repro.obs import RecordingTracer
 from repro.serving import (
     ChunkedPrefillPolicy,
     Deployment,
+    FaultPlan,
+    FaultSpec,
+    FcfsPolicy,
     PriorityPolicy,
+    Request,
+    RetryPolicy,
     SchedulingPolicy,
     ServingConfig,
     TraceSpec,
@@ -69,6 +85,16 @@ class DocumentedChunked(SchedulingPolicy):
 
     def prefill_chunk(self, remaining_tokens):
         return min(remaining_tokens, self.chunk_tokens)
+
+
+class DocumentedFcfs(SchedulingPolicy):
+    """The default FCFS admission key, written against the documented
+    state fields."""
+
+    name = "documented_fcfs"
+
+    def admission_key(self, state):
+        return (state.request.arrival_s, state.request.req_id)
 
 
 def _trace(seed):
@@ -136,3 +162,122 @@ def test_documented_policy_matches_builtin_clustered(policy, engine):
         return _observed(result.deployments[0].serving)
 
     assert run(documented) == run(builtin)
+
+
+def _events(tracer):
+    return [(e.kind, e.t_s, e.rank, e.req_id, list(e.data.items()))
+            for e in tracer.events]
+
+
+def _starved_trace():
+    """Bursts onto a rank with room for ~7k KV tokens: admission blocks
+    on KV mid-round, and every 97th request is too big to ever fit."""
+    trace = generate_trace(TraceSpec(
+        num_requests=800, seed=0, scenario="bursty",
+        arrival_rate_per_s=16.0, burst_rate_multiplier=32.0,
+        prompt_mean=24.0, prompt_sigma=0.8, prompt_max=512,
+        gen_mean=32.0, gen_max=256,
+    ))
+    return [
+        dataclasses.replace(r, prompt_tokens=4000, gen_tokens=4000)
+        if r.req_id % 97 == 5 else r
+        for r in trace
+    ]
+
+
+@pytest.mark.parametrize("max_batch", (8, 128))
+def test_documented_fcfs_matches_builtin_standalone(max_batch):
+    trace = _starved_trace()
+    config = ServingConfig(model="gpt-125m", num_ranks=1, dpus_per_rank=4,
+                           max_batch=max_batch)
+
+    def run(policy):
+        tracer = RecordingTracer("full")
+        result = simulate_trace(trace, config, sched_policy=policy,
+                                tracer=tracer)
+        return _observed(result), _events(tracer), result
+
+    want, want_events, result = run(FcfsPolicy())
+    got, got_events, _ = run(DocumentedFcfs())
+    assert got == want
+    assert got_events == want_events
+    assert any(r.status == "rejected" for r in result.records)
+    if max_batch == 128:
+        # The wide batch runs out of KV before it runs out of slots.
+        peak = result.rank_stats[0].kv_peak_bytes
+        assert peak > 0.99 * result.kv_capacity_bytes
+
+
+def _cluster_observed(result):
+    return ([dataclasses.astuple(r) for r in result.records],
+            [dataclasses.astuple(s) for dep in result.deployments
+             for s in dep.serving.rank_stats])
+
+
+def test_documented_fcfs_matches_builtin_under_retries():
+    trace = generate_trace(TraceSpec(
+        num_requests=300, seed=3, scenario="bursty",
+        arrival_rate_per_s=2.0, burst_rate_multiplier=8.0,
+        prompt_mean=32.0, gen_mean=32.0,
+    ))
+    horizon = max(r.arrival_s for r in trace)
+    plan = FaultPlan.sample(seed=5, ranks=range(3), horizon_s=horizon,
+                            crash_rate=0.7, stall_s=2.0)
+
+    def run(make_policy):
+        deployments = []
+        for i in range(3):
+            deployment = Deployment(
+                ServingConfig(model="gpt-125m", num_ranks=1,
+                              dpus_per_rank=8, max_batch=8),
+                name=f"d{i}",
+            )
+            deployment.sched_policy = make_policy()
+            deployments.append(deployment)
+        return simulate_cluster(trace, deployments, router="round_robin",
+                                faults=plan,
+                                retry_policy=RetryPolicy(max_retries=3))
+
+    want = run(FcfsPolicy)
+    assert sum(r.retries for r in want.records) > 0
+    assert _cluster_observed(run(DocumentedFcfs)) == _cluster_observed(want)
+
+
+def test_documented_fcfs_matches_builtin_on_a_retry_tie():
+    """Request 1 arrives at 6.0 while the only replica is stalled, so
+    it backs off 0.5 s (no jitter) and is retried at 6.5, the arrival
+    time of request 2.  A fresh arrival wins the tie, so the replica
+    gets request 2 first, then request 1, which sorts ahead of it.  With
+    one batch slot, FCFS must admit request 1 first."""
+    trace = [
+        Request(req_id=0, arrival_s=0.0, prompt_tokens=16, gen_tokens=8),
+        Request(req_id=1, arrival_s=6.0, prompt_tokens=16, gen_tokens=8),
+        Request(req_id=2, arrival_s=6.5, prompt_tokens=32, gen_tokens=4),
+    ]
+    plan = FaultPlan((FaultSpec("stall", 0, 5.0, 1.25),))
+
+    def run(policy):
+        deployment = Deployment(
+            ServingConfig(model="gpt-125m", num_ranks=1, dpus_per_rank=8,
+                          max_batch=1),
+            name="only",
+        )
+        deployment.sched_policy = policy
+        tracer = RecordingTracer("full")
+        result = simulate_cluster(
+            trace, [deployment], router="round_robin", tracer=tracer,
+            faults=plan,
+            retry_policy=RetryPolicy(backoff_base_s=0.5, jitter=0.0),
+        )
+        return result, _events(tracer)
+
+    want, want_events = run(FcfsPolicy())
+    got, got_events = run(DocumentedFcfs())
+    retried, late = want.records[1], want.records[2]
+    assert retried.retries == 1
+    assert [e[:4] for e in want_events if e[0] == "retry"] == [
+        ("retry", 6.5, -1, 1)
+    ]
+    assert retried.admit_s < late.admit_s
+    assert _cluster_observed(got) == _cluster_observed(want)
+    assert got_events == want_events
