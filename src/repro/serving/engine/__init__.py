@@ -20,10 +20,6 @@ natural seams:
   continuous-batching engine (``_RankEngine``), driveable either
   run-to-drain or incrementally (``submit`` / ``advance`` /
   ``finalize``) by the cluster layer.
-* :mod:`~repro.serving.engine.soa_engine` — the structure-of-arrays
-  event core (``_SoaEngine``): the same event semantics over columnar
-  request state, selected with ``engine="soa"`` for million-request
-  traces.
 * :mod:`~repro.serving.engine.driver` — the replica seam the
   single-deployment driver and the cluster layer share:
   ``replica_budget`` (cost-spine arguments, packed weight bytes, KV
@@ -44,9 +40,9 @@ A quick tour of the simulated semantics (details on the classes):
   every running request one token per iteration.
 * **Event-driven decode** — ``engine="event"`` advances the running
   batch whole multi-token segments between scheduler events in closed
-  form; ``engine="loop"`` is the per-token reference walk; and
-  ``engine="soa"`` replays the event schedule over structure-of-arrays
-  columns for million-request traces.
+  form, and takes wide batches' admission, prefill and decode in bulk
+  over its request columns; ``engine="loop"`` is the per-token
+  reference walk that keeps every per-request path.
 * **Pluggable scheduling** — admission order, preemption victims and
   prefill chunking come from a
   :class:`~repro.serving.policy.SchedulingPolicy`; requests reserve
@@ -67,7 +63,6 @@ from repro.serving.engine.costs import _CostCache
 from repro.serving.engine.driver import make_engine, simulate_trace
 from repro.serving.engine.rank_engine import _RankEngine, _RequestState
 from repro.serving.engine.records import RankStats, RequestRecord, ServingResult
-from repro.serving.engine.soa_engine import _SoaEngine
 
 __all__ = [
     "ENGINES",

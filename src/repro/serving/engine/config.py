@@ -19,10 +19,9 @@ from repro.serving.policy import POLICIES, SchedulingPolicy, get_policy
 __all__ = ["ENGINES", "ServingConfig"]
 
 #: Decode-advance strategies accepted by :class:`ServingConfig`: the
-#: default event-driven closed-form segments, the per-token reference
-#: loop, or the structure-of-arrays event core (columnar state, same
-#: event semantics, built for million-request traces).
-ENGINES = ("event", "loop", "soa")
+#: default event-driven closed-form segments, or the per-token reference
+#: loop.
+ENGINES = ("event", "loop")
 
 
 @dataclass(frozen=True)
@@ -49,15 +48,12 @@ class ServingConfig:
     engine:
         Decode-advance strategy from :data:`ENGINES`: the default
         ``"event"`` (closed-form multi-token segments between scheduler
-        events), the per-token reference ``"loop"``, or ``"soa"`` (the
-        structure-of-arrays event core — identical event semantics over
-        columnar request state, ~an order of magnitude faster on
-        million-request traces; does not support the prefix cache,
-        engine tracing, custom policies or fault plans).
+        events, with bulk paths for wide batches), or the per-token
+        reference ``"loop"``.
     prefix_cache:
         Enable the per-rank KV :class:`~repro.serving.engine.cache.PrefixCache`
         (off by default; when off the simulator is bit-identical to the
-        pre-cache behavior).  Not supported by the ``soa`` engine.
+        pre-cache behavior).
     """
 
     model: str = "gpt-350m"
@@ -84,11 +80,6 @@ class ServingConfig:
             raise ValueError(
                 f"unknown scheduling policy {self.policy!r}; expected one of "
                 f"{tuple(sorted(POLICIES))}"
-            )
-        if self.engine == "soa" and self.prefix_cache:
-            raise ValueError(
-                "the soa engine does not support the KV prefix cache; "
-                "use engine='event' (or 'loop') with prefix_cache=True"
             )
         for name in ("num_ranks", "dpus_per_rank", "max_batch",
                      "prefill_chunk_tokens"):

@@ -137,9 +137,9 @@ class _CostCache:
     def segment_table(self) -> "SegmentCostTable":
         """The dense :class:`SegmentCostTable` view over this cache.
 
-        Built lazily (the object engines never pay for it) and memoised,
-        so every SoA engine sharing this cache shares one table the same
-        way the scalar dict caches are shared.
+        Built lazily (a run whose batches stay narrow never pays for
+        it) and memoised, so every engine sharing this cache shares one
+        table the same way the scalar dict caches are shared.
         """
         if self._segment_table is None:
             self._segment_table = SegmentCostTable(self)
@@ -276,9 +276,9 @@ class _CostCache:
 class SegmentCostTable:
     """Dense cumulative attention tables for vectorized segment costing.
 
-    The structure-of-arrays engine costs a whole decode batch with a
-    handful of numpy gathers instead of per-request dict lookups:
-    ``cum_lat[kv]`` / ``cum_energy[kv]`` hold
+    The event engine's bulk paths cost a wide decode batch or prefill
+    stage with a handful of numpy gathers instead of per-request dict
+    lookups: ``cum_lat[kv]`` / ``cum_energy[kv]`` hold
     :meth:`_CostCache.attn_cum` for every KV depth up to :attr:`max_kv`,
     and ``step_lat[kv]`` / ``step_energy[kv]`` the per-step
     :meth:`_CostCache.attn_step` values (``step[0]`` is 0 — depth 0 has
@@ -286,7 +286,8 @@ class SegmentCostTable:
     itself, not differenced from the cumulative ones: ``cum[kv] -
     cum[kv - 1]`` differs from the step value in the last bits.  A
     batch's segment cost over per-request ranges ``(kv, kv + tokens]``
-    is then ``(cum[kv + tokens] - cum[kv]).sum()``.
+    is then the terms ``cum[kv + tokens] - cum[kv]`` added left to
+    right.
 
     ``pre_lat[L]`` / ``pre_energy[L]`` are the matching dense view of
     whole-prompt prefill costs (:meth:`_CostCache.prefill_chunk` with

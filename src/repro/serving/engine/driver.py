@@ -8,8 +8,8 @@ collected through the same three functions:
   energy model into the cost-spine arguments, the packed weight bytes
   and the KV capacity left in a replica's MRAM, and refuses a scheme
   the config's kernel cannot run;
-* :func:`make_engine` builds the engine ``config.engine`` selects and
-  arms it with a fault plan;
+* :func:`make_engine` builds a replica's engine and arms it with a
+  fault plan;
 * :func:`collect_result` turns drained engines into one
   :class:`~repro.serving.engine.records.ServingResult`.
 
@@ -36,7 +36,6 @@ from repro.serving.engine.config import ServingConfig
 from repro.serving.engine.costs import _CostCache
 from repro.serving.engine.rank_engine import _RankEngine
 from repro.serving.engine.records import ColumnRecords, ServingResult
-from repro.serving.engine.soa_engine import _SoaEngine
 from repro.serving.policy import SchedulingPolicy
 from repro.serving.trace import Request, Trace
 
@@ -117,22 +116,14 @@ def make_engine(
     tracer=None,
     faults=None,
 ):
-    """Build the rank engine selected by ``config.engine``.
+    """Build the rank engine of replica ``rank``.
 
-    ``"event"`` and ``"loop"`` construct the object engine
-    (:class:`~repro.serving.engine.rank_engine._RankEngine`), which
-    registers the specs of ``faults`` (a
-    :class:`~repro.serving.faults.FaultPlan`) that target ``rank``;
-    ``"soa"`` the columnar
-    :class:`~repro.serving.engine.soa_engine._SoaEngine`, which rejects
-    a tracer, a custom policy and any non-empty plan.  Both
-    expose the same incremental API (``submit`` / ``advance`` /
-    ``finalize`` / ``run`` / ``has_work`` / ``queue_depth`` /
-    ``next_event_s`` / ``records`` / ``retired``).
+    The :class:`~repro.serving.engine.rank_engine._RankEngine` advances
+    as ``config.engine`` selects and registers the specs of ``faults``
+    (a :class:`~repro.serving.faults.FaultPlan`) that target ``rank``.
     """
-    cls = _SoaEngine if config.engine == "soa" else _RankEngine
-    return cls(rank, cache, config, kv_capacity, policy,
-               tracer=tracer, faults=faults)
+    return _RankEngine(rank, cache, config, kv_capacity, policy,
+                       tracer=tracer, faults=faults)
 
 
 def collect_result(
@@ -147,17 +138,9 @@ def collect_result(
     :class:`~repro.serving.engine.records.ColumnRecords` sorted by
     ``req_id``; no record object is built until one is read.
     """
-    if config.engine == "soa":
-        outputs = [engine.output_columns() for engine in engines]
-        records = ColumnRecords({
-            key: np.concatenate([out[key] for out in outputs])
-            for key in outputs[0]
-        })
-    else:
-        records = ColumnRecords.merge([engine.records for engine in engines])
     return ServingResult(
         config=config,
-        records=records,
+        records=ColumnRecords.merge([engine.records for engine in engines]),
         rank_stats=[engine.stats for engine in engines],
         kv_capacity_bytes=kv_capacity,
         weight_bytes=weight_bytes,
@@ -203,17 +186,15 @@ def simulate_trace(
     layer — lost requests end ``failed`` (the cluster layer adds
     retries).  A traced faulted run records each stall and degrade
     window once, as scheduled
-    (:meth:`~repro.serving.faults.FaultPlan.trace_windows`).  The soa
-    engine accepts neither (see :func:`make_engine`).
+    (:meth:`~repro.serving.faults.FaultPlan.trace_windows`).
 
     Raises
     ------
     ValueError
         If the packed weights of the model/policy do not leave any MRAM
-        for KV cache on a replica, if a scheme of the policy cannot run
-        on ``config.kernel`` (see :func:`replica_budget`), or if
-        ``config.engine`` cannot run the given tracer, policy or fault
-        plan.  All are raised before any request is simulated.
+        for KV cache on a replica, or if a scheme of the policy cannot
+        run on ``config.kernel`` (see :func:`replica_budget`).  Both are
+        raised before any request is simulated.
     """
     trace = Trace.of(trace).ordered()
     config = config if config is not None else ServingConfig()

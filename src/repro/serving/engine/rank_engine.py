@@ -25,9 +25,11 @@ and finish stamps, status, preemptions, cache hit).  There is one representation
 cluster path) and :meth:`_RankEngine.submit_columns` extends every
 column from a trace shard's arrays at once (the
 :func:`~repro.serving.engine.driver.simulate_trace` path).  The pending
-queue is a cursor over submission order, the ready heap holds
-``(key, seq, slot)``, and the prefill stage and running batch are slot
-lists.  :attr:`_RankEngine.records` is a
+queue is a cursor over submission order, and the prefill stage and
+running batch are slot lists.  The ready queue is a heap of
+``(key, seq, slot)``, or, for a policy that keeps the default FCFS
+admission key and never preempts, the slot range ``[_head, _next)``
+(see *Bulk paths* below).  :attr:`_RankEngine.records` is a
 :class:`~repro.serving.engine.records.ColumnRecords` over the terminal
 slots of those columns; no per-request object is built on the way.
 
@@ -43,14 +45,34 @@ A :class:`~repro.serving.faults.FaultPlan` passed to the constructor
 registers its specs for the engine's rank through the fault hooks
 (:meth:`_RankEngine.fail_at` / ``stall`` / ``degrade``).
 
-Event-driven engines whose running batch is at least
-:data:`PACKED_MIN_BATCH` wide keep it as a *packed running set*: numpy
-columns of each running request's KV depth and tokens left, costed with
-gathers from the cost cache's dense
-:class:`~repro.serving.engine.costs.SegmentCostTable` instead of one
-dict lookup per request.  Sums accumulate left to right in running
-order (:func:`_seq_sum`), so the packed path is bit-identical to the
-per-request one it replaces.
+**Bulk paths.**  The event engine (not the per-token ``loop``
+reference, which keeps every per-request path as the oracle) batches
+the per-request work of wide batches, each path bit-identical to the
+per-request one it replaces:
+
+* *FIFO cursor and window admission.*  Without a prefix cache, a
+  policy that inherits :meth:`~repro.serving.policy.SchedulingPolicy.admission_key`
+  and ``select_victims`` (``fcfs``, ``chunked_prefill``) admits in
+  submission order, so the ready queue is the slot range
+  ``[_head, _next)`` and one admission round walks it once
+  (:meth:`_RankEngine._admit_window`), writing the admitted runs by
+  slice assignment.  Submission order is the heap's
+  ``(arrival_s, req_id)`` order for a sorted trace; the first
+  submission that breaks it (a cluster retry submitted right after a
+  fresh arrival at the same instant with a larger ``req_id``) moves
+  the range into the heap for good (:meth:`_RankEngine._to_heap`).
+* *Whole-prompt prefill.*  When the policy inherits
+  ``prefill_chunk`` and at least :data:`PACKED_MIN_BATCH` slots
+  prefill, the stage gathers every prefill's cost from the dense
+  :class:`~repro.serving.engine.costs.SegmentCostTable`
+  (:meth:`_RankEngine._prefill_whole`).
+* *Packed running set.*  A running batch at least
+  :data:`PACKED_MIN_BATCH` wide is kept as numpy columns of each
+  running request's KV depth and tokens left, costed with gathers from
+  the same table instead of one dict lookup per request, and retired
+  in one pass (:meth:`_RankEngine._retire_packed`).
+
+Sums accumulate left to right in running order (:func:`_seq_sum`).
 """
 
 from __future__ import annotations
@@ -60,7 +82,7 @@ import math
 from array import array
 from bisect import bisect_right
 from itertools import compress
-from operator import eq, sub
+from operator import add, eq, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,15 +95,16 @@ from repro.serving.engine.records import (
     RankStats,
     RequestRecord,
 )
-from repro.serving.policy import SchedulingPolicy
+from repro.serving.policy import SchedulingPolicy, _inherited
 from repro.serving.trace import _REQUEST_FIELDS, Request, _unchecked_request
 
 __all__ = ["_RequestState", "_RankEngine", "PACKED_MIN_BATCH"]
 
-#: Running-batch width from which the event engine costs decode on the
-#: packed running set.  Below it per-request dict lookups are cheaper
-#: than numpy call overhead; the crossover is measured by the
-#: ``batch_width`` entry of ``tools/bench.py``.
+#: Batch width from which the event engine costs decode on the packed
+#: running set and a prefill stage as one whole-prompt gather.  Below it
+#: per-request dict lookups are cheaper than numpy call overhead; the
+#: crossover is measured by the ``batch_width`` entry of
+#: ``tools/bench.py``.
 PACKED_MIN_BATCH = 64
 
 #: Slots by which :meth:`_RankEngine.submit` grows the state and outcome
@@ -173,7 +196,7 @@ class _RankEngine:
         # one, or built for a policy view, a cache lookup or a crash).
         self._req: List[Optional[Request]] = []
         # Mutable scheduling state.  ``_done`` counts the prefilled part
-        # of the prefix an admitted slot must prefill before it may
+        # of the prefix a prefilling slot must prefill before it may
         # decode (prompt plus the tokens generated before a preemption;
         # ``_tokens_out`` is constant while a slot prefills), and a
         # cache hit pre-credits it.  ``_kv_private`` is the KV reserved
@@ -205,6 +228,9 @@ class _RankEngine:
                        self._finish_s)
         self._kv_per_token = cache.model.kv_cache_bytes(1, 1)
         self._next = 0  # pending queue: slots [_next, len(_arrival))
+        # Ready queue: slots [_head, _next) on the FIFO cursor, plus the
+        # heap (see the module docstring); off the cursor _head == _next.
+        self._head = 0
         self.ready: List[Tuple[Tuple, int, int]] = []
         self.prefilling: List[int] = []
         self.running: List[int] = []
@@ -213,6 +239,13 @@ class _RankEngine:
         self._seq = 0  # heap tie-break counter
         self._event_driven = config.engine == "event"
         self.prefix_cache = PrefixCache() if config.prefix_cache else None
+        bulk = self._event_driven and self.prefix_cache is None
+        self._fifo = bulk and _inherited(
+            policy, SchedulingPolicy, "admission_key", "select_victims"
+        )
+        self._whole_prefill = bulk and _inherited(
+            policy, SchedulingPolicy, "prefill_chunk"
+        )
         # The columns a policy's slot forms read (see policy.py).
         self._columns = dict(zip(_REQUEST_FIELDS, self._fields),
                              tokens_out=self._tokens_out,
@@ -305,7 +338,7 @@ class _RankEngine:
         if count == len(self._req_id) and all(map(eq, slots, range(count))):
             slots = None  # every slot, in slot order
         zeros = [0] * len(self._req_id)
-        return ColumnRecords.from_fields({
+        return ColumnRecords({
             "req_id": self._req_id,
             "rank": [self.rank] * len(self._req_id),
             "arrival_s": self._arrival,
@@ -333,13 +366,13 @@ class _RankEngine:
     def has_work(self) -> bool:
         """True while any request is pending, queued, prefilling or running."""
         return bool(
-            self._next < len(self._arrival) or self.ready
+            self._head < len(self._arrival) or self.ready
             or self.prefilling or self.running
         )
 
     def queue_depth(self) -> int:
         """Requests waiting to be served (uncollected + ready queue)."""
-        return len(self._arrival) - self._next + len(self.ready)
+        return len(self._arrival) - self._head + len(self.ready)
 
     def next_event_s(self) -> float:
         """Simulation time of this engine's next scheduler step.
@@ -348,7 +381,8 @@ class _RankEngine:
         (clamped to the clock) when only future arrivals remain, and
         ``inf`` when drained.
         """
-        if self.ready or self.prefilling or self.running:
+        if (self._head < self._next or self.ready or self.prefilling
+                or self.running):
             return self.clock
         if self._next < len(self._arrival):
             return max(self.clock, self._arrival[self._next])
@@ -373,6 +407,10 @@ class _RankEngine:
                 f"request {request.req_id} submitted out of arrival order "
                 f"({request.arrival_s} < {arrival[-1]})"
             )
+        if self._fifo and arrival and (request.arrival_s, request.req_id) < (
+            arrival[-1], self._req_id[-1]
+        ):
+            self._to_heap()
         self._req_id.append(request.req_id)
         arrival.append(request.arrival_s)
         self._prompt.append(request.prompt_tokens)
@@ -425,6 +463,14 @@ class _RankEngine:
             and arrival[0] < self._arrival[-1]
         ):
             raise ValueError("shard submitted out of arrival order")
+        if self._fifo:
+            ids = columns["req_id"]
+            tied = arrival[1:] == arrival[:-1]
+            if np.any(ids[1:][tied] < ids[:-1][tied]) or (
+                self._req_id and (float(arrival[0]), int(ids[0]))
+                < (self._arrival[-1], self._req_id[-1])
+            ):
+                self._to_heap()
         for column, name in zip(self._fields, _REQUEST_FIELDS):
             column.extend(columns[name].tolist())
         self._req.extend([None] * count)
@@ -535,6 +581,7 @@ class _RankEngine:
         self.retired = True
         self._unpack()
         lost = self.prefilling + self.running
+        lost.extend(range(self._head, self._next))
         while self.ready:
             lost.append(heapq.heappop(self.ready)[2])
         # Pending requests were never collected, so their arrive events
@@ -545,7 +592,7 @@ class _RankEngine:
             for slot in pending:
                 self._trace_arrive(slot)
         lost.extend(pending)
-        self._next = len(self._arrival)
+        self._head = self._next = len(self._arrival)
         self.prefilling = []
         self.running = []
         kv_lost = self.kv_used
@@ -612,6 +659,14 @@ class _RankEngine:
         heapq.heappush(self.ready, (self._key(slot), self._seq, slot))
         self._seq += 1
 
+    def _to_heap(self) -> None:
+        """Leave the FIFO cursor for good: push the ready range onto the
+        heap, where every later arrival goes too."""
+        self._fifo = False
+        for slot in range(self._head, self._next):
+            self._enqueue(slot)
+        self._head = self._next
+
     def _collect_arrivals(self) -> None:
         # Submission order is arrival order, so the arrived slots are
         # the pending prefix up to the clock.
@@ -619,14 +674,18 @@ class _RankEngine:
         end = bisect_right(self._arrival, self.clock, start)
         if start == end:
             return
+        if self._trace is not None:
+            for slot in range(start, end):
+                self._trace_arrive(slot)
+        self._next = end
+        if self._fifo:
+            return
         ready, key, seq = self.ready, self._key, self._seq
         for slot in range(start, end):
-            if self._trace is not None:
-                self._trace_arrive(slot)
             heapq.heappush(ready, (key(slot), seq, slot))
             seq += 1
         self._seq = seq
-        self._next = end
+        self._head = end
 
     def _trace_arrive(self, slot: int) -> None:
         """Emit ``arrive``, stamped with the request's arrival time."""
@@ -684,6 +743,9 @@ class _RankEngine:
                 )
 
     def _admit(self) -> None:
+        if self._fifo:
+            self._admit_window()
+            return
         pc = self.prefix_cache
         model = self.cache.model
         stats = self.stats
@@ -793,9 +855,86 @@ class _RankEngine:
                     )
             self.prefilling.append(slot)
 
+    def _admit_window(self) -> None:
+        """One admission round on the FIFO cursor (no prefix cache).
+
+        Walks the ready range in order and makes the heap loop's
+        decisions: a request whose KV footprint exceeds the capacity is
+        rejected and takes no batch slot, the round stops before a
+        request that fits the capacity but not the current headroom,
+        and right after the admission that takes the last free slot.
+        A FIFO policy never preempts, so every admission is a first one
+        with nothing generated and nothing cached; the admitted runs
+        between rejections are written by slice assignment.
+        """
+        head, end = self._head, self._next
+        free = self.config.max_batch - len(self.running) - len(self.prefilling)
+        if head == end or free <= 0:
+            return
+        capacity, kv_per_token = self.kv_capacity, self._kv_per_token
+        prompt, gen = self._prompt, self._gen
+        used = start_used = self.kv_used
+        rejected: List[int] = []
+        kvs: List[int] = []  # KV footprint of each walked slot
+        slot = head
+        while slot < end and free:
+            kv_bytes = kv_per_token * (prompt[slot] + gen[slot])
+            if kv_bytes > capacity:
+                rejected.append(slot)
+            elif used + kv_bytes > capacity:
+                break
+            else:
+                used += kv_bytes
+                free -= 1
+            kvs.append(kv_bytes)
+            slot += 1
+        if slot == head:
+            return
+        self._head = stop = slot
+        admitted = used - start_used
+        self.kv_used = used
+        self.kv_queued_bytes -= admitted + sum(
+            kvs[slot - head] for slot in rejected
+        )
+        stats = self.stats
+        if used > stats.kv_peak_bytes:
+            stats.kv_peak_bytes = used
+        stats.kv_logical_bytes += admitted
+        stats.kv_reserved_bytes += admitted
+        clock = self.clock
+        run = head
+        for edge in rejected + [stop]:
+            if run < edge:
+                self._admit_s[run:edge] = [clock] * (edge - run)
+                self._kv_private[run:edge] = kvs[run - head:edge - head]
+                self.prefilling.extend(range(run, edge))
+            run = edge + 1
+        for slot in rejected:
+            self._status[slot] = "rejected"
+        self._terminal.extend(rejected)
+        if self._trace is not None:
+            used = start_used
+            for slot, kv_bytes in zip(range(head, stop), kvs):
+                req_id = self._req_id[slot]
+                if kv_bytes > capacity:
+                    self._trace.emit("reject", clock, self.rank, req_id,
+                                     kv_bytes=kv_bytes)
+                    continue
+                used += kv_bytes
+                self._trace.emit(
+                    "admit", clock, self.rank, req_id,
+                    kv_bytes=kv_bytes, kv_used_bytes=used, readmit=False,
+                    prefix_tokens=prompt[slot], cached_tokens=-1,
+                    kv_full_bytes=kv_bytes,
+                )
+
     # -- work stages ---------------------------------------------------------
 
     def _prefill_stage(self) -> None:
+        if (self._whole_prefill and not self._has_faults
+                and len(self.prefilling) >= PACKED_MIN_BATCH):
+            self._prefill_whole()
+            return
         still: List[int] = []
         done_of, prompt, tokens_out = self._done, self._prompt, self._tokens_out
         chunk_of = self.policy.prefill_chunk
@@ -830,6 +969,42 @@ class _RankEngine:
                 still.append(slot)
         self.prefilling = still
 
+    def _prefill_whole(self) -> None:
+        """Prefill every prefilling slot's whole prefix in one stage.
+
+        The costs are one gather from the dense table's whole-prompt
+        prefill costs (each the :meth:`_CostCache.prefill_chunk` value
+        from ``done=0``), the clock after each prefill one cumulative
+        sum, so the stage is bit-identical to the per-request loop.
+        Only the event engine takes it, without a prefix cache or
+        faults, for a policy whose prefills are whole.
+        """
+        slots = self.prefilling
+        lengths = list(map(add, map(self._prompt.__getitem__, slots),
+                           map(self._tokens_out.__getitem__, slots)))
+        table = self.cache.segment_table()
+        table.ensure(max(lengths))
+        latency, energy = table.prefill(np.array(lengths))
+        clocks = np.cumsum(np.concatenate(((self.clock,), latency)))
+        if self._trace is not None:
+            ticks = clocks.tolist()
+            for i, (slot, chunk, lat, joules) in enumerate(zip(
+                slots, lengths, latency.tolist(), energy.tolist()
+            )):
+                req_id = self._req_id[slot]
+                self._trace.emit("prefill_chunk_start", ticks[i], self.rank,
+                                 req_id, done_tokens=0, chunk_tokens=chunk)
+                self._trace.emit("prefill_chunk_end", ticks[i + 1],
+                                 self.rank, req_id, chunk_tokens=chunk,
+                                 latency_s=lat, energy_j=joules)
+        stats = self.stats
+        self.clock = float(clocks[-1])
+        stats.busy_s = _seq_sum(stats.busy_s, latency)
+        stats.energy_j = _seq_sum(stats.energy_j, energy)
+        stats.prefill_tokens += sum(lengths)
+        self.running.extend(slots)
+        self.prefilling = []
+
     def _retain_shared_prefix(self, slot: int) -> None:
         """Publish a freshly prefilled system prompt into the cache.
 
@@ -853,38 +1028,45 @@ class _RankEngine:
         pc.acquire(entry, self.clock)
         self._entry[slot] = entry
 
-    def _release_kv(self, slot: int) -> None:
-        """Release a finished request's KV — or hand it to the cache.
+    def _release_kv(self, slots: Sequence[int]) -> None:
+        """Release finished requests' KV — or hand it to the cache.
 
-        A finished non-final turn donates its private pages as the
-        ``("sess", session, turn + 1)`` entry the session's next turn
-        resumes from (chained onto whatever prefix this turn resumed
-        from, so shared bytes stay counted once); everything else frees
-        its private reservation and drops its cache reference.
+        Without a prefix cache the private reservations are freed at
+        once.  With one, a finished non-final turn donates its private
+        pages as the ``("sess", session, turn + 1)`` entry the session's
+        next turn resumes from (chained onto whatever prefix this turn
+        resumed from, so shared bytes stay counted once); everything
+        else frees its private reservation and drops its cache
+        reference, slot by slot in order.
         """
         pc = self.prefix_cache
-        entry = self._entry[slot]
-        if (
-            pc is not None
-            and self._session[slot] >= 0
-            and not self._final[slot]
-        ):
-            key = ("sess", self._session[slot], self._turn[slot] + 1)
-            if pc.get(key) is None:
-                pc.insert(
-                    key, self._prompt[slot] + self._gen[slot],
-                    self._kv_private[slot], entry, self.clock,
-                )
-                if entry is not None:
-                    pc.release(entry)
-                    self._entry[slot] = None
-                self._kv_private[slot] = 0
-                return
-        self.kv_used -= self._kv_private[slot]
-        self._kv_private[slot] = 0
-        if pc is not None and entry is not None:
-            pc.release(entry)
-            self._entry[slot] = None
+        kv_private = self._kv_private
+        if pc is None:
+            freed = 0
+            for slot in slots:
+                freed += kv_private[slot]
+                kv_private[slot] = 0
+            self.kv_used -= freed
+            return
+        for slot in slots:
+            entry = self._entry[slot]
+            if self._session[slot] >= 0 and not self._final[slot]:
+                key = ("sess", self._session[slot], self._turn[slot] + 1)
+                if pc.get(key) is None:
+                    pc.insert(
+                        key, self._prompt[slot] + self._gen[slot],
+                        kv_private[slot], entry, self.clock,
+                    )
+                    if entry is not None:
+                        pc.release(entry)
+                        self._entry[slot] = None
+                    kv_private[slot] = 0
+                    continue
+            self.kv_used -= kv_private[slot]
+            kv_private[slot] = 0
+            if entry is not None:
+                pc.release(entry)
+                self._entry[slot] = None
 
     # -- decode --------------------------------------------------------------
 
@@ -898,7 +1080,7 @@ class _RankEngine:
     def _finish(self, slot: int) -> None:
         """Retire a request whose last token lands at the current clock."""
         self._finish_s[slot] = self.clock
-        self._release_kv(slot)
+        self._release_kv((slot,))
         self._terminal.append(slot)
         if self._trace is not None:
             self._trace.emit("finish", self.clock, self.rank,
@@ -972,18 +1154,18 @@ class _RankEngine:
         if start == len(running):
             return True
         joined = running[start:]
-        prompt, gen = self._prompt, self._gen
-        out = list(map(self._tokens_out.__getitem__, joined))
-        self._fresh.extend(
-            start + i for i in compress(range(len(out)),
-                                        [n == 0 for n in out])
-        )
-        kv = np.array([prompt[slot] + n for slot, n in zip(joined, out)],
-                      dtype=np.int64)
-        left = np.array([gen[slot] - n for slot, n in zip(joined, out)],
-                        dtype=np.int64)
+
+        def gather(column: list) -> np.ndarray:
+            return np.array(list(map(column.__getitem__, joined)),
+                            dtype=np.int64)
+
+        prompt, gen, out = (gather(self._prompt), gather(self._gen),
+                            gather(self._tokens_out))
+        self._fresh.extend((start + (out == 0).nonzero()[0]).tolist())
+        kv = prompt + out
+        left = gen - out
         self._table = self.cache.segment_table()
-        self._table.ensure(int((kv + left).max()))
+        self._table.ensure(int((prompt + gen).max()))
         if start:
             kv = np.concatenate((self._kv, kv))
             left = np.concatenate((self._left, left))
@@ -1003,29 +1185,40 @@ class _RankEngine:
     def _retire_packed(self, firsts: List[int]) -> None:
         """Stamp first tokens at positions ``firsts``, then retire finishes.
 
-        Both happen at the current clock, request by request in running
-        order — the per-request loop's event order — as column writes.
-        Only the requests touched here are visited; the finished leave
-        the batch.  A segment never runs past the shortest remaining
+        Both happen at the current clock, in one pass each over the
+        positions touched: the first-token stamps, then the finished
+        requests' outcome writes, one release of their KV and one
+        extension of the terminal slots in running order.  A traced run
+        emits the per-request loop's events in its order (per position,
+        ``first_token`` before ``finish``).  The finished leave the
+        batch.  A segment never runs past the shortest remaining
         request, so the finished are exactly the positions with no
         tokens left, and each has produced all of its ``gen_tokens``.
         """
         finished = self._left == 0
         done = finished.nonzero()[0].tolist()
         self._fresh = []
-        running = self.running
-        first_set = set(firsts)
-        if firsts and done:
-            touched = sorted(first_set.union(done))
-        else:
-            touched = firsts or done
-        for i in touched:
-            slot = running[i]
-            if i in first_set:
-                self._first_token(slot, self.clock)
-            if finished[i]:
-                self._tokens_out[slot] = self._gen[slot]
-                self._finish(slot)
+        running, clock = self.running, self.clock
+        first_s = self._first_s
+        for i in firsts:
+            first_s[running[i]] = clock
+        slots = list(map(running.__getitem__, done))
+        tokens_out, gen, finish_s = self._tokens_out, self._gen, self._finish_s
+        for slot in slots:
+            tokens_out[slot] = gen[slot]
+            finish_s[slot] = clock
+        if slots:
+            self._release_kv(slots)
+            self._terminal.extend(slots)
+        if self._trace is not None:
+            first_set = set(firsts)
+            for i in sorted(first_set.union(done)):
+                req_id = self._req_id[running[i]]
+                if i in first_set:
+                    self._trace.emit("first_token", clock, self.rank, req_id)
+                if finished[i]:
+                    self._trace.emit("finish", clock, self.rank, req_id,
+                                     tokens_out=tokens_out[running[i]])
         if done:
             keep = ~finished
             self._kv = self._kv[keep]
@@ -1177,7 +1370,8 @@ class _RankEngine:
         self._admit()
         if self._detail:
             self._trace.sample(self.clock, self.rank, self.kv_used,
-                               len(self.running), len(self.ready))
+                               len(self.running),
+                               self._next - self._head + len(self.ready))
         self._prefill_stage()
         if self.running:
             if self._event_driven and not self.prefilling:

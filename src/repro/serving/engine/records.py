@@ -9,15 +9,12 @@ cluster layer's per-deployment slices.
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections.abc import MutableSequence, Sequence
 from dataclasses import dataclass, fields
 from itertools import chain, starmap
 from operator import attrgetter, eq, ne
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.serving.engine.config import ServingConfig
 
@@ -130,34 +127,6 @@ def _derived(name: str, column) -> list:
             for t, arrival in zip(column(stamp), column("arrival_s"))]
 
 
-def _array_lists(arrays: Dict[str, np.ndarray]) -> Dict[str, list]:
-    """Record columns from the structure-of-arrays engine's outcome
-    arrays (see :class:`ColumnRecords`), sorted by ``req_id``."""
-    order = np.argsort(arrays["req_id"], kind="stable")
-
-    def column(name: str) -> list:
-        return arrays[name][order].tolist()
-
-    def stamp(name: str) -> list:
-        return [None if math.isnan(t) else t for t in column(name)]
-
-    count = int(order.size)
-    status = np.where(arrays["rejected"][order], "rejected", "completed")
-    return {
-        "req_id": column("req_id"), "rank": column("rank"),
-        "arrival_s": column("arrival_s"),
-        "prompt_tokens": column("prompt_tokens"),
-        "gen_tokens": column("gen_tokens"), "priority": column("priority"),
-        "slo_ttft_s": column("slo_ttft_s"), "status": status.tolist(),
-        "admit_s": stamp("admit_s"), "first_token_s": stamp("first_token_s"),
-        "finish_s": stamp("finish_s"), "preemptions": column("preemptions"),
-        "session_id": column("session_id"), "turn": column("turn"),
-        "cache_hit": [False] * count, "cached_tokens": [0] * count,
-        "retries": [0] * count, "failovers": [0] * count,
-        "shed": [False] * count,
-    }
-
-
 #: The derived :class:`RequestRecord` properties a column can be read as.
 _DERIVED = ("queue_s", "ttft_s", "tpot_s", "latency_s")
 
@@ -185,31 +154,27 @@ class ColumnRecords(MutableSequence):
     properties' own arithmetic.  Nothing is copied or cached up front:
     a column of a row selection or of a merge is gathered when read.
 
-    ``ColumnRecords(columns)`` wraps the structure-of-arrays engine's
-    numpy outcome columns, sorted and converted on first use:
-    ``columns`` maps ``req_id``, ``rank``, ``arrival_s``,
-    ``prompt_tokens``, ``gen_tokens``, ``priority``, ``slo_ttft_s``,
-    ``session_id``, ``turn``, ``rejected`` (bool), ``admit_s`` /
-    ``first_token_s`` / ``finish_s`` (NaN = never happened) and
-    ``preemptions`` to equal-length arrays in any row order.
-    :meth:`from_fields` selects rows of one list per record field,
-    :meth:`merge` combines record sequences sorted by ``req_id`` (how
+    ``ColumnRecords(fields, rows)`` selects rows of one list per record
+    field, :meth:`merge` combines record sequences sorted by ``req_id`` (how
     every result holds its records), and :meth:`replace` swaps whole
     field columns.  Records compare equal to any sequence of equal
     records, and edit like a list (which builds the objects first).
     """
 
-    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
-        self._source(int(columns["req_id"].size))
-        self._arrays = columns
+    def __init__(self, fields: Dict[str, list],
+                 rows: Optional[Sequence[int]] = None) -> None:
+        """Records over one list per :class:`RequestRecord` field: the
+        entries at ``rows``, in that order, or with ``rows=None`` the
+        lists' current entries.  The lists are read, not copied."""
+        self._source(len(fields["req_id"]) if rows is None else len(rows))
+        self._fields = fields
+        self._rows = rows
 
     def _source(self, size: int) -> None:
         """Reset to ``size`` records with no source; the constructors
-        then set exactly one of: the structure-of-arrays ``_arrays``,
-        a row selection of ``_fields``, the merged ``_parts``, or a
-        ``_base`` with ``_overrides``."""
+        then set exactly one of: a row selection of ``_fields``, the
+        merged ``_parts``, or a ``_base`` with ``_overrides``."""
         self._size = size
-        self._arrays: Optional[Dict[str, np.ndarray]] = None
         self._fields: Optional[Dict[str, list]] = None
         self._rows: Optional[Sequence[int]] = None
         self._parts: Optional[List[Sequence]] = None
@@ -217,18 +182,6 @@ class ColumnRecords(MutableSequence):
         self._base: Optional[ColumnRecords] = None
         self._overrides: Dict[str, list] = {}
         self._items: Optional[List[RequestRecord]] = None
-
-    @classmethod
-    def from_fields(cls, fields: Dict[str, list],
-                    rows: Optional[Sequence[int]] = None) -> "ColumnRecords":
-        """Records over one list per :class:`RequestRecord` field: the
-        entries at ``rows``, in that order, or with ``rows=None`` the
-        lists' current entries.  The lists are read, not copied."""
-        records = cls.__new__(cls)
-        records._source(len(fields["req_id"]) if rows is None else len(rows))
-        records._fields = fields
-        records._rows = rows
-        return records
 
     @classmethod
     def merge(cls, parts: Sequence[Sequence[RequestRecord]]) -> "ColumnRecords":
@@ -317,9 +270,6 @@ class ColumnRecords(MutableSequence):
             if self._order is None:
                 return values
             return list(map(values.__getitem__, self._order))
-        if self._fields is None:
-            self._fields = _array_lists(self._arrays)
-            self._arrays = None
         values = self._fields[name]
         if self._rows is not None:
             return list(map(values.__getitem__, self._rows))

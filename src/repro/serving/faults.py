@@ -29,8 +29,7 @@ Fault taxonomy (:data:`FAULT_KINDS`):
 Faults are injected through the event-engine hooks
 (:meth:`~repro.serving.engine.rank_engine._RankEngine.fail_at` /
 ``stall`` / ``degrade``), which the engine constructor calls with the
-plan it is built with; the structure-of-arrays engine refuses any
-non-empty plan in its constructor.  A :class:`FaultPlan` with no specs
+plan it is built with.  A :class:`FaultPlan` with no specs
 is the explicit no-fault plan: applying it is a no-op and every
 simulation that receives one is bit-identical to a run with no plan at
 all (the goldens pin this).
@@ -136,11 +135,9 @@ class FaultPlan:
     def apply(self, engine) -> None:
         """Register this plan's specs for ``engine.rank`` on ``engine``.
 
-        Calls the object engine's ``fail_at`` / ``stall`` / ``degrade``
+        Calls the rank engine's ``fail_at`` / ``stall`` / ``degrade``
         hooks; its constructor does, when it is built with a plan (see
-        :func:`~repro.serving.engine.driver.make_engine`).  The
-        structure-of-arrays engine has no hooks: its constructor refuses
-        any non-empty plan, even one with no spec for its own rank.
+        :func:`~repro.serving.engine.driver.make_engine`).
         """
         for spec in self.for_rank(engine.rank):
             if spec.kind == "crash":

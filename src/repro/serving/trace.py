@@ -238,8 +238,8 @@ class Trace(Sequence):
     The trace's only state is :attr:`columns`, which maps every
     :class:`Request` field name, in constructor order, to an
     equal-length read-only numpy array (``int64`` / ``float64`` /
-    ``bool``).  Columnar consumers (the structure-of-arrays engine) read
-    the columns directly, so a generated million-request trace is never
+    ``bool``).  Columnar consumers (the rank engine's
+    ``submit_columns``) read the columns directly, so a generated million-request trace is never
     boxed into objects.  The :class:`Request` items are built from the
     columns on first element access (one ``tolist()`` per column) and
     kept; the columns were validated on the way in, so the objects are

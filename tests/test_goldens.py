@@ -68,6 +68,7 @@ from repro.serving import (
     simulate_trace,
     summary,
 )
+from repro.serving.engine import rank_engine
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 ALL_POLICIES = sorted(POLICIES)
@@ -283,16 +284,16 @@ def test_loop_engine_reproduces_event_golden(policy):
 
 
 @pytest.mark.parametrize("policy", ALL_POLICIES)
-def test_soa_engine_reproduces_event_golden(policy):
-    """The structure-of-arrays engine must hit the same golden as the
-    event oracle after rounding, exactly like the loop engine does.
-    (Only the plain serving goldens: the conversational fixtures enable
-    the prefix cache, which the soa engine rejects by contract.)"""
-    golden = dict(_load(f"serving_{policy}.json"))
-    soa = dict(_build_serving_golden(policy, engine="soa"))
-    assert soa.pop("engine") == "soa"
-    assert golden.pop("engine") == "event"
-    assert soa == golden
+def test_bulk_paths_reproduce_event_golden(policy, monkeypatch):
+    """With ``PACKED_MIN_BATCH`` forced to 1, every batch of the golden
+    trace is wide enough for the event engine's bulk paths (whole-prompt
+    prefill, packed decode); the plain and conversational goldens must
+    not move."""
+    monkeypatch.setattr(rank_engine, "PACKED_MIN_BATCH", 1)
+    assert _build_serving_golden(policy) == _load(f"serving_{policy}.json")
+    assert _build_conversational_golden(policy) == _load(
+        f"serving_conversational_{policy}.json"
+    )
 
 
 @pytest.mark.parametrize("policy", ALL_POLICIES)

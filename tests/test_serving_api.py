@@ -76,7 +76,7 @@ def test_package_exports(name):
 
 def test_engine_package_layout():
     for submodule in ("cache", "config", "costs", "driver", "records",
-                      "rank_engine", "soa_engine"):
+                      "rank_engine"):
         importlib.import_module(f"repro.serving.engine.{submodule}")
 
 

@@ -115,6 +115,12 @@ def test_cli_engine_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown serving engine" in err and "event" in err
     assert "Traceback" not in err
+    # The structure-of-arrays engine is gone: its name is refused too.
+    for argv in (["--engine", "soa"], ["--cluster", "--engine", "soa"]):
+        assert main(["--model", "gpt-125m", "--quiet", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "unknown serving engine 'soa'" in err
+        assert "Traceback" not in err
 
 
 def test_cli_compare_workers_match_sequential(tmp_path):

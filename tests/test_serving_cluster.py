@@ -503,14 +503,12 @@ def test_control_round_is_cluster_wide_per_interval():
     assert dep_a.scale_ups == 2 and dep_b.scale_ups == 2
 
 
-@pytest.mark.parametrize("engine", ["event", "soa"])
-def test_cold_replica_collects_no_work_before_ready(engine):
+def test_cold_replica_collects_no_work_before_ready():
     """A cold-started replica (``ready_s`` in the future) must not admit
     anything before its weights have arrived: its clock starts at
     ``ready_s``, so earlier arrivals wait in its pending queue."""
     deployment = Deployment(
-        ServingConfig(model="gpt-125m", num_ranks=1, engine=engine),
-        name="cold",
+        ServingConfig(model="gpt-125m", num_ranks=1), name="cold",
     )
     Cluster([deployment], router="round_robin")
     cold = deployment.add_replica(99, ready_s=100.0)
@@ -528,34 +526,40 @@ def test_cold_replica_collects_no_work_before_ready(engine):
 
 
 @pytest.mark.parametrize("router", ROUTER_NAMES)
-def test_cluster_soa_engine_matches_event(router):
-    """Cluster runs with soa-engine deployments reproduce the event
-    engine's records under every router — including the lazy
-    mid-trace advance() calls the state-aware routers trigger."""
-    trace = _trace(7, requests=64, rate=50.0)
+def test_cluster_bulk_paths_match_per_request(router, monkeypatch):
+    """Cluster runs whose replicas batch wide take the event engine's
+    bulk paths (window admission, whole-prompt prefill, the packed
+    running set) under every router — including the lazy mid-trace
+    advance() calls the state-aware routers trigger — and must
+    reproduce the per-request paths bit for bit."""
+    from repro.serving.engine import rank_engine
 
-    def deployments(engine):
-        return [
+    trace = _trace(7, requests=600, rate=400.0)
+    bulk = []
+    whole = rank_engine._RankEngine._prefill_whole
+
+    def spy(engine):
+        bulk.append(len(engine.prefilling))
+        whole(engine)
+
+    def run(threshold):
+        monkeypatch.setattr(rank_engine, "PACKED_MIN_BATCH", threshold)
+        monkeypatch.setattr(rank_engine._RankEngine, "_prefill_whole", spy)
+        deployments = [
             Deployment(ServingConfig(model="gpt-125m", num_ranks=2,
-                                     dpus_per_rank=8, max_batch=4,
-                                     engine=engine), name="tight", tier=0),
+                                     dpus_per_rank=8, max_batch=4),
+                       name="tight", tier=0),
             Deployment(ServingConfig(model="gpt-125m", num_ranks=1,
-                                     dpus_per_rank=64, engine=engine),
-                       name="roomy", tier=1),
+                                     dpus_per_rank=64, max_batch=256),
+                       name="wide", tier=1),
         ]
+        result = simulate_cluster(trace, deployments, router=router)
+        monkeypatch.undo()
+        return ([dataclasses.astuple(r) for r in result.records],
+                [dataclasses.astuple(s) for dep in result.deployments
+                 for s in dep.serving.rank_stats])
 
-    ev = simulate_cluster(trace, deployments("event"), router=router)
-    so = simulate_cluster(trace, deployments("soa"), router=router)
-    assert len(ev.records) == len(so.records)
-    for a, b in zip(ev.records, so.records):
-        assert (a.req_id, a.rank, a.status, a.preemptions) == \
-            (b.req_id, b.rank, b.status, b.preemptions)
-        for field in ("admit_s", "first_token_s", "finish_s"):
-            va, vb = getattr(a, field), getattr(b, field)
-            if va is None or vb is None:
-                assert va == vb, (field, a.req_id)
-            else:
-                assert va == pytest.approx(vb, rel=1e-9, abs=1e-12), (
-                    field, a.req_id,
-                )
-    assert ev.completed == so.completed and ev.rejected == so.rejected
+    per_request = run(10**9)
+    assert not bulk
+    assert run(rank_engine.PACKED_MIN_BATCH) == per_request
+    assert bulk, "no prefill stage was wide enough for the bulk path"

@@ -97,7 +97,7 @@ def test_records_compare_equal_to_lists():
     assert result.records == list(_starved_result().records)
     assert list(result.records) == result.records
     assert result.records != list(result.records)[:-1]
-    assert ColumnRecords.from_fields(
+    assert ColumnRecords(
         {field.name: [] for field in dataclasses.fields(RequestRecord)}
     ) == []
 
@@ -116,7 +116,7 @@ def test_records_edit_like_a_list():
 def test_merge_sorts_by_req_id_keeping_part_order_on_ties():
     names = [field.name for field in dataclasses.fields(RequestRecord)]
     objects = [RequestRecord(i, 0, 0.0, 1, 1) for i in (3, 1, 3, 9)]
-    columns = ColumnRecords.from_fields(
+    columns = ColumnRecords(
         {name: [getattr(r, name) for r in objects] for name in names},
         rows=[1, 0, 2],
     )

@@ -5,8 +5,7 @@ cache.  That is only safe because each memoised value is a pure function
 of its key, so this suite pins both halves:
 
 - a shared-spine cluster is bit-identical to the same cluster with a
-  private cache per deployment (event and soa engines, fault-free and
-  under a chaos plan);
+  private cache per deployment (fault-free and under a chaos plan);
 - deployments that differ in anything that changes a cost get distinct
   caches;
 - ``attn_cum`` does not depend on the order depths are filled in, and
@@ -102,7 +101,6 @@ def _fingerprint(result):
 
 @pytest.mark.parametrize("engine,faults", [
     ("event", None),
-    ("soa", None),
     ("event", _chaos_plan()),
 ])
 @pytest.mark.parametrize("seed", [2, 13])

@@ -1,14 +1,15 @@
-"""Event vs loop vs structure-of-arrays engine: metric identity.
+"""Event vs loop engine: metric identity.
 
 The event engine advances the running batch by whole closed-form
-segments between scheduler events; the loop engine is the per-token
-reference; the soa engine replays the event schedule over columnar
-request state.  All three must make identical scheduling decisions and
-report identical metrics — integer counters exactly, float timestamps
-and energies to summation rounding.  The seeded property harness below
+segments between scheduler events and takes wide batches in bulk; the
+loop engine is the per-token reference that keeps every per-request
+path.  Both must make identical scheduling decisions and report
+identical metrics — integer counters exactly, float timestamps and
+energies to summation rounding.  The seeded property harness below
 sweeps every policy, every arrival scenario and both roomy and
 KV-starved deployments (the starved configs exercise preemption,
-rejection and requeue paths through the segment machinery).
+rejection and requeue paths through the segment machinery); a wide
+KV-starved deployment drives the bulk paths against the oracle.
 """
 
 import dataclasses
@@ -63,15 +64,10 @@ def _config(policy: str, seed: int) -> ServingConfig:
 
 
 def _assert_equivalent(trace, config, engines=None):
-    """Every engine in ``engines`` must reproduce the event oracle.
-
-    Defaults to the full registry minus ``soa`` when the config enables
-    the prefix cache (the soa engine rejects it by contract).
-    """
+    """Every engine in ``engines`` (default: all but ``event``) must
+    reproduce the event engine's result."""
     if engines is None:
         engines = [e for e in ENGINES if e != "event"]
-        if config.prefix_cache:
-            engines = [e for e in engines if e != "soa"]
     event = simulate_trace(trace, dataclasses.replace(config, engine="event"))
     for engine in engines:
         other = simulate_trace(trace, dataclasses.replace(config, engine=engine))
@@ -156,7 +152,7 @@ def test_event_engine_is_default_and_summary_reports_it():
 
 
 def test_unknown_engine_rejected():
-    assert ENGINES == ("event", "loop", "soa")
+    assert ENGINES == ("event", "loop")
     with pytest.raises(ValueError, match="unknown serving engine"):
         ServingConfig(engine="turbo")
 
@@ -308,75 +304,44 @@ def test_decode_segment_stats_edges_and_validation():
 
 
 # ---------------------------------------------------------------------------
-# structure-of-arrays engine specifics
+# the event engine's bulk paths against the per-token oracle
 # ---------------------------------------------------------------------------
 
-def test_soa_starved_deployment_matches_event():
-    """Deterministic KV-starvation storm: rejections and priority
-    preemptions must land on the same requests with the same counts
-    under the columnar engine."""
-    config = ServingConfig(model="gpt-125m", num_ranks=1, dpus_per_rank=1,
-                           max_batch=8, policy="priority")
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_starved_wide_deployment_matches_loop(policy, monkeypatch):
+    """Bursts of 100 onto a 128-wide rank with KV room for ~74 of them:
+    every round of admission stops on KV with batch slots still free,
+    an oversized request in each burst is rejected mid-round, and the
+    admitted prefills and decode batches are wide enough for the bulk
+    paths, which must land every decision where the loop engine does."""
+    from repro.serving.engine.rank_engine import PACKED_MIN_BATCH, _RankEngine
+
+    config = ServingConfig(model="gpt-125m", num_ranks=1, dpus_per_rank=8,
+                           max_batch=128, policy=policy,
+                           prefill_chunk_tokens=64)
     trace = []
-    rid = 0
-    t = 0.0
-    for _ in range(8):
-        for _ in range(3):  # low-priority fillers occupy the KV budget
-            trace.append(Request(req_id=rid, arrival_s=t, prompt_tokens=192,
-                                 gen_tokens=191, priority=3))
-            rid += 1
-        t += 0.5
-        for _ in range(2):  # high-priority arrivals mid-decode evict them
-            trace.append(Request(req_id=rid, arrival_s=t, prompt_tokens=192,
-                                 gen_tokens=191, priority=0, slo_ttft_s=1.0))
-            rid += 1
-        t += 3.0
-    # One oversized request exercises the up-front rejection path too.
-    trace.append(Request(req_id=rid, arrival_s=t, prompt_tokens=4096,
-                         gen_tokens=4096, priority=0))
+    for burst in range(3):
+        for i in range(100):
+            rid = len(trace)
+            big = i == 40
+            trace.append(Request(
+                req_id=rid, arrival_s=burst * 400.0,
+                prompt_tokens=8000 if big else 64 + (rid * 7) % 64,
+                gen_tokens=8000 if big else 64 + (rid * 13) % 64,
+                priority=rid % 2, slo_ttft_s=50.0,
+            ))
+    widths = []
+    original = _RankEngine._prefill_stage
+
+    def spy(engine):
+        widths.append(len(engine.prefilling))
+        original(engine)
+
+    monkeypatch.setattr(_RankEngine, "_prefill_stage", spy)
     event = simulate_trace(trace, config)
-    assert sum(r.preemptions for r in event.records) > 0
-    assert any(r.status == "rejected" for r in event.records)
-    _assert_equivalent(trace, config, engines=["soa"])
-
-
-def test_soa_rejects_prefix_cache():
-    with pytest.raises(ValueError, match="prefix cache"):
-        ServingConfig(engine="soa", prefix_cache=True)
-
-
-def test_soa_rejects_tracing():
-    from repro.obs.tracer import RecordingTracer
-
-    trace = generate_trace(TraceSpec(num_requests=4, seed=0))
-    config = ServingConfig(model="gpt-125m", num_ranks=1, engine="soa")
-    with pytest.raises(ValueError, match="tracing"):
-        simulate_trace(trace, config, tracer=RecordingTracer())
-
-
-def test_soa_rejects_custom_policies():
-    """Only the built-in policy types have columnar mirrors; subclasses
-    silently diverging would be worse than refusing."""
-    from repro.serving.policy import FcfsPolicy
-
-    class TweakedFcfs(FcfsPolicy):
-        pass
-
-    trace = generate_trace(TraceSpec(num_requests=4, seed=0))
-    config = ServingConfig(model="gpt-125m", num_ranks=1, engine="soa")
-    with pytest.raises(ValueError, match="built-in scheduling policies"):
-        simulate_trace(trace, config, sched_policy=TweakedFcfs())
-
-
-def test_soa_records_are_lazy_but_complete():
-    """The soa result holds records as columns: ``len`` works without
-    materialisation, iteration yields req_id-sorted RequestRecords."""
-    trace = generate_trace(TraceSpec(num_requests=32, seed=1))
-    config = ServingConfig(model="gpt-125m", num_ranks=2, engine="soa")
-    result = simulate_trace(trace, config)
-    records = result.records
-    assert len(records) == 32
-    assert records._items is None  # len() must not materialise
-    ids = [r.req_id for r in records]
-    assert ids == sorted(ids) == list(range(32))
-    assert records[5].req_id == 5
+    monkeypatch.undo()
+    assert max(widths) >= PACKED_MIN_BATCH
+    assert sum(r.status == "rejected" for r in event.records) == 3
+    stats = event.rank_stats[0]
+    assert stats.kv_peak_bytes > 0.95 * event.kv_capacity_bytes
+    _assert_equivalent(trace, config)

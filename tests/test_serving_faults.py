@@ -211,31 +211,6 @@ def test_idle_death_does_not_stretch_the_makespan():
                 for e in late.fault_events] == [("crash", 1e6, 0, 0)]
 
 
-def test_soa_engine_rejects_fault_plans():
-    trace = _trace(5, requests=8)
-    config = ServingConfig(model="gpt-125m", engine="soa", num_ranks=1)
-    plan = FaultPlan((FaultSpec("crash", 0, 1.0),))
-    with pytest.raises(ValueError, match="soa"):
-        simulate_trace(trace, config, faults=plan)
-    dep = Deployment(ServingConfig(model="gpt-125m", engine="soa",
-                                   num_ranks=1))
-    with pytest.raises(ValueError, match="soa"):
-        Cluster([dep], faults=plan)
-    # Mixed fleet: the plan targets only the event replica (rank 1), so
-    # per-rank registration never reaches the soa replica (rank 0); the
-    # soa engine must still refuse the plan when it is built.
-    mixed = [
-        Deployment(ServingConfig(model="gpt-125m", engine="soa",
-                                 num_ranks=1), name="columnar"),
-        Deployment(ServingConfig(model="gpt-125m", engine="event",
-                                 num_ranks=1), name="objects"),
-    ]
-    event_only = FaultPlan((FaultSpec("crash", 1, 1.0),))
-    assert event_only.for_rank(0) == ()
-    with pytest.raises(ValueError, match="soa"):
-        Cluster(mixed, faults=event_only)
-
-
 # ---------------------------------------------------------------------------
 # fault-free bit-identity (the goldens' contract)
 # ---------------------------------------------------------------------------
@@ -757,6 +732,3 @@ def test_cli_fault_flags_are_validated(capsys):
     assert main(["--cluster", "--faults", "7", "--retry-backoff", "0",
                  "--quiet"]) == 2
     assert "retry-backoff" in capsys.readouterr().err
-    assert main(["--cluster", "--engine", "soa", "--faults", "7",
-                 "--quiet"]) == 2
-    assert "soa" in capsys.readouterr().err

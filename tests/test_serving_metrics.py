@@ -4,7 +4,6 @@ and one metrics implementation (records path == dict-rows path)."""
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from repro.experiments.io import read_csv, write_csv
@@ -444,16 +443,14 @@ def test_single_rank_scope_is_the_all_row_renamed():
             assert repr(aggregate[key]) == repr(rank[key]), key
 
 
-@pytest.mark.parametrize("engine", ["event", "soa"])
-def test_metrics_match_on_rejections_and_preemptions(engine):
+def test_metrics_match_on_rejections_and_preemptions():
     config = ServingConfig(model="gpt-125m", num_ranks=1, dpus_per_rank=1,
-                           max_batch=8, policy="priority", engine=engine)
+                           max_batch=8, policy="priority")
     result = simulate_trace(_starved_trace(), config)
     statuses = {rec.status for rec in result.records}
     assert statuses == {"completed", "rejected"}
     assert sum(rec.preemptions for rec in result.records) > 0
-    if engine == "soa":
-        assert isinstance(result.records, ColumnRecords)
+    assert isinstance(result.records, ColumnRecords)
     _assert_one_implementation(result)
 
 
@@ -474,11 +471,7 @@ def test_metrics_match_on_empty_result():
     columns = ServingResult(
         config=ServingConfig(model="gpt-125m"),
         records=ColumnRecords({
-            name: np.zeros(0) for name in (
-                "req_id", "rank", "arrival_s", "prompt_tokens",
-                "gen_tokens", "priority", "slo_ttft_s", "session_id",
-                "turn", "rejected", "admit_s", "first_token_s",
-                "finish_s", "preemptions")
+            field.name: [] for field in dataclasses.fields(RequestRecord)
         }),
         rank_stats=[], kv_capacity_bytes=0, weight_bytes=0,
     )

@@ -55,12 +55,11 @@ def _plan(seed, trace):
     )
 
 
-def _deployments(cls=Deployment, engine="event"):
+def _deployments(cls=Deployment):
     return [
-        cls(ServingConfig(model="gpt-125m", num_ranks=2, engine=engine),
-            name="a", tier=0),
-        cls(ServingConfig(model="gpt-125m", num_ranks=2, dpus_per_rank=16,
-                          engine=engine), name="b", tier=1),
+        cls(ServingConfig(model="gpt-125m", num_ranks=2), name="a", tier=0),
+        cls(ServingConfig(model="gpt-125m", num_ranks=2, dpus_per_rank=16),
+            name="b", tier=1),
     ]
 
 
@@ -74,10 +73,10 @@ def _scaler(autoscaled):
 
 
 def _run(cluster_cls, deployment_cls, seed, router, autoscaled,
-         faulted=True, engine="event"):
+         faulted=True):
     trace = _trace(seed)
     cluster = cluster_cls(
-        _deployments(deployment_cls, engine), router=router,
+        _deployments(deployment_cls), router=router,
         autoscaler=_scaler(autoscaled),
         faults=_plan(seed, trace) if faulted else None,
         retry_policy=RetryPolicy(max_retries=3), shed_tier=1,
@@ -214,18 +213,16 @@ def test_plans_fire_every_fault_kind_and_recovery_path():
     assert {"replace", "scale_down"} <= actions
 
 
-@pytest.mark.parametrize("engine", ("event", "soa"))
-def test_idle_probe_skip_matches_full_advance_fault_free(engine, checked):
-    """Fault-free, the skip bound covers only steps (a soa replica has
-    no crash hooks): the probing routers under the autoscaler still
-    reproduce the always-advance loop."""
+def test_idle_probe_skip_matches_full_advance_fault_free(checked):
+    """Fault-free, the skip bound covers only steps: the probing
+    routers under the autoscaler still reproduce the always-advance
+    loop."""
     for router in ("least_kv", "p2c"):
-        got = _run(Cluster, Deployment, 4, router, True, faulted=False,
-                   engine=engine)
+        got = _run(Cluster, Deployment, 4, router, True, faulted=False)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Deployment, "advance", _RescanDeployment.advance)
             want = _run(Cluster, Deployment, 4, router, True,
-                        faulted=False, engine=engine)
+                        faulted=False)
         assert [_record_key(r) for r in got.records] == \
             [_record_key(r) for r in want.records]
         assert got.scale_events == want.scale_events

@@ -102,7 +102,7 @@ def _sharding_case_id(case):
     "case",
     [(scenario, engine, num_ranks)
      for scenario in ("bursty", "conversational")
-     for engine in ("event", "loop", "soa")
+     for engine in ("event", "loop")
      for num_ranks in (1, 3, 4)],
     ids=_sharding_case_id,
 )

@@ -224,11 +224,10 @@ def test_trace_spec_rejects_nan_tier_knobs():
         TraceSpec(slo_ttft_s=(math.inf,))
 
 
-@pytest.mark.parametrize("engine", ["event", "soa"])
-def test_nan_arrival_is_rejected_not_simulated(engine):
-    """A NaN arrival used to hang both engines; it now fails fast, at
+def test_nan_arrival_is_rejected_not_simulated():
+    """A NaN arrival used to hang the engines; it now fails fast, at
     trace construction."""
-    config = ServingConfig(model="gpt-125m", num_ranks=1, engine=engine)
+    config = ServingConfig(model="gpt-125m", num_ranks=1)
     with pytest.raises(ValueError, match="arrival"):
         simulate_trace(Trace({
             "req_id": [0, 1, 2, 3],
@@ -255,7 +254,6 @@ def test_trace_columns_are_validated_like_requests(bad, monkeypatch):
     """``Trace(columns)`` refuses every row ``Request`` refuses, with the
     request's own message, before either engine can see the row."""
     from repro.serving.engine.rank_engine import _RankEngine
-    from repro.serving.engine.soa_engine import _SoaEngine
 
     columns = {
         "req_id": [0, 1, 2, 3],
@@ -282,8 +280,7 @@ def test_trace_columns_are_validated_like_requests(bad, monkeypatch):
 
     monkeypatch.setattr(_RankEngine, "submit", unreachable)
     monkeypatch.setattr(_RankEngine, "submit_columns", unreachable)
-    monkeypatch.setattr(_SoaEngine, "submit_columns", unreachable)
-    for engine in ("event", "soa"):
+    for engine in ("event", "loop"):
         config = ServingConfig(model="gpt-125m", num_ranks=1, engine=engine)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             simulate_trace(Trace(columns), config)
@@ -382,10 +379,40 @@ def test_trace_constructor_fills_defaults_and_checks_columns():
 
 
 @pytest.mark.parametrize("scenario", ["bursty", "conversational"])
-def test_soa_on_a_sliced_trace_matches_the_object_list(scenario):
-    trace = _scenario_trace(scenario, n=60)
-    config = ServingConfig(model="gpt-125m", num_ranks=2, engine="soa")
-    columns = simulate_trace(trace[:45], config)
-    objects = simulate_trace(list(trace)[:45], config)
+def test_wide_batches_on_a_sliced_trace_match_the_object_list(
+        scenario, monkeypatch):
+    """A column slice of a trace and the object list of the same
+    requests serve identically on batches wide enough for the event
+    engine's bulk paths, and as the per-token loop engine serves them."""
+    from repro.serving.engine.rank_engine import _RankEngine
+
+    trace = generate_trace(TraceSpec(
+        num_requests=600, seed=2, scenario=scenario, sessions=300,
+        turns_mean=2.0, arrival_rate_per_s=200.0, think_time_mean_s=0.5,
+        prompt_mean=24, gen_mean=12, system_prompt_tokens=16,
+        priority_weights=(0.5, 0.5), slo_ttft_s=(2.0, 0.0),
+    ))
+    config = ServingConfig(model="gpt-125m", num_ranks=2, max_batch=256)
+    retired = []
+    original = _RankEngine._retire_packed
+
+    def spy(engine, firsts):
+        retired.append(len(engine.running))
+        original(engine, firsts)
+
+    monkeypatch.setattr(_RankEngine, "_retire_packed", spy)
+    columns = simulate_trace(trace[:450], config)
+    monkeypatch.undo()
+    assert retired, "no decode batch was wide enough to pack"
+    objects = simulate_trace(list(trace)[:450], config)
     assert list(columns.records) == list(objects.records)
     assert columns.rank_stats == objects.rank_stats
+    loop = simulate_trace(list(trace)[:450],
+                          dataclasses.replace(config, engine="loop"))
+    for a, b in zip(columns.records, loop.records):
+        assert (a.req_id, a.status, a.admit_s is None) == \
+            (b.req_id, b.status, b.admit_s is None)
+        for field in ("admit_s", "first_token_s", "finish_s"):
+            if getattr(a, field) is not None:
+                assert getattr(a, field) == pytest.approx(
+                    getattr(b, field), rel=1e-9, abs=1e-12)
