@@ -30,7 +30,7 @@ from repro.serving.engine.costs import _CostCache
 from repro.serving.engine.driver import make_engine, replica_budget
 from repro.serving.engine.records import ColumnRecords, RequestRecord
 from repro.serving.metrics import metrics_table, summary
-from repro.serving.policy import PriorityPolicy, SjfPolicy
+from repro.serving.policy import FcfsPolicy, PriorityPolicy, SjfPolicy
 from repro.serving.trace import _REQUEST_FIELDS, Trace
 
 DERIVED = ("queue_s", "ttft_s", "tpot_s", "latency_s")
@@ -201,6 +201,52 @@ def test_shard_submit_refuses_out_of_order_arrivals():
                           gen_tokens=2))
     with pytest.raises(ValueError, match="arrival order"):
         engine.submit_columns(_trace(n=8, scenario="steady").columns)
+
+
+def test_unsorted_ties_are_admitted_in_key_order():
+    """Submission order is admission order only while it is
+    ``(arrival_s, req_id)`` order: a tie submitted with the larger
+    ``req_id`` first (inside a shard, across shards, or one request at
+    a time) must be admitted exactly as the key-ordered heap admits it.
+    One batch slot makes the order show in every stamp."""
+    class KeyedFcfs(FcfsPolicy):
+        def admission_key(self, state):
+            return super().admission_key(state)
+
+    columns = Trace({
+        "req_id": [1, 0, 2, 4, 3],
+        "arrival_s": [0.0, 0.0, 1.0, 2.0, 2.0],
+        "prompt_tokens": [8, 16, 8, 24, 4],
+        "gen_tokens": [4, 2, 6, 3, 5],
+    }).columns
+    config = ServingConfig(model="gpt-125m", num_ranks=1, max_batch=1)
+    cost_args, _, kv_capacity = replica_budget(config)
+
+    def served(policy, submit):
+        engine = make_engine(0, _CostCache(*cost_args), config,
+                             kv_capacity, policy)
+        submit(engine)
+        engine.run()
+        return list(engine.records), engine.stats
+
+    def by_shards(*edges):
+        def submit(engine):
+            for lo, hi in zip((0, *edges), (*edges, 5)):
+                engine.submit_columns(
+                    {k: v[lo:hi] for k, v in columns.items()}
+                )
+        return submit
+
+    def by_requests(engine):
+        for request in Trace(columns):
+            engine.submit(request)
+
+    want = served(KeyedFcfs(), by_shards())
+    assert [r.req_id for r in sorted(want[0], key=lambda r: r.admit_s)] \
+        == [0, 1, 2, 3, 4]
+    # Ties inside one shard; ties only across shard edges; one by one.
+    for submit in (by_shards(), by_shards(1, 4), by_requests):
+        assert served(FcfsPolicy(), submit) == want
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
