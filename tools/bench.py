@@ -6,9 +6,9 @@ Seeds the repo's performance trajectory: runs (a) a model-level sweep,
 (c) a 1000-request serving trace on gpt-1.3b, (d) the four scheduling
 policies on a bursty long-prefill trace, (e) the event-driven serving
 engine against the per-token loop engine on a long-generation trace,
-(f) the structure-of-arrays engine against the event engine on a
-1M-request wide-batch trace, (f') both engines across decode batch
-widths (the curve behind the event engine's packed-running-set
+(f) the event engine on a 1M-request wide-batch trace, (f') the event
+engine across decode batch widths, with its bulk paths as shipped,
+off and forced on (the curve behind its ``PACKED_MIN_BATCH``
 threshold), (g) a 100k-request bursty scaling trace (plus tracing
 overhead and the span breakdown of the engine's host wall), (g') the
 results path of that run (metrics tables, request/trace rows and the
@@ -27,12 +27,9 @@ Usage::
 ``--check`` exits non-zero if the trace simulation misses its
 wall-clock budget (10 s for 1000 requests), if the event engine's
 speedup over the loop engine falls below 10x at 1000 requests, if the
-soa engine's request rate at 1M requests falls below 5x the event
-engine's (measured on a 100k slice of the same trace), loses requests,
-disagrees with the event engine on the slice or misses its wall
-budget (simulation alone, and trace generation plus simulation), if
-the event engine misses its wall budget on that slice, if the
-100k-request scaling run misses its budget, if a disabled tracer on the
+event engine loses requests on the 1M-request wide-batch trace or
+misses its wall budget there (simulation alone, and trace generation
+plus simulation), if the 100k-request scaling run misses its budget, if a disabled tracer on the
 100k scaling run receives any event or changes its records or rank
 stats, if the results path of the scaling result
 misses its budget, or if the
@@ -65,21 +62,12 @@ DECODE_TOKENS = 256
 POLICY_REQUESTS = 200
 ENGINE_REQUESTS = 1000
 ENGINE_SPEEDUP_FLOOR = 10.0
-SOA_REQUESTS = 1_000_000
-SOA_EVENT_REQUESTS = 100_000
-# SoA vs the event engine's packed running set on the 100k slice
-# (measured 4.96-5.90x since the event engine keeps its requests as
-# column slots; ~9.6x before that, 15-17x before the event engine packed
-# wide batches).  The floor keeps the same ~0.5x headroom under the
-# measured ratio and may never drop below 1.0: SoA must still win in its
-# own regime.
-SOA_SPEEDUP_FLOOR = 2.5
-SOA_BUDGET_S = 60.0
-SOA_EVENT_BUDGET_S = 10.0
-# Shared runners jitter single-shot wall clocks by 2x; both engines are
-# timed best-of-N so the requests/wall-second ratio gates engine cost,
-# not scheduler noise.
-SOA_TIMING_REPS = 2
+WIDE_REQUESTS = 1_000_000
+WIDE_BUDGET_S = 60.0
+# Shared runners jitter single-shot wall clocks by 2x; the wide-batch
+# and batch-width walls are best-of-N so they measure engine cost, not
+# scheduler noise.
+TIMING_REPS = 2
 BATCH_WIDTH_REQUESTS = 50_000
 BATCH_WIDTHS = (8, 16, 32, 128, 512, 2048)
 SCALING_REQUESTS = 100_000
@@ -115,7 +103,9 @@ PERFBENCH_DIR = os.path.join(
 ENGINE_PHASES = (
     ("_collect_arrivals", "engine.admission"),
     ("_admit", "engine.admission"),
+    ("_admit_window", "engine.admission"),
     ("_prefill_stage", "engine.prefill"),
+    ("_prefill_whole", "engine.prefill"),
     ("_decode_segment", "engine.decode"),
     ("_decode_iteration", "engine.decode"),
 )
@@ -306,114 +296,73 @@ def _wide_spec(requests: int):
     )
 
 
-def bench_soa() -> dict:
-    """Structure-of-arrays engine vs the event oracle at the 1M scale.
+def bench_wide() -> dict:
+    """The event engine on a million-request wide-batch trace.
 
-    The soa engine's target regime: a saturated single replica with a
-    wide continuous batch (``max_batch=2048``) over a million short
-    bursty requests, where the object engine pays per-request Python
-    work for every admission, prefill and finish (its decode costing is
-    already vectorized over the packed running set) and the columnar
-    engine pays a handful of numpy operations per step.  The event
-    baseline runs the first 100k
-    requests of the *same* trace (the full million would take minutes);
-    the gate compares requests per wall-second.  A second soa run over
-    the event slice must agree on completions and generated tokens —
-    the differential suite pins the full metric identity, this is the
-    at-scale smoke of it.  ``e2e_wall_s`` times what a user runs end to
-    end -- generate the trace, then simulate it -- best of the same reps.
+    A saturated single replica with a wide continuous batch
+    (``max_batch=2048``) over a million short bursty requests: the
+    regime of the event engine's bulk paths (window admission,
+    whole-prompt prefill, the packed running set).  ``wall_s`` is the
+    simulation alone, ``e2e_wall_s`` what a user runs end to end --
+    generate the trace, then simulate it -- each best of
+    :data:`TIMING_REPS`.  Every trace entry must come back as a record.
     """
-    import dataclasses
-
     from repro.serving import ServingConfig, generate_trace, simulate_trace
 
-    trace, trace_wall = _timed(lambda: generate_trace(_wide_spec(SOA_REQUESTS)))
+    trace, trace_wall = _timed(lambda: generate_trace(_wide_spec(WIDE_REQUESTS)))
     config = ServingConfig(model="gpt-125m", num_ranks=1, dpus_per_rank=256,
                            max_batch=2048)
-    soa_config = dataclasses.replace(config, engine="soa")
-
-    soa_result, soa_wall = None, float("inf")
-    for _ in range(SOA_TIMING_REPS):
-        result, wall = _timed(lambda: simulate_trace(trace, soa_config))
-        if wall < soa_wall:
-            soa_result, soa_wall = result, wall
+    result, wall = min(
+        (_timed(lambda: simulate_trace(trace, config))
+         for _ in range(TIMING_REPS)),
+        key=lambda pair: pair[1],
+    )
     e2e_wall = min(
         _timed(lambda: simulate_trace(
-            generate_trace(_wide_spec(SOA_REQUESTS)), soa_config
+            generate_trace(_wide_spec(WIDE_REQUESTS)), config
         ))[1]
-        for _ in range(SOA_TIMING_REPS)
+        for _ in range(TIMING_REPS)
     )
-
-    sub = trace[:SOA_EVENT_REQUESTS]
-    # Build the slice's Request objects before the timed event runs, so
-    # event_wall_s (and the speedup gate) times the engine alone.
-    sub[0]
-    event_result, event_wall = None, float("inf")
-    for _ in range(SOA_TIMING_REPS):
-        result, wall = _timed(lambda: simulate_trace(sub, config))
-        if wall < event_wall:
-            event_result, event_wall = result, wall
-    sub_soa = simulate_trace(sub, soa_config)
-
-    records = soa_result.records
-    completed = sum(r.status == "completed" for r in records)
-    rejected = sum(r.status == "rejected" for r in records)
-    soa_rate = SOA_REQUESTS / soa_wall if soa_wall else 0.0
-    event_rate = SOA_EVENT_REQUESTS / event_wall if event_wall else 0.0
-    sub_soa_completed = sum(
-        r.status == "completed" for r in sub_soa.records
-    )
-    event_completed = sum(
-        r.status == "completed" for r in event_result.records
-    )
+    records = result.records
+    statuses = records.column("status")
     return {
-        "requests": SOA_REQUESTS,
-        "event_requests": SOA_EVENT_REQUESTS,
-        "timing_reps": SOA_TIMING_REPS,
+        "requests": WIDE_REQUESTS,
+        "timing_reps": TIMING_REPS,
         "trace_wall_s": trace_wall,
-        "soa_wall_s": soa_wall,
+        "wall_s": wall,
         "e2e_wall_s": e2e_wall,
-        "soa_wall_budget_s": SOA_BUDGET_S,
-        "event_wall_s": event_wall,
-        "event_wall_budget_s": SOA_EVENT_BUDGET_S,
-        "soa_requests_per_wall_s": soa_rate,
-        "event_requests_per_wall_s": event_rate,
-        "speedup": soa_rate / event_rate if event_rate else 0.0,
-        "speedup_floor": SOA_SPEEDUP_FLOOR,
-        "lost": SOA_REQUESTS - len(records),
-        "completed": completed,
-        "rejected": rejected,
-        "simulated_output_tokens": soa_result.output_tokens,
-        "slice_completed_match": sub_soa_completed == event_completed,
-        "slice_tokens_match": (
-            sub_soa.output_tokens == event_result.output_tokens
+        "wall_budget_s": WIDE_BUDGET_S,
+        "requests_per_wall_s": WIDE_REQUESTS / wall if wall else 0.0,
+        "lost": WIDE_REQUESTS - len(records),
+        "completed": statuses.count("completed"),
+        "rejected": statuses.count("rejected"),
+        "simulated_output_tokens": result.output_tokens,
+        "mean_batch": result.output_tokens / sum(
+            s.decode_iterations for s in result.rank_stats
         ),
     }
 
 
 def bench_batch_width() -> dict:
-    """Engine wall clock across decode batch widths: the packed-set curve.
+    """Event engine wall clock across decode batch widths.
 
     One 50k-request wide-batch trace on a single 256-DPU gpt-125m
     replica, served at each ``max_batch`` in :data:`BATCH_WIDTHS` by the
-    event engine as shipped (packed from ``PACKED_MIN_BATCH`` up), by
-    the event engine with packing off (``per_request``) and forced on
-    for every batch (``packed``), and by the soa engine.  Where
-    ``packed`` starts beating ``per_request`` is the threshold the
-    engine ships with.  Each wall is best of :data:`SOA_TIMING_REPS`.
+    event engine as shipped (bulk paths from ``PACKED_MIN_BATCH`` up),
+    with the bulk paths off (``per_request``) and forced on for every
+    batch (``packed``).  Where ``packed`` starts beating
+    ``per_request`` is the threshold the engine ships with.  Each wall
+    is best of :data:`TIMING_REPS`.
     """
-    import dataclasses
-
     from repro.serving import ServingConfig, generate_trace, simulate_trace
     from repro.serving.engine import rank_engine
 
     trace = generate_trace(_wide_spec(BATCH_WIDTH_REQUESTS))
     shipped = rank_engine.PACKED_MIN_BATCH
     variants = (
-        ("event", "event", shipped),
-        ("per_request", "event", BATCH_WIDTH_REQUESTS + 1),
-        ("packed", "event", 1),
-        ("soa", "soa", shipped),
+        ("event", shipped),
+        ("per_request", BATCH_WIDTH_REQUESTS + 1),
+        ("packed", 1),
     )
     rows = []
     try:
@@ -421,12 +370,11 @@ def bench_batch_width() -> dict:
             config = ServingConfig(model="gpt-125m", num_ranks=1,
                                    dpus_per_rank=256, max_batch=max_batch)
             row = {"max_batch": max_batch}
-            for name, engine, threshold in variants:
+            for name, threshold in variants:
                 rank_engine.PACKED_MIN_BATCH = threshold
-                run = dataclasses.replace(config, engine=engine)
                 result, row[f"{name}_wall_s"] = min(
-                    (_timed(lambda: simulate_trace(trace, run))
-                     for _ in range(SOA_TIMING_REPS)),
+                    (_timed(lambda: simulate_trace(trace, config))
+                     for _ in range(TIMING_REPS)),
                     key=lambda pair: pair[1],
                 )
                 if name == "event":
@@ -436,14 +384,13 @@ def bench_batch_width() -> dict:
             row["packed_speedup"] = (
                 row["per_request_wall_s"] / row["packed_wall_s"]
             )
-            row["event_over_soa"] = row["event_wall_s"] / row["soa_wall_s"]
             rows.append(row)
     finally:
         rank_engine.PACKED_MIN_BATCH = shipped
     return {
         "requests": BATCH_WIDTH_REQUESTS,
         "packed_min_batch": shipped,
-        "timing_reps": SOA_TIMING_REPS,
+        "timing_reps": TIMING_REPS,
         "rows": rows,
     }
 
@@ -926,7 +873,7 @@ def main(argv=None) -> int:
         "decode": bench_decode_methods(),
         "serving": bench_serving(),
         "engines": bench_engines(),
-        "soa": bench_soa(),
+        "wide": bench_wide(),
         "batch_width": bench_batch_width(),
         "scaling": bench_scaling(),
         "observability": bench_observability(),
@@ -943,7 +890,7 @@ def main(argv=None) -> int:
     serving = payload["serving"]
     decode = payload["decode"]
     engines = payload["engines"]
-    soa = payload["soa"]
+    wide = payload["wide"]
     scaling = payload["scaling"]
     obs = payload["observability"]
     results = payload["results_path"]
@@ -960,18 +907,16 @@ def main(argv=None) -> int:
     print(f"engines (long generation): event {engines['event_wall_s']:.3f} s "
           f"vs loop {engines['loop_wall_s']:.3f} s "
           f"({engines['speedup']:.1f}x)")
-    print(f"soa: {soa['requests']} requests in {soa['soa_wall_s']:.2f} s wall "
-          f"({soa['e2e_wall_s']:.2f} s with trace generation) "
-          f"({soa['soa_requests_per_wall_s']:.0f} requests/s, "
-          f"{soa['speedup']:.1f}x the event engine's rate at "
-          f"{soa['event_requests']} requests)")
+    print(f"wide: {wide['requests']} requests in {wide['wall_s']:.2f} s wall "
+          f"({wide['e2e_wall_s']:.2f} s with trace generation) "
+          f"({wide['requests_per_wall_s']:.0f} requests/s, mean batch "
+          f"{wide['mean_batch']:.0f})")
     width = payload["batch_width"]
-    print("batch width (event / per-request / packed / soa wall s): " + "; ".join(
+    print("batch width (event / per-request / packed wall s): " + "; ".join(
         f"{row['max_batch']}: {row['event_wall_s']:.2f} / "
-        f"{row['per_request_wall_s']:.2f} / {row['packed_wall_s']:.2f} / "
-        f"{row['soa_wall_s']:.2f}"
+        f"{row['per_request_wall_s']:.2f} / {row['packed_wall_s']:.2f}"
         for row in width["rows"]
-    ) + f" (packed from {width['packed_min_batch']})")
+    ) + f" (bulk from {width['packed_min_batch']})")
     print(f"scaling: {scaling['requests']} bursty requests in "
           f"{scaling['wall_s']:.1f} s wall "
           f"({scaling['requests_per_wall_s']:.0f} requests/s)")
@@ -1026,51 +971,27 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        if soa["lost"] != 0:
+        if wide["lost"] != 0:
             print(
-                f"FAIL: the soa engine lost {soa['lost']} request(s) at "
-                f"{soa['requests']} requests (every trace entry must "
-                f"produce a record)",
+                f"FAIL: the event engine lost {wide['lost']} request(s) at "
+                f"{wide['requests']} wide-batch requests (every trace entry "
+                f"must produce a record)",
                 file=sys.stderr,
             )
             return 1
-        if not soa["slice_completed_match"] or not soa["slice_tokens_match"]:
+        if wide["wall_s"] > WIDE_BUDGET_S:
             print(
-                f"FAIL: the soa engine disagrees with the event engine on "
-                f"the {soa['event_requests']}-request slice "
-                f"(completed match: {soa['slice_completed_match']}, "
-                f"tokens match: {soa['slice_tokens_match']})",
+                f"FAIL: the event engine took {wide['wall_s']:.1f} s for "
+                f"{wide['requests']} wide-batch requests "
+                f"(> {WIDE_BUDGET_S} s budget)",
                 file=sys.stderr,
             )
             return 1
-        if soa["soa_wall_s"] > SOA_BUDGET_S:
+        if wide["e2e_wall_s"] > WIDE_BUDGET_S:
             print(
-                f"FAIL: the soa engine took {soa['soa_wall_s']:.1f} s for "
-                f"{soa['requests']} requests (> {SOA_BUDGET_S} s budget)",
-                file=sys.stderr,
-            )
-            return 1
-        if soa["e2e_wall_s"] > SOA_BUDGET_S:
-            print(
-                f"FAIL: generating and simulating {soa['requests']} "
-                f"requests on the soa engine took {soa['e2e_wall_s']:.1f} s "
-                f"(> {SOA_BUDGET_S} s budget)",
-                file=sys.stderr,
-            )
-            return 1
-        if soa["event_wall_s"] > SOA_EVENT_BUDGET_S:
-            print(
-                f"FAIL: the event engine took {soa['event_wall_s']:.1f} s "
-                f"for the {soa['event_requests']}-request wide-batch slice "
-                f"(> {SOA_EVENT_BUDGET_S} s budget)",
-                file=sys.stderr,
-            )
-            return 1
-        if soa["speedup"] < SOA_SPEEDUP_FLOOR:
-            print(
-                f"FAIL: the soa engine's request rate is only "
-                f"{soa['speedup']:.1f}x the event engine's at "
-                f"{soa['requests']} requests (floor {SOA_SPEEDUP_FLOOR}x)",
+                f"FAIL: generating and simulating {wide['requests']} "
+                f"wide-batch requests took {wide['e2e_wall_s']:.1f} s "
+                f"(> {WIDE_BUDGET_S} s budget)",
                 file=sys.stderr,
             )
             return 1
