@@ -81,7 +81,6 @@ import heapq
 import math
 from array import array
 from bisect import bisect_right
-from itertools import compress
 from operator import add, eq, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -117,7 +116,9 @@ def _seq_sum(start: float, terms: np.ndarray) -> float:
     The same float as the per-request loop's running ``+=``;
     ``ndarray.sum()`` adds pairwise and rounds differently.
     """
-    return float(np.cumsum(np.concatenate(((start,), terms)))[-1])
+    terms = terms.copy()
+    terms[0] += start
+    return float(terms.cumsum()[-1])
 
 
 class _RequestState:
@@ -931,8 +932,8 @@ class _RankEngine:
     # -- work stages ---------------------------------------------------------
 
     def _prefill_stage(self) -> None:
-        if (self._whole_prefill and not self._has_faults
-                and len(self.prefilling) >= PACKED_MIN_BATCH):
+        if (len(self.prefilling) >= PACKED_MIN_BATCH and self._whole_prefill
+                and not self._has_faults):
             self._prefill_whole()
             return
         still: List[int] = []
@@ -1223,7 +1224,8 @@ class _RankEngine:
             keep = ~finished
             self._kv = self._kv[keep]
             self._left = self._left[keep]
-            self.running = list(compress(running, keep.tolist()))
+            for i in reversed(done):
+                del running[i]
 
     # -- event-driven decode segments -----------------------------------------
 
