@@ -110,8 +110,10 @@ PACKED_MIN_BATCH = 64
 #: columns at a time, so a single submission appends only its request.
 _SLOT_CHUNK = 64
 
+
 def _seq_sum(start: float, terms: np.ndarray) -> float:
-    """``start + terms[0] + terms[1] + ...`` accumulated left to right.
+    """``start + terms[0] + terms[1] + ...`` accumulated left to right
+    (``terms`` non-empty).
 
     The same float as the per-request loop's running ``+=``;
     ``ndarray.sum()`` adds pairwise and rounds differently.
@@ -1157,8 +1159,8 @@ class _RankEngine:
         joined = running[start:]
 
         def gather(column: list) -> np.ndarray:
-            return np.array(list(map(column.__getitem__, joined)),
-                            dtype=np.int64)
+            return np.fromiter(map(column.__getitem__, joined),
+                               dtype=np.int64, count=len(joined))
 
         prompt, gen, out = (gather(self._prompt), gather(self._gen),
                             gather(self._tokens_out))
