@@ -345,3 +345,17 @@ def test_starved_wide_deployment_matches_loop(policy, monkeypatch):
     stats = event.rank_stats[0]
     assert stats.kv_peak_bytes > 0.95 * event.kv_capacity_bytes
     _assert_equivalent(trace, config)
+
+
+def test_records_are_lazy_but_complete():
+    """The result holds records as columns: ``len`` works without
+    materialisation, iteration yields req_id-sorted RequestRecords."""
+    trace = generate_trace(TraceSpec(num_requests=32, seed=1))
+    config = ServingConfig(model="gpt-125m", num_ranks=2)
+    result = simulate_trace(trace, config)
+    records = result.records
+    assert len(records) == 32
+    assert records._items is None  # len() must not materialise
+    ids = [r.req_id for r in records]
+    assert ids == sorted(ids) == list(range(32))
+    assert records[5].req_id == 5
