@@ -410,9 +410,9 @@ class _RankEngine:
                 f"request {request.req_id} submitted out of arrival order "
                 f"({request.arrival_s} < {arrival[-1]})"
             )
-        if self._fifo and arrival and (request.arrival_s, request.req_id) < (
-            arrival[-1], self._req_id[-1]
-        ):
+        if (self._fifo and arrival and request.arrival_s <= arrival[-1]
+                and (request.arrival_s, request.req_id)
+                < (arrival[-1], self._req_id[-1])):
             self._to_heap()
         self._req_id.append(request.req_id)
         arrival.append(request.arrival_s)
@@ -896,9 +896,7 @@ class _RankEngine:
         self._head = stop = slot
         admitted = used - start_used
         self.kv_used = used
-        self.kv_queued_bytes -= admitted + sum(
-            kvs[slot - head] for slot in rejected
-        )
+        self.kv_queued_bytes -= admitted
         stats = self.stats
         if used > stats.kv_peak_bytes:
             stats.kv_peak_bytes = used
@@ -906,7 +904,7 @@ class _RankEngine:
         stats.kv_reserved_bytes += admitted
         clock = self.clock
         run = head
-        for edge in rejected + [stop]:
+        for edge in (*rejected, stop):
             if run < edge:
                 self._admit_s[run:edge] = [clock] * (edge - run)
                 self._kv_private[run:edge] = kvs[run - head:edge - head]
@@ -914,6 +912,7 @@ class _RankEngine:
             run = edge + 1
         for slot in rejected:
             self._status[slot] = "rejected"
+            self.kv_queued_bytes -= kvs[slot - head]
         self._terminal.extend(rejected)
         if self._trace is not None:
             used = start_used
