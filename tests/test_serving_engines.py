@@ -311,9 +311,10 @@ def test_decode_segment_stats_edges_and_validation():
 def test_starved_wide_deployment_matches_loop(policy, monkeypatch):
     """Bursts of 100 onto a 128-wide rank with KV room for ~74 of them:
     every round of admission stops on KV with batch slots still free,
-    an oversized request in each burst is rejected mid-round, and the
-    admitted prefills and decode batches are wide enough for the bulk
-    paths, which must land every decision where the loop engine does."""
+    an oversized request in each burst is rejected mid-round, the
+    priority policy preempts, and the admitted prefills and decode
+    batches are wide enough for the bulk paths, which must land every
+    decision where the loop engine does."""
     from repro.serving.engine.rank_engine import PACKED_MIN_BATCH, _RankEngine
 
     config = ServingConfig(model="gpt-125m", num_ranks=1, dpus_per_rank=8,
@@ -342,6 +343,8 @@ def test_starved_wide_deployment_matches_loop(policy, monkeypatch):
     monkeypatch.undo()
     assert max(widths) >= PACKED_MIN_BATCH
     assert sum(r.status == "rejected" for r in event.records) == 3
+    if policy == "priority":
+        assert event.preemptions > 0
     stats = event.rank_stats[0]
     assert stats.kv_peak_bytes > 0.95 * event.kv_capacity_bytes
     _assert_equivalent(trace, config)
