@@ -276,9 +276,9 @@ class _CostCache:
 class SegmentCostTable:
     """Dense cumulative attention tables for vectorized segment costing.
 
-    The event engine's bulk paths cost a wide decode batch or prefill
-    stage with a handful of numpy gathers instead of per-request dict
-    lookups: ``cum_lat[kv]`` / ``cum_energy[kv]`` hold
+    The event engine costs a wide decode batch with a handful of numpy
+    gathers instead of per-request dict lookups: ``cum_lat[kv]`` /
+    ``cum_energy[kv]`` hold
     :meth:`_CostCache.attn_cum` for every KV depth up to :attr:`max_kv`,
     and ``step_lat[kv]`` / ``step_energy[kv]`` the per-step
     :meth:`_CostCache.attn_step` values (``step[0]`` is 0 — depth 0 has
@@ -288,13 +288,6 @@ class SegmentCostTable:
     batch's segment cost over per-request ranges ``(kv, kv + tokens]``
     is then the terms ``cum[kv + tokens] - cum[kv]`` added left to
     right.
-
-    ``pre_lat[L]`` / ``pre_energy[L]`` are the matching dense view of
-    whole-prompt prefill costs (:meth:`_CostCache.prefill_chunk` with
-    ``done=0``), NaN until first touched: :meth:`prefill` gathers a
-    batch of lengths in one shot and lazily fills only the lengths that
-    actually occur, so an unchunked prefill stage costs one gather
-    instead of one dict lookup per request.
 
     ``cum_*[kv]`` and ``step_*[kv]`` equal :meth:`_CostCache.attn_cum`
     and :meth:`_CostCache.attn_step` exactly (both are pure functions of
@@ -311,8 +304,6 @@ class SegmentCostTable:
         self.cum_energy = np.zeros(1)
         self.step_lat = np.zeros(1)
         self.step_energy = np.zeros(1)
-        self.pre_lat = np.full(1, np.nan)
-        self.pre_energy = np.full(1, np.nan)
 
     def ensure(self, max_kv: int) -> None:
         """Extend the tables to cover KV depths up to ``max_kv``."""
@@ -326,11 +317,6 @@ class SegmentCostTable:
                 grown = np.zeros(new_size)
                 grown[: old.size] = old
                 setattr(self, name, grown)
-            for name in ("pre_lat", "pre_energy"):
-                old = getattr(self, name)
-                grown = np.full(new_size, np.nan)
-                grown[: old.size] = old
-                setattr(self, name, grown)
         lo = self.max_kv + 1
         depths = range(lo, max_kv + 1)
         cum = np.asarray([self._cache.attn_cum(kv) for kv in depths])
@@ -340,22 +326,3 @@ class SegmentCostTable:
         self.step_lat[lo : max_kv + 1] = step[:, 0]
         self.step_energy[lo : max_kv + 1] = step[:, 1]
         self.max_kv = max_kv
-
-    def prefill(self, lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Whole-prompt prefill (latency, energy) vectors for ``lens``.
-
-        Each length is costed once through
-        :meth:`_CostCache.prefill_chunk` (``done=0``) and cached in the
-        dense tables; repeat lengths are pure gathers.  Lengths must be
-        covered by a prior :meth:`ensure` call.
-        """
-        lat = self.pre_lat[lens]
-        nan = np.isnan(lat)
-        if nan.any():
-            chunk = self._cache.prefill_chunk
-            for length in np.unique(lens[nan]).tolist():
-                self.pre_lat[length], self.pre_energy[length] = chunk(
-                    0, int(length)
-                )
-            lat = self.pre_lat[lens]
-        return lat, self.pre_energy[lens]

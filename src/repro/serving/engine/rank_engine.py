@@ -61,16 +61,12 @@ per-request one it replaces:
   submission that breaks it (a cluster retry submitted right after a
   fresh arrival at the same instant with a larger ``req_id``) moves
   the range into the heap for good (:meth:`_RankEngine._to_heap`).
-* *Whole-prompt prefill.*  When the policy inherits
-  ``prefill_chunk`` and at least :data:`PACKED_MIN_BATCH` slots
-  prefill, the stage gathers every prefill's cost from the dense
-  :class:`~repro.serving.engine.costs.SegmentCostTable`
-  (:meth:`_RankEngine._prefill_whole`).
 * *Packed running set.*  A running batch at least
   :data:`PACKED_MIN_BATCH` wide is kept as numpy columns of each
   running request's KV depth and tokens left, costed with gathers from
-  the same table instead of one dict lookup per request, and retired
-  in one pass (:meth:`_RankEngine._retire_packed`).
+  the dense :class:`~repro.serving.engine.costs.SegmentCostTable`
+  instead of one dict lookup per request, and retired in one pass
+  (:meth:`_RankEngine._retire_packed`).
 
 Sums accumulate left to right in running order (:func:`_seq_sum`).
 """
@@ -81,7 +77,7 @@ import heapq
 import math
 from array import array
 from bisect import bisect_right
-from operator import add, eq, sub
+from operator import eq, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,10 +96,9 @@ from repro.serving.trace import _REQUEST_FIELDS, Request, _unchecked_request
 __all__ = ["_RequestState", "_RankEngine", "PACKED_MIN_BATCH"]
 
 #: Batch width from which the event engine costs decode on the packed
-#: running set and a prefill stage as one whole-prompt gather.  Below it
-#: per-request dict lookups are cheaper than numpy call overhead; the
-#: crossover is measured by the ``batch_width`` entry of
-#: ``tools/bench.py``.
+#: running set.  Below it per-request dict lookups are cheaper than
+#: numpy call overhead; the crossover is measured by the
+#: ``batch_width`` entry of ``tools/bench.py``.
 PACKED_MIN_BATCH = 64
 
 #: Slots by which :meth:`_RankEngine.submit` grows the state and outcome
@@ -242,12 +237,10 @@ class _RankEngine:
         self._seq = 0  # heap tie-break counter
         self._event_driven = config.engine == "event"
         self.prefix_cache = PrefixCache() if config.prefix_cache else None
-        bulk = self._event_driven and self.prefix_cache is None
-        self._fifo = bulk and _inherited(
-            policy, SchedulingPolicy, "admission_key", "select_victims"
-        )
-        self._whole_prefill = bulk and _inherited(
-            policy, SchedulingPolicy, "prefill_chunk"
+        self._fifo = (
+            self._event_driven and self.prefix_cache is None
+            and _inherited(policy, SchedulingPolicy, "admission_key",
+                           "select_victims")
         )
         # The columns a policy's slot forms read (see policy.py).
         self._columns = dict(zip(_REQUEST_FIELDS, self._fields),
@@ -933,10 +926,6 @@ class _RankEngine:
     # -- work stages ---------------------------------------------------------
 
     def _prefill_stage(self) -> None:
-        if (len(self.prefilling) >= PACKED_MIN_BATCH and self._whole_prefill
-                and not self._has_faults):
-            self._prefill_whole()
-            return
         still: List[int] = []
         done_of, prompt, tokens_out = self._done, self._prompt, self._tokens_out
         chunk_of = self.policy.prefill_chunk
@@ -971,42 +960,6 @@ class _RankEngine:
                 still.append(slot)
         self.prefilling = still
 
-    def _prefill_whole(self) -> None:
-        """Prefill every prefilling slot's whole prefix in one stage.
-
-        The costs are one gather from the dense table's whole-prompt
-        prefill costs (each the :meth:`_CostCache.prefill_chunk` value
-        from ``done=0``), the clock after each prefill one cumulative
-        sum, so the stage is bit-identical to the per-request loop.
-        Only the event engine takes it, without a prefix cache or
-        faults, for a policy whose prefills are whole.
-        """
-        slots = self.prefilling
-        lengths = list(map(add, map(self._prompt.__getitem__, slots),
-                           map(self._tokens_out.__getitem__, slots)))
-        table = self.cache.segment_table()
-        table.ensure(max(lengths))
-        latency, energy = table.prefill(np.array(lengths))
-        clocks = np.cumsum(np.concatenate(((self.clock,), latency)))
-        if self._trace is not None:
-            ticks = clocks.tolist()
-            for i, (slot, chunk, lat, joules) in enumerate(zip(
-                slots, lengths, latency.tolist(), energy.tolist()
-            )):
-                req_id = self._req_id[slot]
-                self._trace.emit("prefill_chunk_start", ticks[i], self.rank,
-                                 req_id, done_tokens=0, chunk_tokens=chunk)
-                self._trace.emit("prefill_chunk_end", ticks[i + 1],
-                                 self.rank, req_id, chunk_tokens=chunk,
-                                 latency_s=lat, energy_j=joules)
-        stats = self.stats
-        self.clock = float(clocks[-1])
-        stats.busy_s = _seq_sum(stats.busy_s, latency)
-        stats.energy_j = _seq_sum(stats.energy_j, energy)
-        stats.prefill_tokens += sum(lengths)
-        self.running.extend(slots)
-        self.prefilling = []
-
     def _retain_shared_prefix(self, slot: int) -> None:
         """Publish a freshly prefilled system prompt into the cache.
 
@@ -1033,26 +986,22 @@ class _RankEngine:
     def _release_kv(self, slots: Sequence[int]) -> None:
         """Release finished requests' KV — or hand it to the cache.
 
-        Without a prefix cache the private reservations are freed at
-        once.  With one, a finished non-final turn donates its private
-        pages as the ``("sess", session, turn + 1)`` entry the session's
-        next turn resumes from (chained onto whatever prefix this turn
-        resumed from, so shared bytes stay counted once); everything
-        else frees its private reservation and drops its cache
-        reference, slot by slot in order.
+        Slot by slot in order: a finished non-final turn donates its
+        private pages as the ``("sess", session, turn + 1)`` entry the
+        session's next turn resumes from (chained onto whatever prefix
+        this turn resumed from, so shared bytes stay counted once);
+        everything else frees its private reservation and drops its
+        cache reference.
         """
         pc = self.prefix_cache
         kv_private = self._kv_private
-        if pc is None:
-            freed = 0
-            for slot in slots:
-                freed += kv_private[slot]
-                kv_private[slot] = 0
-            self.kv_used -= freed
-            return
         for slot in slots:
             entry = self._entry[slot]
-            if self._session[slot] >= 0 and not self._final[slot]:
+            if (
+                pc is not None
+                and self._session[slot] >= 0
+                and not self._final[slot]
+            ):
                 key = ("sess", self._session[slot], self._turn[slot] + 1)
                 if pc.get(key) is None:
                     pc.insert(
@@ -1066,7 +1015,7 @@ class _RankEngine:
                     continue
             self.kv_used -= kv_private[slot]
             kv_private[slot] = 0
-            if entry is not None:
+            if pc is not None and entry is not None:
                 pc.release(entry)
                 self._entry[slot] = None
 

@@ -286,9 +286,8 @@ def test_loop_engine_reproduces_event_golden(policy):
 @pytest.mark.parametrize("policy", ALL_POLICIES)
 def test_bulk_paths_reproduce_event_golden(policy, monkeypatch):
     """With ``PACKED_MIN_BATCH`` forced to 1, every batch of the golden
-    trace is wide enough for the event engine's bulk paths (whole-prompt
-    prefill, packed decode); the plain and conversational goldens must
-    not move."""
+    trace is wide enough for the event engine's packed decode; the plain
+    and conversational goldens must not move."""
     monkeypatch.setattr(rank_engine, "PACKED_MIN_BATCH", 1)
     assert _build_serving_golden(policy) == _load(f"serving_{policy}.json")
     assert _build_conversational_golden(policy) == _load(

@@ -528,23 +528,23 @@ def test_cold_replica_collects_no_work_before_ready():
 @pytest.mark.parametrize("router", ROUTER_NAMES)
 def test_cluster_bulk_paths_match_per_request(router, monkeypatch):
     """Cluster runs whose replicas batch wide take the event engine's
-    bulk paths (window admission, whole-prompt prefill, the packed
-    running set) under every router — including the lazy mid-trace
+    bulk paths (window admission, the packed running set) under every
+    router — including the lazy mid-trace
     advance() calls the state-aware routers trigger — and must
     reproduce the per-request paths bit for bit."""
     from repro.serving.engine import rank_engine
 
     trace = _trace(7, requests=600, rate=400.0)
     bulk = []
-    whole = rank_engine._RankEngine._prefill_whole
+    retire = rank_engine._RankEngine._retire_packed
 
-    def spy(engine):
-        bulk.append(len(engine.prefilling))
-        whole(engine)
+    def spy(engine, firsts):
+        bulk.append(len(engine.running))
+        retire(engine, firsts)
 
     def run(threshold):
         monkeypatch.setattr(rank_engine, "PACKED_MIN_BATCH", threshold)
-        monkeypatch.setattr(rank_engine._RankEngine, "_prefill_whole", spy)
+        monkeypatch.setattr(rank_engine._RankEngine, "_retire_packed", spy)
         deployments = [
             Deployment(ServingConfig(model="gpt-125m", num_ranks=2,
                                      dpus_per_rank=8, max_batch=4),
@@ -562,4 +562,4 @@ def test_cluster_bulk_paths_match_per_request(router, monkeypatch):
     per_request = run(10**9)
     assert not bulk
     assert run(rank_engine.PACKED_MIN_BATCH) == per_request
-    assert bulk, "no prefill stage was wide enough for the bulk path"
+    assert bulk, "no running batch was wide enough to pack"

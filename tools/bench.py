@@ -105,7 +105,6 @@ ENGINE_PHASES = (
     ("_admit", "engine.admission"),
     ("_admit_window", "engine.admission"),
     ("_prefill_stage", "engine.prefill"),
-    ("_prefill_whole", "engine.prefill"),
     ("_decode_segment", "engine.decode"),
     ("_decode_iteration", "engine.decode"),
 )
@@ -301,8 +300,8 @@ def bench_wide() -> dict:
 
     A saturated single replica with a wide continuous batch
     (``max_batch=2048``) over a million short bursty requests: the
-    regime of the event engine's bulk paths (window admission,
-    whole-prompt prefill, the packed running set).  ``wall_s`` is the
+    regime of the event engine's bulk paths (window admission, the
+    packed running set).  ``wall_s`` is the
     simulation alone, ``e2e_wall_s`` what a user runs end to end --
     generate the trace, then simulate it -- each best of
     :data:`TIMING_REPS`.  Every trace entry must come back as a record.
