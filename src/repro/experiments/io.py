@@ -5,20 +5,21 @@ file is byte-for-byte ``json.dumps(payload, indent=2) + "\\n"``.  It is
 written as a stream, with no call to the pure-Python encoder that
 ``json.dump(indent=2)`` falls back to:
 
-* A *row table* (a list of at least two plain dicts with the same
-  ``str`` keys in the same order, such as the request and trace rows)
-  is encoded column by column, :data:`TABLE_BLOCK_ROWS` rows at a
-  time.  Each column of one exact type is one C-level map
-  (``float.__repr__`` for finite floats, ``int.__repr__``, the ASCII
-  string escaper, a bool lookup); any other column of scalars goes
-  through the C encoder value by value.  Each row fills one template
-  built from the keys.  A block holding a row of another shape (key
-  order, an extra or missing key, a nested or unserialisable value,
-  a non-dict) falls back to the walker below, so its bytes and errors
-  are unchanged.
+* A :class:`RowTable` (the request and trace rows) is a sequence of
+  row dicts held as equal-length columns with ``str`` keys.  It is
+  written as the list of its rows, so its bytes are those of
+  ``json.dumps(list(table), indent=2)``, and it is encoded straight
+  from its columns, :data:`TABLE_BLOCK_ROWS` rows at a time.  Each
+  column of one exact type is one C-level map (``float.__repr__`` for
+  finite floats, ``int.__repr__``, the ASCII string escaper, a bool
+  lookup); any other column of scalars goes through the C encoder
+  value by value.  Each row fills one template built from the keys.
+  A block whose column holds a container or an unserialisable value
+  is walked row by row, so its bytes and errors are the walker's.
 * Any other container whose values are all scalars is one call to the
   stdlib C encoder, whose item separator already carries the
-  ``indent=2`` line break.  Other containers are walked item by item.
+  ``indent=2`` line break.  Other containers (plain lists of dict rows
+  among them) are walked item by item.
 
 Memory stays at about one block of rows, never the whole document.
 
@@ -57,12 +58,14 @@ import csv
 import functools
 import json
 import re
+from collections.abc import Mapping, Sequence
 from math import isfinite
-from operator import itemgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from operator import eq, index as as_index
+from typing import Dict, FrozenSet, Iterator, List
 
 __all__ = [
     "DEFAULT_STRING_COLUMNS",
+    "RowTable",
     "flatten_row",
     "unflatten_row",
     "write_json",
@@ -120,6 +123,71 @@ def unflatten_row(flat: Dict[str, object]) -> dict:
     return row
 
 
+class RowTable(Sequence):
+    """A read-only sequence of row dicts held as columns.
+
+    ``RowTable(columns)`` takes a mapping of ``str`` keys to
+    equal-length sequences that support slicing (lists); each row maps
+    every key, in the mapping's order, to that column's entry.  The
+    columns are read, not copied, and must not be modified.  Unequal
+    lengths raise ``ValueError``, a non-``str`` key ``TypeError``.
+
+    Each index and each iteration step returns a fresh dict (editing
+    it does not write back), a slice returns a ``RowTable`` over the
+    sliced columns, ``==`` compares row by row against any sequence of
+    dicts, and :attr:`columns` exposes the columns.  :func:`write_json`
+    encodes a table straight from its columns, with the bytes of the
+    list of its rows; stdlib ``json`` needs ``list(table)``.
+
+    >>> table = RowTable({"id": [1, 2], "s": [0.5, None]})
+    >>> len(table), table[-1]
+    (2, {'id': 2, 's': None})
+    >>> table[:1] == [{"id": 1, "s": 0.5}]
+    True
+    """
+
+    def __init__(self, columns: Mapping[str, Sequence]) -> None:
+        columns = dict(columns)
+        for key in columns:
+            if not isinstance(key, str):
+                raise TypeError(
+                    f"row table keys must be str, not {type(key).__name__}"
+                )
+        lengths = set(map(len, columns.values()))
+        if len(lengths) > 1:
+            raise ValueError(
+                f"row table columns differ in length: {sorted(lengths)}"
+            )
+        #: Key -> column, in row key order.
+        self.columns = columns
+        self._size = lengths.pop() if lengths else 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RowTable({key: column[index]
+                             for key, column in self.columns.items()})
+        index = as_index(index)
+        if not -self._size <= index < self._size:
+            raise IndexError("row table index out of range")
+        return {key: column[index] for key, column in self.columns.items()}
+
+    def __iter__(self) -> Iterator[dict]:
+        keys = tuple(self.columns)
+        for values in zip(*self.columns.values()):
+            yield dict(zip(keys, values))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"RowTable({self._size} rows x {len(self.columns)} columns)"
+
+
 #: Value types the C encoder renders exactly as ``json.dump(indent=2)``
 #: does.  Subclasses (and anything else) take the per-item path.
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
@@ -170,36 +238,16 @@ def _json_key(key: object, encode) -> str:
     return encode(key)
 
 
-def _table_keys(rows) -> Optional[tuple]:
-    """The key tuple of a row table, or None when ``rows`` is not one.
+def _encode_block(columns, encode):
+    """Per-row tuples of encoded values of one block of a
+    :class:`RowTable`'s ``columns``, or None when a column holds a
+    container or an unserialisable value.
 
-    A table is at least two rows whose first row is a non-empty plain
-    dict with plain ``str`` keys; :func:`_encode_block` checks that the
-    other rows share its shape.
-    """
-    if len(rows) < 2 or type(rows[0]) is not dict or not rows[0]:
-        return None
-    keys = tuple(rows[0])
-    return keys if set(map(type, keys)) == {str} else None
-
-
-def _encode_block(block, keys: tuple, encode):
-    """Per-row tuples of encoded values of ``block``, built column by
-    column, or None when a row breaks the table's shape.
-
-    Every row must be a plain dict with exactly ``keys`` in that order.
     A column of one exact type is one C-level map; any other column of
-    scalars goes through the C encoder value by value; a column holding
-    a container or an unserialisable value breaks the shape.  The maps
-    are lazy: values are encoded in document order as the rows are
+    scalars goes through the C encoder value by value.  The maps are
+    lazy: values are encoded in document order as the rows are
     consumed.
     """
-    if set(map(type, block)) != {dict} or set(map(tuple, block)) != {keys}:
-        return None
-    if len(keys) > 1:
-        columns = zip(*map(itemgetter(*keys), block))
-    else:
-        columns = [[row[keys[0]] for row in block]]
     encoded = []
     for column in columns:
         types = set(map(type, column))
@@ -218,26 +266,29 @@ def _encode_block(block, keys: tuple, encode):
     return zip(*encoded)
 
 
-def _write_table(write, rows, keys: tuple, depth: int, markers: set,
+def _write_table(write, table: RowTable, depth: int, markers: set,
                  lead: str) -> None:
-    """Stream the rows of a table opening at nesting ``depth``, one
-    block of :data:`TABLE_BLOCK_ROWS` rows at a time.
+    """Stream the rows of a non-empty :class:`RowTable` opening at
+    nesting ``depth``, one block of :data:`TABLE_BLOCK_ROWS` rows at a
+    time, straight from its columns.
 
-    Each row of a well-shaped block fills one pre-built template; a
-    block with any row that breaks the shape is walked row by row, so
-    its bytes and errors are exactly the walker's.
+    Each row of a block of scalars fills one pre-built template; a
+    block with a container or an unserialisable value is walked row by
+    row, so its bytes and errors are exactly the walker's.
     """
     encode, _, separator, _ = _level(depth)
     _, inner, field_separator, outer = _level(depth + 1)
     fields = field_separator.join(
-        encode(key).replace("%", "%%") + ": %s" for key in keys
+        encode(key).replace("%", "%%") + ": %s" for key in table.columns
     )
     template = ("{" + inner + fields + outer + "}").__mod__
-    for start in range(0, len(rows), TABLE_BLOCK_ROWS):
-        block = rows[start:start + TABLE_BLOCK_ROWS]
-        texts = _encode_block(block, keys, encode)
+    columns = table.columns.values()
+    for start in range(0, len(table), TABLE_BLOCK_ROWS):
+        stop = start + TABLE_BLOCK_ROWS
+        texts = _encode_block([column[start:stop] for column in columns],
+                              encode)
         if texts is None:
-            for row in block:
+            for row in table[start:stop]:
                 _write_value(write, row, depth, markers, lead)
                 lead = separator
         else:
@@ -252,14 +303,14 @@ def _write_value(write, obj: object, depth: int, markers: set,
     A non-empty container whose values are all plain scalars is one C
     encoder call whose item separator already carries the line break
     and indent of ``depth + 1``; only the break after the opening
-    bracket and before the closing one are added here.  A list of
-    same-shaped dict rows goes to :func:`_write_table`.  Any other
-    container is walked item by item.
+    bracket and before the closing one are added here.  A
+    :class:`RowTable` goes to :func:`_write_table`.  Any other container
+    is walked item by item.
     """
     encode, inner, separator, outer = _level(depth + 1)
     if isinstance(obj, dict):
         is_dict, values = True, obj.values()
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, RowTable)):
         is_dict, values = False, obj
     else:
         write(lead + encode(obj))
@@ -267,7 +318,8 @@ def _write_value(write, obj: object, depth: int, markers: set,
     if not obj:
         write(lead + ("{}" if is_dict else "[]"))
         return
-    if _SCALAR_TYPES.issuperset(map(type, values)):
+    is_table = isinstance(obj, RowTable)
+    if not is_table and _SCALAR_TYPES.issuperset(map(type, values)):
         text = encode(obj)
         write(lead + text[0] + inner + text[1:-1] + outer + text[-1])
         return
@@ -281,14 +333,12 @@ def _write_value(write, obj: object, depth: int, markers: set,
             key_lead = lead + _json_key(key, encode) + ": "
             _write_value(write, value, depth + 1, markers, key_lead)
             lead = separator
+    elif is_table:
+        _write_table(write, obj, depth + 1, markers, lead)
     else:
-        keys = _table_keys(obj)
-        if keys is not None:
-            _write_table(write, obj, keys, depth + 1, markers, lead)
-        else:
-            for value in obj:
-                _write_value(write, value, depth + 1, markers, lead)
-                lead = separator
+        for value in obj:
+            _write_value(write, value, depth + 1, markers, lead)
+            lead = separator
     write(outer + ("}" if is_dict else "]"))
     markers.remove(marker)
 
@@ -300,12 +350,16 @@ def write_json(path: str, payload: dict) -> None:
     indent=2) + "\\n"`` — same layout, ``NaN``/``Infinity`` literals,
     ASCII escapes, key coercion, tuples as lists, and the same
     ``ValueError`` / ``TypeError`` on circular or unserialisable input.
-    It is streamed: a row table is encoded column by column and written
-    one block of :data:`TABLE_BLOCK_ROWS` rows at a time, each other
-    all-scalar container is one call to the stdlib C encoder, and a
-    block or container of any other shape is walked item by item (the
-    fallback keeps the bytes and errors).  No document-sized string is
-    ever built.
+    A :class:`RowTable` is written as the list of its rows, so its
+    bytes and errors are those of ``json.dumps(list(table), indent=2)``
+    in its place.
+
+    It is streamed: a :class:`RowTable` is encoded straight from its
+    columns and written one block of :data:`TABLE_BLOCK_ROWS` rows at a
+    time (a block holding a container or an unserialisable value is
+    walked row by row), each other all-scalar container is one call to
+    the stdlib C encoder, and any other container is walked item by
+    item.  No document-sized string is ever built.
     """
     with open(path, "w", encoding="utf-8") as fh:
         _write_value(fh.write, payload, 0, set())

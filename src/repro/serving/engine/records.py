@@ -12,9 +12,9 @@ from __future__ import annotations
 from array import array
 from collections.abc import MutableSequence, Sequence
 from dataclasses import dataclass, fields
-from itertools import chain, starmap
+from itertools import chain
 from operator import attrgetter, eq, ne
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.serving.engine.config import ServingConfig
 
@@ -241,22 +241,6 @@ class ColumnRecords(MutableSequence):
 
         return [_derived(name, field) if name in _DERIVED else field(name)
                 for name in names]
-
-    def rows(self, build: Callable[..., Any], names: Sequence[str]) -> list:
-        """``build(*values)`` for every record, in row order, where
-        ``values`` are the record's ``names`` fields (or derived
-        properties).  A merge builds part by part, so only one part's
-        columns exist at a time."""
-        if self._parts is None or self._items is not None:
-            return list(map(build, *self.columns(names)))
-        built = list(chain.from_iterable(
-            part.rows(build, names) if isinstance(part, ColumnRecords)
-            else starmap(build, map(attrgetter(*names), part))
-            for part in self._parts
-        ))
-        if self._order is None:
-            return built
-        return list(map(built.__getitem__, self._order))
 
     def _field(self, name: str) -> list:
         if self._base is not None:

@@ -1,10 +1,11 @@
 """Serving metrics: per-request rows and aggregate summary tables.
 
-Converts a :class:`~repro.serving.engine.records.ServingResult` into the row
-dicts the :mod:`repro.experiments.io` writers consume:
+Converts a :class:`~repro.serving.engine.records.ServingResult` into the
+rows the :mod:`repro.experiments.io` writers consume:
 
 * :func:`record_rows` — one row per request (timestamps plus the
-  derived TTFT / TPOT / latency values),
+  derived TTFT / TPOT / latency values), as a
+  :class:`~repro.experiments.io.RowTable` over the records' columns,
 * :func:`metrics_table` — percentile summary rows (one ``all`` scope
   plus one per rank) enriched with energy, utilization and throughput
   from the per-rank counters,
@@ -51,6 +52,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import List
 
+from repro.experiments.io import RowTable
 from repro.experiments.tables import (
     _attr_columns,
     _record_columns,
@@ -61,7 +63,6 @@ from repro.experiments.tables import (
     safe_ratio,
 )
 from repro.serving.engine import ServingResult
-from repro.serving.engine.records import ColumnRecords
 
 __all__ = [
     "record_rows",
@@ -83,48 +84,23 @@ _ROW_FIELDS = (
 )
 
 
-def _record_row(req_id, rank, status, arrival_s, prompt_tokens, gen_tokens,
-                priority, slo_ttft_s, preemptions, session_id, turn,
-                cache_hit, cached_tokens, retries, failovers, shed, admit_s,
-                first_token_s, finish_s, queue_s, ttft_s, tpot_s, latency_s):
-    """One :func:`record_rows` row (a dict display builds it fastest)."""
-    return {
-        "req_id": req_id, "rank": rank, "status": status,
-        "arrival_s": arrival_s, "prompt_tokens": prompt_tokens,
-        "gen_tokens": gen_tokens, "priority": priority,
-        "slo_ttft_s": slo_ttft_s, "preemptions": preemptions,
-        "session_id": session_id, "turn": turn, "cache_hit": cache_hit,
-        "cached_tokens": cached_tokens, "retries": retries,
-        "failovers": failovers, "shed": shed, "admit_s": admit_s,
-        "first_token_s": first_token_s, "finish_s": finish_s,
-        "queue_s": queue_s, "ttft_s": ttft_s, "tpot_s": tpot_s,
-        "latency_s": latency_s,
-    }
-
-
-def record_rows(result: ServingResult) -> List[dict]:
-    """One JSON/CSV-ready row per request in ``result``.
+def record_rows(result: ServingResult) -> RowTable:
+    """One JSON/CSV-ready row per request in ``result``, as a
+    :class:`~repro.experiments.io.RowTable` over the records' columns
+    (column records or record objects, derived properties included);
+    no row dict exists until a row is read.
 
     Requests that never reached a milestone (a rejected request has no
     admission, a truncated run may have no finish) carry ``None`` for
     that timestamp — rendered as JSON ``null`` and an empty CSV cell —
     rather than a fake ``0.0`` that would read as "at trace start".
-    Records held as columns are read column by column, record objects
-    attribute by attribute.
+    :func:`~repro.experiments.io.write_json`, ``write_csv`` and
+    ``serving_table`` take the table as it is; stdlib ``json`` needs
+    ``list(rows)``.
     """
-    records = result.records
-    if isinstance(records, ColumnRecords):
-        return records.rows(_record_row, _ROW_FIELDS)
-    return [
-        _record_row(
-            r.req_id, r.rank, r.status, r.arrival_s, r.prompt_tokens,
-            r.gen_tokens, r.priority, r.slo_ttft_s, r.preemptions,
-            r.session_id, r.turn, r.cache_hit, r.cached_tokens, r.retries,
-            r.failovers, r.shed, r.admit_s, r.first_token_s, r.finish_s,
-            r.queue_s, r.ttft_s, r.tpot_s, r.latency_s,
-        )
-        for r in records
-    ]
+    return RowTable(dict(zip(
+        _ROW_FIELDS, _record_columns(result.records, _ROW_FIELDS)
+    )))
 
 
 def _enrich_all(row: dict, result: ServingResult) -> dict:

@@ -59,6 +59,8 @@ from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.experiments.io import RowTable
+
 __all__ = [
     "Request",
     "Trace",
@@ -755,42 +757,24 @@ def generate_trace(spec: TraceSpec) -> Trace:
     })
 
 
-def _trace_row(req_id, arrival_s, prompt_tokens, gen_tokens, priority,
-               slo_ttft_s, session_id, turn, shared_prefix_id,
-               shared_prefix_tokens, context_tokens, final_turn) -> dict:
-    """One :func:`trace_rows` row (a dict display builds it fastest)."""
-    return {
-        "req_id": req_id, "arrival_s": arrival_s,
-        "prompt_tokens": prompt_tokens, "gen_tokens": gen_tokens,
-        "priority": priority, "slo_ttft_s": slo_ttft_s,
-        "session_id": session_id, "turn": turn,
-        "shared_prefix_id": shared_prefix_id,
-        "shared_prefix_tokens": shared_prefix_tokens,
-        "context_tokens": context_tokens, "final_turn": final_turn,
-    }
+def trace_rows(trace: Sequence[Request]) -> RowTable:
+    """JSON/CSV-ready rows for a trace, as a
+    :class:`~repro.experiments.io.RowTable` with one column per
+    :class:`Request` field, in constructor order; no row dict exists
+    until a row is read.
 
-
-def trace_rows(trace: Sequence[Request]) -> List[dict]:
-    """JSON/CSV-ready row dicts for a trace (see :mod:`repro.experiments.io`).
-
-    One key per :class:`Request` field, in constructor order.  A
-    :class:`Trace` whose request objects were never built is read column
-    by column (``tolist()`` gives the values those objects would hold);
-    otherwise the request objects are read attribute by attribute.
+    A :class:`Trace` whose request objects were never built is read from
+    its columns (``tolist()`` gives the values those objects would
+    hold); otherwise the request objects are read attribute by
+    attribute, so a caller's values stay as given.
+    :func:`~repro.experiments.io.write_json` and ``write_csv`` take the
+    table as it is; stdlib ``json`` needs ``list(rows)``.
     """
     if isinstance(trace, Trace) and trace._items is None:
-        return list(map(_trace_row, *(
-            array.tolist() for array in trace.columns.values()
-        )))
-    return [
-        _trace_row(
-            r.req_id, r.arrival_s, r.prompt_tokens, r.gen_tokens,
-            r.priority, r.slo_ttft_s, r.session_id, r.turn,
-            r.shared_prefix_id, r.shared_prefix_tokens, r.context_tokens,
-            r.final_turn,
-        )
-        for r in trace
-    ]
+        return RowTable({name: trace.columns[name].tolist()
+                         for name in _REQUEST_FIELDS})
+    return RowTable({name: list(map(operator.attrgetter(name), trace))
+                     for name in _REQUEST_FIELDS})
 
 
 def rows_to_trace(rows: Sequence[dict]) -> Trace:

@@ -1,12 +1,14 @@
 """``write_json`` writes exactly ``json.dumps(payload, indent=2) + "\\n"``.
 
 The writer streams each all-scalar container through the stdlib C
-encoder and encodes row tables column by column, one block of rows at a
-time; these tests hold it to the pure-Python ``indent=2`` encoder's
-bytes on real serving payloads, on a seeded structural fuzzer and on a
-seeded table fuzzer (with rows that break the table's shape), to its
-errors on bad input, and to a memory bound that only a streaming writer
-meets.
+encoder and encodes a ``RowTable`` straight from its columns, one block
+of rows at a time, as the list of its rows; these tests hold it to the
+pure-Python ``indent=2`` encoder's bytes (each ``RowTable`` replaced by
+``list(table)``) on real serving payloads, on a seeded structural
+fuzzer and on a seeded table fuzzer (as plain dict lists with rows that
+break their shape, and as ``RowTable`` columns), to its errors on bad
+input, to a memory bound that only a streaming writer meets, and pin
+``RowTable``'s sequence semantics.
 """
 
 import enum
@@ -17,12 +19,25 @@ import tracemalloc
 import pytest
 
 from repro.experiments import io as exp_io
-from repro.experiments.io import TABLE_BLOCK_ROWS, write_json
+from repro.experiments.io import TABLE_BLOCK_ROWS, RowTable, write_json
 from repro.serving import cli as serving_cli
 
 
+def _listed(payload):
+    """``payload`` with every :class:`RowTable` replaced by the list of
+    its rows (the document stdlib ``json`` can encode)."""
+    if isinstance(payload, RowTable):
+        return [_listed(row) for row in payload]
+    if isinstance(payload, dict):
+        return {key: _listed(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_listed(value) for value in payload]
+    return payload
+
+
 def _reference(payload) -> bytes:
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    text = json.dumps(_listed(payload), indent=2)
+    return (text + "\n").encode("utf-8")
 
 
 def _written(tmp_path, payload) -> bytes:
@@ -73,6 +88,8 @@ def test_cli_payloads_match_json_dumps(tmp_path, monkeypatch, name):
     (payload,) = captured
     if name == "chaos":
         assert payload["fault_events"] and payload["scale_events"]
+    assert isinstance(payload["requests"], RowTable)
+    assert isinstance(payload["trace"], RowTable)
     assert out.read_bytes() == _reference(payload)
 
 
@@ -174,7 +191,7 @@ def test_output_is_identical_without_the_c_encoder(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# (b') seeded row-table fuzzer: column-wise blocks and shape breakers
+# (b') seeded row-table fuzzer: plain dict-row lists and shape breakers
 # ---------------------------------------------------------------------------
 
 _TABLE_KEYS = (
@@ -335,14 +352,183 @@ def test_table_errors_match_json_dumps(tmp_path, breaker, error):
     assert str(raised.value) == str(expected.value)
 
 
+# ---------------------------------------------------------------------------
+# (b'') RowTable: written straight from its columns
+# ---------------------------------------------------------------------------
+
+def _row_table(rows: list) -> RowTable:
+    """The same-keyed dict ``rows`` as a :class:`RowTable`."""
+    return RowTable({key: [row[key] for row in rows] for key in rows[0]})
+
+
 @pytest.mark.parametrize("block_rows", [1, 2, 7])
 def test_table_bytes_do_not_depend_on_the_block_size(
         tmp_path, monkeypatch, block_rows):
     monkeypatch.setattr(exp_io, "TABLE_BLOCK_ROWS", block_rows)
     rng = random.Random(block_rows)
     for _ in range(10):
-        payload = [_table(rng, rng.randint(2, 40)), _table(rng, 5)]
+        payload = [_row_table(_table(rng, rng.randint(2, 40))),
+                   _row_table(_table(rng, 5)), _table(rng, 3)]
         assert _written(tmp_path, payload) == _reference(payload)
+
+
+def test_fuzzed_row_tables_match_json_dumps(tmp_path):
+    rng = random.Random(20261019)
+    for _ in range(60):
+        requests = _table(rng, _table_sizes(rng))
+        trace = _table(rng, rng.randint(1, 40))
+        payload = {"summary": {"rows": 1}, "requests": _row_table(requests),
+                   "trace": (_row_table(trace),)}
+        written = _written(tmp_path, payload)
+        assert written == _reference(payload)
+        assert written == _reference(
+            {"summary": {"rows": 1}, "requests": requests, "trace": (trace,)}
+        )
+
+
+def test_fuzzed_row_tables_match_json_dumps_without_the_c_encoder(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    rng = random.Random(12)
+    for _ in range(10):
+        payload = {"requests": _row_table(_table(rng, _table_sizes(rng)))}
+        assert _written(tmp_path, payload) == _reference(payload)
+
+
+_ROW_COUNT = 37
+
+
+@pytest.mark.parametrize(
+    "block_rows", [1, _ROW_COUNT - 1, _ROW_COUNT, _ROW_COUNT + 1])
+def test_row_table_bytes_do_not_depend_on_the_block_size(
+        tmp_path, monkeypatch, block_rows):
+    rng = random.Random(5)
+    tables = [_row_table(_table(rng, _ROW_COUNT)) for _ in range(10)]
+    expected = [_reference(table) for table in tables]
+    monkeypatch.setattr(exp_io, "TABLE_BLOCK_ROWS", block_rows)
+    assert [_written(tmp_path, table) for table in tables] == expected
+
+
+def test_row_table_blocks_of_scalars_are_not_walked(tmp_path, monkeypatch):
+    """Only a block holding a container goes through the walker, row by
+    row; the other blocks are encoded from the columns."""
+    walked = []
+    walker = exp_io._write_value
+
+    def spy(write, obj, *args):
+        walked.append(obj)
+        walker(write, obj, *args)
+
+    monkeypatch.setattr(exp_io, "_write_value", spy)
+    n = 3 * TABLE_BLOCK_ROWS
+    scalars = RowTable({"a": [float(i) for i in range(n)],
+                        "b": [None] * n})
+    _written(tmp_path, scalars)
+    assert walked == [scalars]
+    walked.clear()
+    column = [None] * n
+    column[TABLE_BLOCK_ROWS + 1] = [1]
+    nested = RowTable({"a": scalars.columns["a"], "b": column})
+    _written(tmp_path, nested)
+    rows = [obj for obj in walked if isinstance(obj, dict)]
+    assert rows == list(nested[TABLE_BLOCK_ROWS:2 * TABLE_BLOCK_ROWS])
+
+
+def test_row_table_special_columns_match_json_dumps(tmp_path):
+    n = 300
+    nan, inf = float("nan"), float("inf")
+    table = RowTable({
+        "none": [None] * n,
+        "maybe": [None if i % 3 else i * 0.5 for i in range(n)],
+        "nan": [nan] * n,
+        "special": [(nan, inf, -inf, -0.0, 5e-324)[i % 5] for i in range(n)],
+        "bool": [i % 2 == 0 for i in range(n)],
+        "escaped": [_STRINGS[i % len(_STRINGS)] for i in range(n)],
+        "int_and_float": [i if i % 2 else i / 7 for i in range(n)],
+        "int": [10**20 - i for i in range(n)],
+        "subclass": [(_Tier.HIGH, _Seconds(0.5), _Name("x"))[i % 3]
+                     for i in range(n)],
+        '100% "%s" %(x)s': list(range(n)),
+    })
+    assert _written(tmp_path, {"rows": table}) == _reference({"rows": table})
+
+
+def _self_containing_list():
+    node = [1]
+    node.append(node)
+    return node
+
+
+@pytest.mark.parametrize("at", [0, 1, 255, 256, 299])
+@pytest.mark.parametrize("value", [
+    [0.5, "x", None], {"nested": [1, {"deeper": None}]}, (), {},
+])
+def test_row_table_container_column_matches_json_dumps(tmp_path, at, value):
+    table = RowTable({"a": [float(i) for i in range(300)],
+                      "b": [None] * at + [value] + [1] * (299 - at)})
+    assert _written(tmp_path, [table]) == _reference([table])
+
+
+@pytest.mark.parametrize("value, error", [
+    (object(), TypeError),
+    ({(1, 2): 1}, TypeError),
+    (_self_containing_list(), ValueError),
+])
+def test_row_table_errors_match_json_dumps(tmp_path, value, error):
+    table = RowTable({"a": [float(i) for i in range(600)],
+                      "b": [1] * 300 + [value] + [1] * 299})
+    with pytest.raises(error) as expected:
+        json.dumps({"requests": list(table)}, indent=2)
+    with pytest.raises(error) as raised:
+        write_json(str(tmp_path / "bad.json"), {"requests": table})
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("table", [
+    RowTable({}),
+    RowTable({"a": []}),
+    RowTable({"a": [1.5]}),
+    RowTable({"a": [None], "%s": ["x"]}),
+    RowTable({"a": [[1, 2]], "b": [float("nan")]}),
+])
+def test_empty_and_one_row_tables_match_json_dumps(tmp_path, table):
+    payload = {"rows": table, "more": [table, table]}
+    assert _written(tmp_path, payload) == _reference(payload)
+
+
+def test_row_table_behaves_as_a_sequence_of_dicts():
+    rows = [{"id": i, "t": i / 4, "s": str(i)} for i in range(5)]
+    table = _row_table(rows)
+    assert len(table) == 5 and list(table) == rows
+    assert table == rows and rows == table and table != rows[:-1]
+    assert table != [dict(rows[0], id=9)] + rows[1:]
+    assert table[-1] == rows[-1] and table[-5] == rows[0]
+    for index in (5, -6):
+        with pytest.raises(IndexError):
+            table[index]
+    part = table[1:4]
+    assert isinstance(part, RowTable) and part == rows[1:4]
+    assert table[::-2] == rows[::-2] and len(table[9:]) == 0
+    assert list(reversed(table)) == rows[::-1]
+    assert table.columns["t"] == [row["t"] for row in rows]
+    row = table[0]
+    row["id"] = 99
+    next(iter(table))["t"] = -1.0
+    assert table[0] == rows[0] and table.columns["id"][0] == 0
+    assert RowTable({}) == [] and len(RowTable({})) == 0
+    with pytest.raises(IndexError):
+        RowTable({})[0]
+
+
+@pytest.mark.parametrize("columns, error", [
+    ({"a": [1, 2], "b": [1]}, ValueError),
+    ({"a": [], "b": [None]}, ValueError),
+    ({1: [1]}, TypeError),
+    ({"a": [1], None: [2]}, TypeError),
+])
+def test_row_table_refuses_bad_columns(columns, error):
+    with pytest.raises(error):
+        RowTable(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +585,33 @@ def test_write_json_streams_without_building_the_document(tmp_path):
         for i in range(20_000)
     ]
     payload = {"summary": {"requests": len(rows)}, "requests": rows}
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        write_json(str(path), payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 5_000_000
+    assert peak < 0.10 * size, (peak, size)
+
+
+def test_write_json_streams_a_row_table(tmp_path):
+    """The same bound for a 20k-row :class:`RowTable`: its columns are
+    built before tracing starts, so the peak is the writer's own."""
+    n = 20_000
+    table = RowTable({
+        "req_id": list(range(n)), "status": ["completed"] * n,
+        "rank": [i % 4 for i in range(n)],
+        "arrival_s": [i * 0.01 for i in range(n)],
+        "first_token_s": [i * 0.01 + 0.25 for i in range(n)],
+        "finish_s": [i * 0.01 + 1.5 for i in range(n)],
+        "ttft_s": [0.25] * n, "latency_s": [1.5] * n,
+        "gen_tokens": [32] * n, "prompt_tokens": [16] * n,
+        "cache_hit": [False] * n, "slo_ttft_s": [None] * n,
+    })
+    payload = {"summary": {"requests": n}, "requests": table}
     path = tmp_path / "big.json"
     tracemalloc.start()
     try:

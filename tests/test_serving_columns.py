@@ -83,10 +83,11 @@ def test_rows_and_metrics_from_columns_equal_rows_from_objects():
     columnar = _starved_result()
     listed = dataclasses.replace(columnar,
                                  records=list(_starved_result().records))
-    rows = record_rows(columnar)
-    assert repr(rows) == repr(record_rows(listed))
+    rows = list(record_rows(columnar))
+    from_objects = list(record_rows(listed))
+    assert repr(rows) == repr(from_objects)
     assert [[type(v) for v in row.values()] for row in rows] == \
-        [[type(v) for v in row.values()] for row in record_rows(listed)]
+        [[type(v) for v in row.values()] for row in from_objects]
     assert repr(metrics_table(_starved_result())) == \
         repr(metrics_table(listed))
     assert repr(summary(_starved_result())) == repr(summary(listed))
@@ -153,12 +154,14 @@ def test_trace_items_built_from_columns_equal_validated_requests():
 
 def test_trace_rows_from_columns_equal_rows_from_objects():
     fresh = _trace()
-    from_columns = trace_rows(fresh)
+    from_columns = list(trace_rows(fresh))
     boxed = _trace()
     list(boxed)  # build the request objects
-    from_objects = trace_rows(boxed)
+    from_objects = list(trace_rows(boxed))
     assert repr(from_columns) == repr(from_objects)
-    assert repr(trace_rows(list(boxed))) == repr(from_objects)
+    assert [[type(v) for v in row.values()] for row in from_columns] == \
+        [[type(v) for v in row.values()] for row in from_objects]
+    assert repr(list(trace_rows(list(boxed)))) == repr(from_objects)
     # Caller objects keep their own values (an int arrival stays int).
     given = Trace.of([Request(req_id=0, arrival_s=1, prompt_tokens=4,
                               gen_tokens=2)])
