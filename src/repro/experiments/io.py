@@ -9,13 +9,23 @@ written as a stream, with no call to the pure-Python encoder that
   row dicts held as equal-length columns with ``str`` keys.  It is
   written as the list of its rows, so its bytes are those of
   ``json.dumps(list(table), indent=2)``, and it is encoded straight
-  from its columns, :data:`TABLE_BLOCK_ROWS` rows at a time.  Each
-  column of one exact type is one C-level map (``float.__repr__`` for
-  finite floats, ``int.__repr__``, the ASCII string escaper, a bool
-  lookup); any other column of scalars goes through the C encoder
-  value by value.  Each row fills one template built from the keys.
-  A block whose column holds a container or an unserialisable value
-  is walked row by row, so its bytes and errors are the walker's.
+  from its columns, :data:`TABLE_BLOCK_ROWS` rows at a time, each
+  distinct value of a column once per block where it can be.  Each row
+  of a block fills one ``%`` template built for the block.  A column
+  of one exact type (``float`` with every value finite, ``int``,
+  ``str``, ``bool``, ``None``) whose values in the block are all
+  equal has its text baked into the template; one with at most half
+  its values distinct is encoded through a dict over those values;
+  otherwise a finite-float column fills a ``%r`` slot and an ``int``
+  column a ``%d`` slot with its raw values, and a ``str`` or ``bool``
+  column is one C-level map (the ASCII string escaper, a bool lookup).
+  Because ``0.0 == -0.0`` and the two hash alike, a float column whose
+  zeros differ in sign is neither baked nor memoised; non-finite
+  floats (``repr`` gives ``inf``, ``json.dumps`` ``Infinity``) and any
+  other column of scalars (mixed types, ``None`` among numbers,
+  subclasses) go through the C encoder value by value.  A block whose
+  column holds a container or an unserialisable value is walked row by
+  row, so its bytes and errors are the walker's.
 * Any other container whose values are all scalars is one call to the
   stdlib C encoder, whose item separator already carries the
   ``indent=2`` line break.  Other containers (plain lists of dict rows
@@ -25,8 +35,9 @@ Memory stays at about one block of rows, never the whole document.
 
 CSV flattens each row with
 dotted keys (``prefill.latency.total_s``) so spreadsheet tooling can
-consume it, and :func:`read_csv` re-parses cells so a write/read
-round-trip is *type-faithful*:
+consume it (a :class:`RowTable` without dict cells is written from its
+columns, with the same bytes), and :func:`read_csv` re-parses cells so
+a write/read round-trip is *type-faithful*:
 
 * Numeric parsing is restricted to known-numeric columns.  A column is
   numeric unless its leaf name (the last dotted segment) is in
@@ -59,7 +70,8 @@ import functools
 import json
 import re
 from collections.abc import Mapping, Sequence
-from math import isfinite
+from itertools import filterfalse, repeat
+from math import copysign, isfinite
 from operator import eq, index as as_index
 from typing import Dict, FrozenSet, Iterator, List
 
@@ -86,6 +98,15 @@ DEFAULT_STRING_COLUMNS: FrozenSet[str] = frozenset(
 _INT_RE = re.compile(r"[+-]?\d+")
 
 
+def _check_key(key: object) -> None:
+    """Refuse a row key that holds the flattening separator."""
+    if "." in str(key):
+        raise ValueError(
+            f"row key {key!r} contains '.', which collides with the "
+            f"dotted-key flattening; rename the key"
+        )
+
+
 def flatten_row(row: dict, prefix: str = "") -> Dict[str, object]:
     """Flatten nested dicts into dotted keys (scalars pass through).
 
@@ -98,11 +119,7 @@ def flatten_row(row: dict, prefix: str = "") -> Dict[str, object]:
     """
     flat: Dict[str, object] = {}
     for key, value in row.items():
-        if "." in str(key):
-            raise ValueError(
-                f"row key {key!r} contains '.', which collides with the "
-                f"dotted-key flattening; rename the key"
-            )
+        _check_key(key)
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             flat.update(flatten_row(value, prefix=f"{name}."))
@@ -204,7 +221,12 @@ _COLUMN_ENCODERS = {
     int: int.__repr__,
     str: json.encoder.encode_basestring_ascii,
     bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
 }
+
+#: Exact column type -> the ``%`` conversion that renders its raw values
+#: as its :data:`_COLUMN_ENCODERS` entry does (finite floats only).
+_RAW_FORMATS = {float: "%r", int: "%d"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,15 +260,25 @@ def _json_key(key: object, encode) -> str:
     return encode(key)
 
 
+def _zero_signs_agree(column) -> bool:
+    """Whether every float zero in ``column`` has the same sign."""
+    return len(set(map(copysign, repeat(1.0), filterfalse(None, column)))) < 2
+
+
 def _encode_block(columns, encode):
-    """Per-row tuples of encoded values of one block of a
+    """Per-column ``(text, values)`` of one block of a
     :class:`RowTable`'s ``columns``, or None when a column holds a
     container or an unserialisable value.
 
-    A column of one exact type is one C-level map; any other column of
-    scalars goes through the C encoder value by value.  The maps are
-    lazy: values are encoded in document order as the rows are
-    consumed.
+    ``values`` is None for a column whose values are all equal: ``text``
+    is then their encoded text, baked into the block's row template.
+    Otherwise ``text`` is the ``%`` conversion for ``values``: ``%r`` /
+    ``%d`` for the raw values of a finite-float / int column, ``%s`` for
+    encoded texts.  A column of one exact type is encoded once per
+    distinct value when at most half its values are distinct, else by
+    one C-level map; any other column of scalars goes through the C
+    encoder value by value.  The maps are lazy: values are encoded in
+    document order as the rows are consumed.
     """
     encoded = []
     for column in columns:
@@ -255,15 +287,34 @@ def _encode_block(columns, encode):
         if len(types) == 1:
             (kind,) = types
             fast = _COLUMN_ENCODERS.get(kind)
+            # repr gives inf / nan, json.dumps Infinity / NaN.
             if kind is float and not all(map(isfinite, column)):
                 fast = None
         if fast is None:
             if not all(kind is type(None) or issubclass(kind, (str, int, float))
                        for kind in types):
                 return None
-            fast = encode
-        encoded.append(map(fast, column))
-    return zip(*encoded)
+            encoded.append(("%s", map(encode, column)))
+            continue
+        # The column holds one exact type, so ``==`` and hashing merge
+        # values with different texts only for 0.0 and -0.0; True == 1
+        # cannot meet, as no such column mixes bool and int.
+        first = column[0]
+        if column.count(first) == len(column) and (
+                kind is not float or first or _zero_signs_agree(column)):
+            encoded.append((fast(first), None))
+            continue
+        distinct = set(column)
+        if 2 * len(distinct) <= len(column) and (
+                kind is not float or 0.0 not in distinct
+                or _zero_signs_agree(column)):
+            texts = {value: fast(value) for value in distinct}
+            encoded.append(("%s", map(texts.__getitem__, column)))
+        elif kind in _RAW_FORMATS:
+            encoded.append((_RAW_FORMATS[kind], column))
+        else:
+            encoded.append(("%s", map(fast, column)))
+    return encoded
 
 
 def _write_table(write, table: RowTable, depth: int, markers: set,
@@ -272,28 +323,35 @@ def _write_table(write, table: RowTable, depth: int, markers: set,
     nesting ``depth``, one block of :data:`TABLE_BLOCK_ROWS` rows at a
     time, straight from its columns.
 
-    Each row of a block of scalars fills one pre-built template; a
-    block with a container or an unserialisable value is walked row by
-    row, so its bytes and errors are exactly the walker's.
+    Each row of a block of scalars fills one template built for the
+    block, with the text of each column constant in the block baked in;
+    a block with a container or an unserialisable value is walked row
+    by row, so its bytes and errors are exactly the walker's.
     """
     encode, _, separator, _ = _level(depth)
     _, inner, field_separator, outer = _level(depth + 1)
-    fields = field_separator.join(
-        encode(key).replace("%", "%%") + ": %s" for key in table.columns
-    )
-    template = ("{" + inner + fields + outer + "}").__mod__
+    keys = [encode(key).replace("%", "%%") + ": " for key in table.columns]
     columns = table.columns.values()
     for start in range(0, len(table), TABLE_BLOCK_ROWS):
-        stop = start + TABLE_BLOCK_ROWS
-        texts = _encode_block([column[start:stop] for column in columns],
+        stop = min(start + TABLE_BLOCK_ROWS, len(table))
+        block = _encode_block([column[start:stop] for column in columns],
                               encode)
-        if texts is None:
+        if block is None:
             for row in table[start:stop]:
                 _write_value(write, row, depth, markers, lead)
                 lead = separator
+            continue
+        template = "{" + inner + field_separator.join(
+            key + (text if values is not None else text.replace("%", "%%"))
+            for key, (text, values) in zip(keys, block)
+        ) + outer + "}"
+        slots = [values for _, values in block if values is not None]
+        if slots:
+            rows = map(template.__mod__, zip(*slots))
         else:
-            write(lead + separator.join(map(template, texts)))
-            lead = separator
+            rows = repeat(template % (), stop - start)
+        write(lead + separator.join(rows))
+        lead = separator
 
 
 def _write_value(write, obj: object, depth: int, markers: set,
@@ -372,27 +430,56 @@ def read_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _csv_cell(value: object) -> object:
+    """A list cell as its JSON text; other cells as they are."""
+    return json.dumps(value) if isinstance(value, list) else value
+
+
+def _csv_columns(table: RowTable):
+    """The cells of ``table`` column by column, or None when a column
+    holds a dict (which flattening would spread over more columns)."""
+    columns = []
+    for column in table.columns.values():
+        types = set(map(type, column))
+        if any(issubclass(kind, dict) for kind in types):
+            return None
+        if any(issubclass(kind, list) for kind in types):
+            column = map(_csv_cell, column)
+        columns.append(column)
+    return columns
+
+
 def write_csv(path: str, rows: Sequence[dict]) -> None:
     """Write rows as CSV with dotted-flattened columns.
 
     The header is the union of all rows' flattened keys (first-seen
     order), so heterogeneous rows — e.g. ``unsupported`` points without
-    phase dicts — serialise with empty cells.
+    phase dicts — serialise with empty cells.  A non-empty
+    :class:`RowTable` without dict cells is written straight from its
+    columns: its header is its keys, and no row dict is built.
     """
+    columns = None
+    if isinstance(rows, RowTable) and rows:
+        columns = _csv_columns(rows)
+    if columns is not None:
+        for key in rows.columns:
+            _check_key(key)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(rows.columns)
+            writer.writerows(zip(*columns))
+        return
     flat_rows = [flatten_row(r) for r in rows]
-    columns: List[str] = []
+    header: List[str] = []
     for fr in flat_rows:
         for key in fr:
-            if key not in columns:
-                columns.append(key)
+            if key not in header:
+                header.append(key)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, restval="")
+        writer = csv.DictWriter(fh, fieldnames=header, restval="")
         writer.writeheader()
         for fr in flat_rows:
-            writer.writerow({
-                k: json.dumps(v) if isinstance(v, list) else v
-                for k, v in fr.items()
-            })
+            writer.writerow({k: _csv_cell(v) for k, v in fr.items()})
 
 
 def _parse_cell(text: str, numeric: bool) -> object:

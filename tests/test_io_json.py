@@ -11,10 +11,12 @@ input, to a memory bound that only a streaming writer meets, and pin
 ``RowTable``'s sequence semantics.
 """
 
+import collections
 import enum
 import json
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -451,6 +453,156 @@ def test_row_table_special_columns_match_json_dumps(tmp_path):
         '100% "%s" %(x)s': list(range(n)),
     })
     assert _written(tmp_path, {"rows": table}) == _reference({"rows": table})
+
+
+# ---------------------------------------------------------------------------
+# (b''') RowTable blocks: folded, memoised and raw-formatted columns
+# ---------------------------------------------------------------------------
+
+_B = TABLE_BLOCK_ROWS
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _cycle(values, n):
+    return [values[i % len(values)] for i in range(n)]
+
+
+_EDGE_TABLES = {
+    # constant in one block, repeated or distinct in the next
+    "constant_then_varying": RowTable({
+        "f": [1.5] * _B + [i / 7 for i in range(_B)] + [2.5] * (_B + 5),
+        "i": list(range(_B)) + [7] * _B + _cycle((0, 1, 2), _B) + [7] * 5,
+        "s": ["a"] * _B + _cycle(("a", "b"), _B) + [str(i) for i in range(_B)]
+        + ["z"] * 5,
+        "b": [True] * _B + _cycle((True, False), _B) + [False] * (_B + 5),
+        "n": [None] * _B + _cycle((None, 1.5), _B) + [None] * (_B + 5),
+        "edge": [0.5] * (_B - 1) + [0.75] * (_B + 1) + [0.5] + [0.75] * (_B + 4),
+    }),
+    "all_constant": RowTable({
+        "f": [0.1] * (2 * _B + 1), "i": [10**20] * (2 * _B + 1),
+        "s": ['quote " \\ café'] * (2 * _B + 1), "b": [False] * (2 * _B + 1),
+        "n": [None] * (2 * _B + 1), "z": [-0.0] * (2 * _B + 1),
+    }),
+    "signed_zeros": RowTable({
+        "constant_looking": [0.0] * (_B - 1) + [-0.0] * (_B + 1) + [0.0] * _B,
+        "negative_first": [-0.0] + [0.0] * (3 * _B - 1),
+        "repeated_mixed": _cycle((0.0, -0.0, 1.5, 1.5), 3 * _B),
+        "repeated_negative": _cycle((-0.0, 1.5, 1.5, -0.0), 3 * _B),
+        "repeated_positive": _cycle((2.5, 0.0, 2.5), 3 * _B),
+        "distinct_with_zeros": [(i / 7, -0.0, 0.0)[i % 3] if i % 5 else i / 3
+                                for i in range(3 * _B)],
+    }),
+    "non_finite": RowTable({
+        "same_nan": [_NAN] * (2 * _B),
+        "fresh_nans": [float("nan") for _ in range(2 * _B)],
+        "inf": [_INF] * (2 * _B), "minus_inf": [-_INF] * (2 * _B),
+        "mixed": _cycle((_NAN, _INF, -_INF, 1.0), 2 * _B),
+        "one_inf": [0.5] * (2 * _B - 1) + [_INF],
+    }),
+    "percent": RowTable({
+        "100%": ["%s"] * _B, "%%": ["%%"] * _B, "%s": ["100% done"] * _B,
+        "%(x)s": ["%(x)s"] * _B, "%d": _cycle(("%d", "%%r", "%"), _B),
+        "%r": [i / 3 for i in range(_B)],
+    }),
+    "percent_only_constants": RowTable({
+        "100%": ["%s"] * 3, "%%": ["%%"] * 3, "%(x)s": ["50%%"] * 3,
+    }),
+    "true_and_one": RowTable({
+        "alternating": _cycle((True, 1), 2 * _B),
+        "one_then_true": [1] * (_B - 1) + [True] + [True] * _B,
+        "true_then_one": [True] * _B + [1] * _B,
+        "one_and_float": _cycle((1, 1.0), 2 * _B),
+        "zeros": _cycle((0, False, 0.0, -0.0), 2 * _B),
+    }),
+    "subclasses": RowTable({
+        "enum": [_Tier.HIGH] * (2 * _B), "seconds": [_Seconds(0.5)] * (2 * _B),
+        "float_and_seconds": _cycle((0.5, _Seconds(0.5)), 2 * _B),
+        "name": [_Name("x")] * (2 * _B),
+        "int_and_enum": _cycle((1, _Tier.HIGH), 2 * _B),
+        "nan_seconds": [_Seconds(_NAN)] * (2 * _B),
+    }),
+    "arrays": RowTable({
+        "d_constant": array("d", [1.5] * (2 * _B + 3)),
+        "d_distinct": array("d", [i / 7 for i in range(2 * _B + 3)]),
+        "d_zeros": array("d", _cycle((0.0, -0.0, 1.0), 2 * _B + 3)),
+        "d_nan": array("d", _cycle((_NAN, 1.0), 2 * _B + 3)),
+        "q_constant": array("q", [3] * (2 * _B + 3)),
+        "q_distinct": array("q", range(-_B, _B + 3)),
+        "q_repeated": array("q", _cycle((0, -(2**63), 2**63 - 1), 2 * _B + 3)),
+    }),
+}
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "python"])
+@pytest.mark.parametrize("block_rows", [TABLE_BLOCK_ROWS, 3])
+@pytest.mark.parametrize("name", sorted(_EDGE_TABLES))
+def test_row_table_fold_and_memo_edges_match_json_dumps(
+        tmp_path, monkeypatch, name, block_rows, c_encoder):
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(exp_io, "TABLE_BLOCK_ROWS", block_rows)
+    payload = {"rows": _EDGE_TABLES[name]}
+    assert _written(tmp_path, payload) == _reference(payload)
+
+
+def _pooled_column(rng: random.Random, rows: int):
+    """A column drawn from a small pool of values in runs, so whole
+    blocks fold and others repeat a few values."""
+    kind = rng.choice(_COLUMN_KINDS)
+    pool = [_column_value(rng, kind) for _ in range(rng.choice((1, 2, 3, 8)))]
+    if kind.startswith("float"):
+        pool += rng.choice(((), (0.0,), (-0.0,), (0.0, -0.0)))
+    column = []
+    while len(column) < rows:
+        column += [rng.choice(pool)] * rng.choice((1, 3, 50, 300))
+    column = column[:rows]
+    if kind == "float" and rng.random() < 0.3:
+        return array("d", column)
+    return column
+
+
+def _pooled_table(rng: random.Random) -> RowTable:
+    rows = _table_sizes(rng)
+    keys = rng.sample(_TABLE_KEYS, rng.randint(1, len(_TABLE_KEYS)))
+    return RowTable({key: _pooled_column(rng, rows) for key in keys})
+
+
+def test_fuzzed_pooled_row_tables_match_json_dumps(tmp_path):
+    rng = random.Random(20261020)
+    for _ in range(80):
+        payload = {"requests": _pooled_table(rng), "trace": [_pooled_table(rng)]}
+        assert _written(tmp_path, payload) == _reference(payload)
+
+
+def test_fuzzed_pooled_row_tables_match_json_dumps_without_the_c_encoder(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(exp_io, "TABLE_BLOCK_ROWS", 5)
+    rng = random.Random(13)
+    for _ in range(20):
+        payload = {"requests": _pooled_table(rng)}
+        assert _written(tmp_path, payload) == _reference(payload)
+
+
+def test_row_table_encodes_each_distinct_value_once_per_block(
+        tmp_path, monkeypatch):
+    """A block-constant column is encoded once per block, a repeated one
+    once per distinct value per block, and distinct finite floats go to
+    the row template raw."""
+    counts = collections.Counter()
+
+    def counting(value):
+        counts[value] += 1
+        return float.__repr__(value)
+
+    monkeypatch.setitem(exp_io._COLUMN_ENCODERS, float, counting)
+    blocks = 3
+    n = blocks * TABLE_BLOCK_ROWS
+    table = RowTable({"constant": [0.5] * n,
+                      "repeated": _cycle((1.25, 2.5), n),
+                      "distinct": [i / 7 for i in range(n)]})
+    assert _written(tmp_path, table) == _reference(table)
+    assert counts == {0.5: blocks, 1.25: blocks, 2.5: blocks}
 
 
 def _self_containing_list():
