@@ -16,9 +16,8 @@ written as a stream, with no call to the pure-Python encoder that
   ``str``, ``bool``, ``None``) whose values in the block are all
   equal has its text baked into the template; one with at most half
   its values distinct is encoded through a dict over those values;
-  otherwise a finite-float column fills a ``%r`` slot and an ``int``
-  column a ``%d`` slot with its raw values, and a ``str`` or ``bool``
-  column is one C-level map (the ASCII string escaper, a bool lookup).
+  otherwise it is one C-level map (``float.__repr__``, ``int.__repr__``,
+  the ASCII string escaper, a bool lookup).
   Because ``0.0 == -0.0`` and the two hash alike, a float column whose
   zeros differ in sign is neither baked nor memoised; non-finite
   floats (``repr`` gives ``inf``, ``json.dumps`` ``Infinity``) and any
@@ -35,9 +34,8 @@ Memory stays at about one block of rows, never the whole document.
 
 CSV flattens each row with
 dotted keys (``prefill.latency.total_s``) so spreadsheet tooling can
-consume it (a :class:`RowTable` without dict cells is written from its
-columns, with the same bytes), and :func:`read_csv` re-parses cells so
-a write/read round-trip is *type-faithful*:
+consume it, and :func:`read_csv` re-parses cells so a write/read
+round-trip is *type-faithful*:
 
 * Numeric parsing is restricted to known-numeric columns.  A column is
   numeric unless its leaf name (the last dotted segment) is in
@@ -98,15 +96,6 @@ DEFAULT_STRING_COLUMNS: FrozenSet[str] = frozenset(
 _INT_RE = re.compile(r"[+-]?\d+")
 
 
-def _check_key(key: object) -> None:
-    """Refuse a row key that holds the flattening separator."""
-    if "." in str(key):
-        raise ValueError(
-            f"row key {key!r} contains '.', which collides with the "
-            f"dotted-key flattening; rename the key"
-        )
-
-
 def flatten_row(row: dict, prefix: str = "") -> Dict[str, object]:
     """Flatten nested dicts into dotted keys (scalars pass through).
 
@@ -119,7 +108,11 @@ def flatten_row(row: dict, prefix: str = "") -> Dict[str, object]:
     """
     flat: Dict[str, object] = {}
     for key, value in row.items():
-        _check_key(key)
+        if "." in str(key):
+            raise ValueError(
+                f"row key {key!r} contains '.', which collides with the "
+                f"dotted-key flattening; rename the key"
+            )
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             flat.update(flatten_row(value, prefix=f"{name}."))
@@ -224,10 +217,6 @@ _COLUMN_ENCODERS = {
     type(None): {None: "null"}.__getitem__,
 }
 
-#: Exact column type -> the ``%`` conversion that renders its raw values
-#: as its :data:`_COLUMN_ENCODERS` entry does (finite floats only).
-_RAW_FORMATS = {float: "%r", int: "%d"}
-
 
 @functools.lru_cache(maxsize=None)
 def _level(depth: int) -> tuple:
@@ -266,19 +255,17 @@ def _zero_signs_agree(column) -> bool:
 
 
 def _encode_block(columns, encode):
-    """Per-column ``(text, values)`` of one block of a
-    :class:`RowTable`'s ``columns``, or None when a column holds a
-    container or an unserialisable value.
+    """Per-column texts of one block of a :class:`RowTable`'s
+    ``columns``, or None when a column holds a container or an
+    unserialisable value.
 
-    ``values`` is None for a column whose values are all equal: ``text``
-    is then their encoded text, baked into the block's row template.
-    Otherwise ``text`` is the ``%`` conversion for ``values``: ``%r`` /
-    ``%d`` for the raw values of a finite-float / int column, ``%s`` for
-    encoded texts.  A column of one exact type is encoded once per
-    distinct value when at most half its values are distinct, else by
-    one C-level map; any other column of scalars goes through the C
-    encoder value by value.  The maps are lazy: values are encoded in
-    document order as the rows are consumed.
+    A column of one exact type whose values are all equal is one ``str``,
+    their encoded text, to be baked into the block's row template.  Any
+    other column is an iterator over its values' texts.  A column of one
+    exact type is encoded once per distinct value when at most half its
+    values are distinct, else by one C-level map; any other column of
+    scalars goes through the C encoder value by value.  The maps are
+    lazy: values are encoded in document order as the rows are consumed.
     """
     encoded = []
     for column in columns:
@@ -294,7 +281,7 @@ def _encode_block(columns, encode):
             if not all(kind is type(None) or issubclass(kind, (str, int, float))
                        for kind in types):
                 return None
-            encoded.append(("%s", map(encode, column)))
+            encoded.append(map(encode, column))
             continue
         # The column holds one exact type, so ``==`` and hashing merge
         # values with different texts only for 0.0 and -0.0; True == 1
@@ -302,18 +289,16 @@ def _encode_block(columns, encode):
         first = column[0]
         if column.count(first) == len(column) and (
                 kind is not float or first or _zero_signs_agree(column)):
-            encoded.append((fast(first), None))
+            encoded.append(fast(first))
             continue
         distinct = set(column)
         if 2 * len(distinct) <= len(column) and (
                 kind is not float or 0.0 not in distinct
                 or _zero_signs_agree(column)):
             texts = {value: fast(value) for value in distinct}
-            encoded.append(("%s", map(texts.__getitem__, column)))
-        elif kind in _RAW_FORMATS:
-            encoded.append((_RAW_FORMATS[kind], column))
+            encoded.append(map(texts.__getitem__, column))
         else:
-            encoded.append(("%s", map(fast, column)))
+            encoded.append(map(fast, column))
     return encoded
 
 
@@ -342,10 +327,10 @@ def _write_table(write, table: RowTable, depth: int, markers: set,
                 lead = separator
             continue
         template = "{" + inner + field_separator.join(
-            key + (text if values is not None else text.replace("%", "%%"))
-            for key, (text, values) in zip(keys, block)
+            key + (texts.replace("%", "%%") if isinstance(texts, str) else "%s")
+            for key, texts in zip(keys, block)
         ) + outer + "}"
-        slots = [values for _, values in block if values is not None]
+        slots = [texts for texts in block if not isinstance(texts, str)]
         if slots:
             rows = map(template.__mod__, zip(*slots))
         else:
@@ -430,56 +415,27 @@ def read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _csv_cell(value: object) -> object:
-    """A list cell as its JSON text; other cells as they are."""
-    return json.dumps(value) if isinstance(value, list) else value
-
-
-def _csv_columns(table: RowTable):
-    """The cells of ``table`` column by column, or None when a column
-    holds a dict (which flattening would spread over more columns)."""
-    columns = []
-    for column in table.columns.values():
-        types = set(map(type, column))
-        if any(issubclass(kind, dict) for kind in types):
-            return None
-        if any(issubclass(kind, list) for kind in types):
-            column = map(_csv_cell, column)
-        columns.append(column)
-    return columns
-
-
 def write_csv(path: str, rows: Sequence[dict]) -> None:
     """Write rows as CSV with dotted-flattened columns.
 
     The header is the union of all rows' flattened keys (first-seen
     order), so heterogeneous rows — e.g. ``unsupported`` points without
-    phase dicts — serialise with empty cells.  A non-empty
-    :class:`RowTable` without dict cells is written straight from its
-    columns: its header is its keys, and no row dict is built.
+    phase dicts — serialise with empty cells.
     """
-    columns = None
-    if isinstance(rows, RowTable) and rows:
-        columns = _csv_columns(rows)
-    if columns is not None:
-        for key in rows.columns:
-            _check_key(key)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(rows.columns)
-            writer.writerows(zip(*columns))
-        return
     flat_rows = [flatten_row(r) for r in rows]
-    header: List[str] = []
+    columns: List[str] = []
     for fr in flat_rows:
         for key in fr:
-            if key not in header:
-                header.append(key)
+            if key not in columns:
+                columns.append(key)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header, restval="")
+        writer = csv.DictWriter(fh, fieldnames=columns, restval="")
         writer.writeheader()
         for fr in flat_rows:
-            writer.writerow({k: _csv_cell(v) for k, v in fr.items()})
+            writer.writerow({
+                k: json.dumps(v) if isinstance(v, list) else v
+                for k, v in fr.items()
+            })
 
 
 def _parse_cell(text: str, numeric: bool) -> object:

@@ -456,7 +456,7 @@ def test_row_table_special_columns_match_json_dumps(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# (b''') RowTable blocks: folded, memoised and raw-formatted columns
+# (b''') RowTable blocks: folded and memoised columns
 # ---------------------------------------------------------------------------
 
 _B = TABLE_BLOCK_ROWS
@@ -587,8 +587,7 @@ def test_fuzzed_pooled_row_tables_match_json_dumps_without_the_c_encoder(
 def test_row_table_encodes_each_distinct_value_once_per_block(
         tmp_path, monkeypatch):
     """A block-constant column is encoded once per block, a repeated one
-    once per distinct value per block, and distinct finite floats go to
-    the row template raw."""
+    once per distinct value per block, and a distinct one once per row."""
     counts = collections.Counter()
 
     def counting(value):
@@ -602,7 +601,8 @@ def test_row_table_encodes_each_distinct_value_once_per_block(
                       "repeated": _cycle((1.25, 2.5), n),
                       "distinct": [i / 7 for i in range(n)]})
     assert _written(tmp_path, table) == _reference(table)
-    assert counts == {0.5: blocks, 1.25: blocks, 2.5: blocks}
+    distinct = {i / 7: 1 for i in range(n)}
+    assert counts == {0.5: blocks, 1.25: blocks, 2.5: blocks, **distinct}
 
 
 def _self_containing_list():
