@@ -68,7 +68,7 @@ import functools
 import json
 import re
 from collections.abc import Mapping, Sequence
-from itertools import filterfalse, repeat
+from itertools import chain, filterfalse, repeat
 from math import copysign, isfinite
 from operator import eq, index as as_index
 from typing import Dict, FrozenSet, Iterator, List
@@ -423,11 +423,7 @@ def write_csv(path: str, rows: Sequence[dict]) -> None:
     phase dicts — serialise with empty cells.
     """
     flat_rows = [flatten_row(r) for r in rows]
-    columns: List[str] = []
-    for fr in flat_rows:
-        for key in fr:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(chain.from_iterable(flat_rows)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, restval="")
         writer.writeheader()

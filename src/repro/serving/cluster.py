@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import chain, compress
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -63,7 +62,6 @@ from repro.serving.engine.records import (
     ColumnRecords,
     RequestRecord,
     ServingResult,
-    _part_column,
 )
 from repro.serving.faults import FaultPlan, RetryPolicy
 from repro.serving.routing import RoutingPolicy, get_router
@@ -407,7 +405,9 @@ class ClusterResult:
     not serve (retry budget exhausted, load-shed, or stranded on a dead
     fleet) — they belong to no deployment; ``fault_events`` is the
     chronological fault log (crash detections plus scheduled
-    stall/degrade windows).
+    stall/degrade windows).  Cluster-wide counts (completed, rejected,
+    failed, retries, failovers, shed, goodput) are
+    :func:`repro.serving.metrics.cluster_summary`'s.
     """
 
     router: str
@@ -421,7 +421,8 @@ class ClusterResult:
     @property
     def records(self) -> ColumnRecords:
         """Every request record — deployment slices plus cluster-level
-        failures — by request id, as columns."""
+        failures — by request id, as columns (each read merges them
+        anew)."""
         return ColumnRecords.merge(
             [dep.serving.records for dep in self.deployments]
             + [self.failed_records]
@@ -433,64 +434,6 @@ class ClusterResult:
         return sum(
             len(dep.serving.records) for dep in self.deployments
         ) + len(self.failed_records)
-
-    def _parts(self, name: str) -> List[list]:
-        """Field ``name`` of every record as one list per part: each
-        deployment's records, then the cluster-level failures.  Not in
-        ``req_id`` order: for counts, which need no merge."""
-        return [
-            _part_column(records, name)
-            for records in [dep.serving.records for dep in self.deployments]
-            + [self.failed_records]
-        ]
-
-    def _count(self, status: str) -> int:
-        """Records whose status is ``status``."""
-        return sum(part.count(status) for part in self._parts("status"))
-
-    @property
-    def completed(self) -> int:
-        """Requests that produced all their tokens."""
-        return self._count("completed")
-
-    @property
-    def rejected(self) -> int:
-        """Requests rejected as never-fitting their deployment's KV.
-
-        Counted by actual record status — not ``requests - completed``,
-        so a future terminal status (truncated, cancelled) cannot
-        silently inflate the rejection count.
-        """
-        return self._count("rejected")
-
-    @property
-    def failed(self) -> int:
-        """Requests that ended in the terminal ``failed`` status."""
-        return self._count("failed")
-
-    @property
-    def retries(self) -> int:
-        """Crash-driven re-submissions across every request."""
-        return sum(map(sum, self._parts("retries")))
-
-    @property
-    def failovers(self) -> int:
-        """Re-routes away from dead replicas across every request."""
-        return sum(map(sum, self._parts("failovers")))
-
-    @property
-    def shed_requests(self) -> int:
-        """Requests dropped by the load-shedder."""
-        return sum(map(bool, chain.from_iterable(self._parts("shed"))))
-
-    @property
-    def goodput_tokens(self) -> int:
-        """Tokens delivered by *completed* requests — unlike
-        :attr:`output_tokens`, work lost to crashes does not count."""
-        done = [s == "completed"
-                for s in chain.from_iterable(self._parts("status"))]
-        return sum(compress(chain.from_iterable(self._parts("gen_tokens")),
-                            done))
 
     @property
     def makespan_s(self) -> float:

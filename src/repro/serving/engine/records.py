@@ -4,12 +4,13 @@
 derived latency metrics), :class:`RankStats` the per-replica aggregate
 counters, and :class:`ServingResult` the bundle a whole simulation
 returns — the input type of :mod:`repro.serving.metrics` and of the
-cluster layer's per-deployment slices.
+cluster layer's per-deployment slices.  :class:`ColumnRecords` holds a
+result's records as one list per field (merged and replaced stores are
+gathered once, when built) and builds record objects only when read.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import MutableSequence, Sequence
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -145,20 +146,21 @@ class ColumnRecords(MutableSequence):
     Engines finish a run holding their outcomes as columns; building one
     :class:`RequestRecord` per request up front would cost time and
     memory the caller may never need (metrics and exports read
-    columns).  This sequence builds the record objects only on element
-    access; ``len()`` never materialises.  :meth:`column` returns a
-    field's values in row order -- read from the columns, or, once the
-    records exist (a caller may have edited them), from the records --
-    and also the derived properties (``queue_s``, ``ttft_s``,
-    ``tpot_s``, ``latency_s``), computed elementwise with the
-    properties' own arithmetic.  Nothing is copied or cached up front:
-    a column of a row selection or of a merge is gathered when read.
+    columns).  The store is one list per record field with an optional
+    row selection; it builds the record objects only on element access,
+    and ``len()`` never materialises.  :meth:`column` returns a field's
+    values in row order -- the stored list itself when there is no row
+    selection, or, once the records exist (a caller may have edited
+    them), read from the records -- and also the derived properties
+    (``queue_s``, ``ttft_s``, ``tpot_s``, ``latency_s``), computed
+    elementwise with the properties' own arithmetic.
 
     ``ColumnRecords(fields, rows)`` selects rows of one list per record
-    field, :meth:`merge` combines record sequences sorted by ``req_id`` (how
-    every result holds its records), and :meth:`replace` swaps whole
-    field columns.  Records compare equal to any sequence of equal
-    records, and edit like a list (which builds the objects first).
+    field, :meth:`merge` combines record sequences sorted by ``req_id``
+    (how every result holds its records), and :meth:`replace` swaps
+    whole field columns; both gather each field once, when they build
+    the store.  Records compare equal to any sequence of equal records,
+    and edit like a list (which builds the objects first).
     """
 
     def __init__(self, fields: Dict[str, list],
@@ -166,21 +168,9 @@ class ColumnRecords(MutableSequence):
         """Records over one list per :class:`RequestRecord` field: the
         entries at ``rows``, in that order, or with ``rows=None`` the
         lists' current entries.  The lists are read, not copied."""
-        self._source(len(fields["req_id"]) if rows is None else len(rows))
-        self._fields = fields
+        self._size = len(fields["req_id"]) if rows is None else len(rows)
+        self._fields: Optional[Dict[str, list]] = fields
         self._rows = rows
-
-    def _source(self, size: int) -> None:
-        """Reset to ``size`` records with no source; the constructors
-        then set exactly one of: a row selection of ``_fields``, the
-        merged ``_parts``, or a ``_base`` with ``_overrides``."""
-        self._size = size
-        self._fields: Optional[Dict[str, list]] = None
-        self._rows: Optional[Sequence[int]] = None
-        self._parts: Optional[List[Sequence]] = None
-        self._order: Optional[Sequence[int]] = None
-        self._base: Optional[ColumnRecords] = None
-        self._overrides: Dict[str, list] = {}
         self._items: Optional[List[RequestRecord]] = None
 
     @classmethod
@@ -191,30 +181,29 @@ class ColumnRecords(MutableSequence):
         it is, so it must already be sorted."""
         if len(parts) == 1 and isinstance(parts[0], ColumnRecords):
             return parts[0]
-        # A merged part contributes its own parts: sorting all of their
-        # rows at once orders ties exactly as merging twice would.
-        leaves = []
-        for part in parts:
-            inner = getattr(part, "_parts", None)
-            leaves.extend(inner if inner is not None else (part,))
-        records = cls.__new__(cls)
-        records._source(sum(map(len, parts)))
-        records._parts = leaves
-        ids = records.column("req_id")
+        fields = {
+            name: list(chain.from_iterable(
+                _part_column(part, name) for part in parts
+            ))
+            for name in _RECORD_FIELDS
+        }
+        ids = fields["req_id"]
+        # A stable sort: ties keep part order, then row order, so a
+        # merge of merges equals one flat merge.
         order = sorted(range(len(ids)), key=ids.__getitem__)
         if any(map(ne, order, range(len(order)))):
-            records._order = array("q", order)
-        return records
+            for name, values in fields.items():
+                fields[name] = list(map(values.__getitem__, order))
+        return cls(fields)
 
     def replace(self, **fields: list) -> "ColumnRecords":
         """These records with the named field columns replaced by
         ``fields`` (lists in row order); the other fields are read from
         ``self``."""
-        records = ColumnRecords.__new__(ColumnRecords)
-        records._source(len(self))
-        records._base = self
-        records._overrides = fields
-        return records
+        return ColumnRecords({
+            name: fields[name] if name in fields else self.column(name)
+            for name in _RECORD_FIELDS
+        })
 
     def __len__(self) -> int:
         return self._size if self._items is None else len(self._items)
@@ -243,17 +232,6 @@ class ColumnRecords(MutableSequence):
                 for name in names]
 
     def _field(self, name: str) -> list:
-        if self._base is not None:
-            if name in self._overrides:
-                return self._overrides[name]
-            return self._base.columns((name,))[0]
-        if self._parts is not None:
-            values = list(chain.from_iterable(
-                _part_column(part, name) for part in self._parts
-            ))
-            if self._order is None:
-                return values
-            return list(map(values.__getitem__, self._order))
         values = self._fields[name]
         if self._rows is not None:
             return list(map(values.__getitem__, self._rows))
@@ -266,7 +244,7 @@ class ColumnRecords(MutableSequence):
             items = list(map(RequestRecord, *self.columns(_RECORD_FIELDS)))
             # From here on the objects are the records (a caller may
             # edit them).
-            self._source(self._size)
+            self._fields = self._rows = None
             self._items = items
         return self._items
 

@@ -50,7 +50,7 @@ bit.  A one-rank run aggregates its records once and reuses the
 from __future__ import annotations
 
 from itertools import compress
-from typing import List
+from typing import List, Sequence
 
 from repro.experiments.io import RowTable
 from repro.experiments.tables import (
@@ -62,7 +62,7 @@ from repro.experiments.tables import (
     percentiles,
     safe_ratio,
 )
-from repro.serving.engine import ServingResult
+from repro.serving.engine import RankStats, ServingResult
 
 __all__ = [
     "record_rows",
@@ -103,37 +103,35 @@ def record_rows(result: ServingResult) -> RowTable:
     )))
 
 
-def _enrich_all(row: dict, result: ServingResult) -> dict:
-    """Add the deployment-level totals to the ``all`` row."""
-    output_tokens = result.output_tokens
-    row["makespan_s"] = result.makespan_s
-    row["prefill_tokens"] = result.prefill_tokens
-    row["energy_j"] = result.total_energy_j
+def _enrich(row: dict, stats: Sequence[RankStats], makespan: float) -> dict:
+    """Add the replica counters of ``stats`` over ``makespan`` to
+    ``row``: every rank's over the result's makespan for the ``all``
+    row, ``[rs]`` over ``rs.finish_s`` for a rank row."""
+    energy = sum(rs.energy_j for rs in stats)
+    hits = sum(rs.cache_hits for rs in stats)
+    misses = sum(rs.cache_misses for rs in stats)
+    row["makespan_s"] = makespan
+    row["prefill_tokens"] = sum(rs.prefill_tokens for rs in stats)
+    row["energy_j"] = energy
     row["energy_mj_per_token"] = safe_ratio(
-        1e3 * result.total_energy_j, output_tokens
+        1e3 * energy, sum(rs.output_tokens for rs in stats)
     )
     row["utilization"] = safe_ratio(
-        sum(rs.busy_s for rs in result.rank_stats),
-        len(result.rank_stats) * result.makespan_s,
+        sum(rs.busy_s for rs in stats), len(stats) * makespan
     )
-    row["requeues"] = sum(rs.requeues for rs in result.rank_stats)
-    row["recompute_tokens"] = sum(
-        rs.recompute_tokens for rs in result.rank_stats
-    )
+    row["requeues"] = sum(rs.requeues for rs in stats)
+    row["recompute_tokens"] = sum(rs.recompute_tokens for rs in stats)
     row["kv_peak_bytes"] = max(
-        (rs.kv_peak_bytes for rs in result.rank_stats), default=0
+        (rs.kv_peak_bytes for rs in stats), default=0
     )
-    hits, misses = result.cache_hits, result.cache_misses
     row["cache_hits"] = hits
     row["cache_misses"] = misses
-    row["cache_evictions"] = result.cache_evictions
+    row["cache_evictions"] = sum(rs.cache_evictions for rs in stats)
     row["cache_hit_rate"] = safe_ratio(hits, hits + misses)
-    row["cache_hit_tokens"] = sum(
-        rs.cache_hit_tokens for rs in result.rank_stats
-    )
+    row["cache_hit_tokens"] = sum(rs.cache_hit_tokens for rs in stats)
     row["kv_dedup_factor"] = safe_ratio(
-        sum(rs.kv_logical_bytes for rs in result.rank_stats),
-        sum(rs.kv_reserved_bytes for rs in result.rank_stats),
+        sum(rs.kv_logical_bytes for rs in stats),
+        sum(rs.kv_reserved_bytes for rs in stats),
         default=1.0,
     )
     return row
@@ -152,30 +150,12 @@ def metrics_table(result: ServingResult) -> List[dict]:
     table = _scope_table(*_attr_columns(result.records))
     if not table:
         return table
-    _enrich_all(table[0], result)
+    _enrich(table[0], result.rank_stats, result.makespan_s)
     by_scope = {row["scope"]: row for row in table}
     for rs in result.rank_stats:
         row = by_scope.get(f"rank{rs.rank}")
-        if row is None:
-            continue
-        row["makespan_s"] = rs.finish_s
-        row["prefill_tokens"] = rs.prefill_tokens
-        row["energy_j"] = rs.energy_j
-        row["energy_mj_per_token"] = safe_ratio(1e3 * rs.energy_j, rs.output_tokens)
-        row["utilization"] = rs.utilization
-        row["requeues"] = rs.requeues
-        row["recompute_tokens"] = rs.recompute_tokens
-        row["kv_peak_bytes"] = rs.kv_peak_bytes
-        row["cache_hits"] = rs.cache_hits
-        row["cache_misses"] = rs.cache_misses
-        row["cache_evictions"] = rs.cache_evictions
-        row["cache_hit_rate"] = safe_ratio(
-            rs.cache_hits, rs.cache_hits + rs.cache_misses
-        )
-        row["cache_hit_tokens"] = rs.cache_hit_tokens
-        row["kv_dedup_factor"] = safe_ratio(
-            rs.kv_logical_bytes, rs.kv_reserved_bytes, default=1.0
-        )
+        if row is not None:
+            _enrich(row, [rs], rs.finish_s)
     return table
 
 
@@ -186,8 +166,9 @@ def summary(result: ServingResult) -> dict:
     :func:`metrics_table` are not built.
     """
     if len(result.records):
-        row = _enrich_all(
-            _scope_row("all", *_attr_columns(result.records)), result
+        row = _enrich(
+            _scope_row("all", *_attr_columns(result.records)),
+            result.rank_stats, result.makespan_s,
         )
     else:
         row = {"scope": "all"}

@@ -18,11 +18,13 @@ import pytest
 import repro.serving.engine.rank_engine as rank_engine
 from repro.serving import (
     POLICIES,
+    Deployment,
     Request,
     ServingConfig,
     TraceSpec,
     generate_trace,
     record_rows,
+    simulate_cluster,
     simulate_trace,
     trace_rows,
 )
@@ -127,6 +129,29 @@ def test_merge_sorts_by_req_id_keeping_part_order_on_ties():
         [(0, 1), (1, 0), (3, 0), (3, 0), (3, 1)]
     assert merged.column("req_id") == [0, 1, 3, 3, 3]
     assert ColumnRecords.merge([columns]) is columns
+    # A merge of merges orders ties as one flat merge does.
+    third = [RequestRecord(i, 2, 0.0, 1, 1) for i in (3, 1, 0)]
+    flat = ColumnRecords.merge([columns, listed, third])
+    nested = ColumnRecords.merge([ColumnRecords.merge([columns, listed]),
+                                  ColumnRecords.merge([third])])
+    assert [(r.req_id, r.rank) for r in flat] == \
+        [(0, 1), (0, 2), (1, 0), (1, 2), (3, 0), (3, 0), (3, 1), (3, 2)]
+    assert list(nested) == list(flat)
+    for name in names:
+        assert nested.column(name) == flat.column(name), name
+
+
+def test_stored_columns_are_gathered_once():
+    """A merged result holds each field as one list: reading it twice
+    returns the same list, gathered when the result was built."""
+    two_rank = _starved_result().records
+    clustered = simulate_cluster(_trace(), [
+        Deployment(ServingConfig(model="gpt-125m", num_ranks=2), name="a"),
+        Deployment(ServingConfig(model="gpt-125m", num_ranks=1), name="b"),
+    ]).records
+    for records in (two_rank, clustered):
+        for name in ("req_id", "status", "arrival_s", "finish_s"):
+            assert records.column(name) is records.column(name), name
 
 
 def _trace(n=60, seed=3, scenario="conversational"):

@@ -296,14 +296,15 @@ def test_cluster_crash_retries_to_completion():
         trace, _deployments(), router="round_robin", faults=plan,
         retry_policy=RetryPolicy(max_retries=5),
     )
+    summary = cluster_summary(result)
     assert result.requests == len(trace)
-    assert result.failed == 0
-    assert result.completed + result.rejected == len(trace)
-    assert result.retries > 0
+    assert summary["failed"] == 0
+    assert summary["completed"] + summary["rejected"] == len(trace)
+    assert summary["retries"] > 0
     crashes = [e for e in result.fault_events if e["kind"] == "crash"]
     assert len(crashes) == 1
     assert crashes[0]["rank"] == 0
-    assert crashes[0]["lost_requests"] == result.retries
+    assert crashes[0]["lost_requests"] == summary["retries"]
     retried = [r for r in result.records if r.retries > 0]
     assert retried and all(r.status == "completed" for r in retried)
     # Retried requests keep their original arrival (latency counts the
@@ -325,9 +326,11 @@ def test_retry_exhaustion_fails_terminally():
         trace, [dep], faults=plan,
         retry_policy=RetryPolicy(max_retries=2, backoff_base_s=0.1),
     )
+    summary = cluster_summary(result)
     assert result.requests == len(trace)
-    assert result.completed + result.rejected + result.failed == len(trace)
-    assert result.failed > 0
+    assert summary["completed"] + summary["rejected"] + summary["failed"] \
+        == len(trace)
+    assert summary["failed"] > 0
     for rec in result.failed_records:
         assert rec.status == "failed"
         assert rec.retries <= 2
@@ -347,8 +350,10 @@ def test_chaos_fuzzer_conserves_every_request(seed, router):
         trace, _deployments(), router=router, autoscaler=scaler,
         faults=plan, retry_policy=RetryPolicy(max_retries=3), shed_tier=1,
     )
+    summary = cluster_summary(result)
     assert result.requests == len(trace)
-    assert result.completed + result.rejected + result.failed == len(trace)
+    assert summary["completed"] + summary["rejected"] + summary["failed"] \
+        == len(trace)
     assert {rec.req_id for rec in result.records} == \
         {r.req_id for r in trace}
     for rec in result.records:
@@ -432,8 +437,10 @@ def test_load_shedding_drops_low_tier_arrivals_under_pressure():
     assert all(r.status == "failed" for r in shed)
     assert all(r.priority >= 1 for r in shed)
     assert all(r.rank == -1 for r in shed)  # never reached a replica
-    assert result.shed_requests == len(shed)
-    assert result.completed + result.rejected + result.failed == len(trace)
+    summary = cluster_summary(result)
+    assert summary["shed"] == len(shed)
+    assert summary["completed"] + summary["rejected"] + summary["failed"] \
+        == len(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +462,8 @@ def test_autoscaler_replaces_crashed_replica():
     assert event["cold_start_s"] > 0.0
     assert event["deployment"] == "a"
     assert result.deployments[0].replacements == 1
-    assert result.failed == 0
     summary = cluster_summary(result)
+    assert summary["failed"] == 0
     assert summary["replacements"] == 1
     assert summary["crashes"] == 1
     assert summary["recovery_time_s"] >= 0.0
@@ -519,7 +526,9 @@ def test_shrinking_fleet_never_routes_to_retired_or_dead_replicas(router):
     cluster = Cluster(_deployments(), router=router, autoscaler=scaler,
                       faults=plan, retry_policy=RetryPolicy(max_retries=4))
     result = cluster.run(trace)
-    assert result.completed + result.rejected + result.failed == len(trace)
+    summary = cluster_summary(result)
+    assert summary["completed"] + summary["rejected"] + summary["failed"] \
+        == len(trace)
     crash_boundary = {
         e["rank"]: e["t_s"] for e in result.fault_events
         if e["kind"] == "crash"
@@ -570,9 +579,10 @@ def test_replay_oracle_reconstructs_fault_counters():
         1 for e in result.fault_events if e["kind"] == "degrade")
     assert counters["lost_requests"] == sum(
         e.get("lost_requests", 0) for e in result.fault_events)
-    assert counters["retries"] == result.retries
-    assert counters["failovers"] == result.failovers
-    assert counters["shed"] == result.shed_requests
+    summary = cluster_summary(result)
+    assert counters["retries"] == summary["retries"]
+    assert counters["failovers"] == summary["failovers"]
+    assert counters["shed"] == summary["shed"]
     assert counters["replacements"] == sum(
         1 for e in result.scale_events if e["action"] == "replace")
     for rec in result.records:
@@ -625,7 +635,7 @@ def test_traced_sticky_session_failover():
         assert list(event.data) == ["deployment", "from_rank"]
         assert event.data["from_rank"] == 0
     assert replay_fault_counters(tracer.events)["failovers"] == \
-        result.failovers
+        cluster_summary(result)["failovers"]
     validate_chrome_trace(chrome_trace(tracer.events))
 
 
@@ -655,11 +665,15 @@ def test_cluster_summary_carries_fault_metrics():
     assert summary["crashes"] == 1
     assert summary["stalls"] == 1
     assert summary["degrades"] == 1
-    assert summary["retries"] == result.retries
-    assert summary["failovers"] == result.failovers
-    assert summary["failed"] == result.failed
-    assert summary["shed"] == result.shed_requests
-    assert summary["goodput_tokens"] == result.goodput_tokens
+    records = result.records
+    status, retries, failovers, shed, gens = records.columns(
+        ("status", "retries", "failovers", "shed", "gen_tokens"))
+    assert summary["retries"] == sum(retries)
+    assert summary["failovers"] == sum(failovers)
+    assert summary["failed"] == status.count("failed")
+    assert summary["shed"] == sum(map(bool, shed))
+    assert summary["goodput_tokens"] == sum(
+        gen for gen, s in zip(gens, status) if s == "completed")
     assert summary["goodput_tokens"] <= summary["output_tokens"]
     assert summary["unavailability_s"] > 0.0
     assert summary["recovery_time_s"] >= 0.0
